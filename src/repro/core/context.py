@@ -164,6 +164,7 @@ class SimContext:
         self.engine = engine if engine is not None else make_engine()
         self.bus = bus if bus is not None else SignalBus()
         self._components: Dict[str, object] = {}
+        self._watchers: List[Callable[[str, object], None]] = []
         for observer in tuple(_CONTEXT_OBSERVERS):
             observer(self)
 
@@ -180,7 +181,27 @@ class SimContext:
         validate_component(component)
         self._components[name] = component
         component.attach(self)
+        for watcher in self._watchers:
+            watcher(name, component)
         return component
+
+    def watch(self, watcher: Callable[[str, object], None]):
+        """Call ``watcher(name, component)`` for every component
+        registered so far and, after its ``attach``, for every one added
+        later — how an instrument arms components that a context
+        observer sees before assembly.  Returns ``watcher`` for
+        :meth:`unwatch`."""
+        self._watchers.append(watcher)
+        for name, component in list(self._components.items()):
+            watcher(name, component)
+        return watcher
+
+    def unwatch(self, watcher: Callable[[str, object], None]) -> None:
+        """Stop notifying ``watcher``; unknown watchers are ignored."""
+        try:
+            self._watchers.remove(watcher)
+        except ValueError:
+            pass
 
     def component(self, name: str):
         try:

@@ -46,6 +46,7 @@ class MemoryModule(Resource):
         "sync_timeouts",
         "service_signal",
         "sync_signal",
+        "service_account",
     )
 
     def __init__(
@@ -76,6 +77,10 @@ class MemoryModule(Resource):
         #: monitoring channels, wired by :meth:`GlobalMemory.attach`.
         self.service_signal = NULL_SIGNAL
         self.sync_signal = NULL_SIGNAL
+        #: optional in-place service accounting (a
+        #: :class:`~repro.monitor.metrics.ServiceAccount`), armed by the
+        #: standard monitors; ``None`` costs one branch per service.
+        self.service_account = None
 
     # -- Resource overrides --------------------------------------------------
 
@@ -97,6 +102,9 @@ class MemoryModule(Resource):
             # unmonitored path (we are inside the subscriber guard); it
             # gives the monitors per-module service-time histograms.
             sig.emit(self.index, packet, self.engine.now, self.service_cycles(packet))
+        account = self.service_account
+        if account is not None:
+            account.record(packet.words, self.service_cycles(packet), self.engine._now)
         request_words = packet.words
         kind = packet.kind
         if kind is PacketKind.READ_REQ:
@@ -206,6 +214,8 @@ class GlobalMemory:
             module.reads = module.writes = module.sync_ops = 0
             module.ecc_retries = module.sync_timeouts = 0
             module.sync = SyncProcessor()
+            if module.service_account is not None:
+                module.service_account.clear()
 
     def stats(self) -> dict:
         if _np is not None:

@@ -15,9 +15,11 @@ On top of the probe hardware sits the machine-wide observability stack:
 
 * :class:`MetricsRegistry` — counters / gauges / time-weighted series
   keyed by component path (``gmem.module[12]``, ``net.fwd.s1[3]``);
-* the utilization monitors (:mod:`repro.monitor.monitors`) — broadcast
-  bus subscribers deriving busy-fraction timelines, queue-occupancy
-  distributions, and service-time histograms;
+* the utilization monitors (:mod:`repro.monitor.monitors`) — in-place
+  accumulators armed inside links, memory modules and cluster banks and
+  pulled into the registry at report time (busy-fraction timelines,
+  queue-occupancy distributions, service-time histograms), plus bus
+  subscribers for the cold PFU / sync / fault signals;
 * :class:`ChromeTracer` — whole-run Chrome/Perfetto trace export
   (``python -m repro trace <experiment> --out trace.json``);
 * :class:`RunReport` / :class:`ReportCollector` — structured per-run
@@ -28,8 +30,9 @@ On top of the probe hardware sits the machine-wide observability stack:
 * :mod:`repro.monitor.profiler` — host wall-clock profiling with
   per-subsystem frame attribution (``python -m repro profile``).
 
-Everything subscribes through the zero-cost :class:`SignalBus`; an
-unmonitored machine pays one guarded branch per would-be emission and
+Subscribers go through the zero-cost :class:`SignalBus` and
+accumulators sit behind one ``is not None`` branch: an unmonitored
+machine pays one guarded branch per would-be emission or update, and
 its cycle counts are bit-identical with or without monitors attached.
 """
 

@@ -54,6 +54,17 @@ class Histogrammer:
         elif value >= self.hi:
             self.overflow += 1
 
+    def record_count(self, value: float, count: int) -> None:
+        """``count`` samples of ``value`` at once: the same bank state as
+        ``count`` calls to :meth:`record`, saturation included."""
+        idx = self.bin_for(value)
+        self._counts[idx] = min(self._counts.get(idx, 0) + count, self.COUNTER_MAX)
+        self.samples += count
+        if value < self.lo:
+            self.underflow += count
+        elif value >= self.hi:
+            self.overflow += count
+
     def count(self, idx: int) -> int:
         return self._counts.get(idx, 0)
 

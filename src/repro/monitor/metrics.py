@@ -7,11 +7,21 @@ metric instruments keyed by **component path** (``gmem.module[12]``,
 ``net.fwd.s1[3]``, ``pfu.port[0]``) plus a metric suffix
 (``.services``, ``.queue_words``, ``.busy``).
 
-Nothing in the machine model writes metrics directly: instruments are
-populated exclusively by bus subscribers (the monitors in
-:mod:`repro.monitor.monitors`), so an unmonitored simulation touches
-none of this code and the zero-cost fast path of
-:mod:`repro.monitor.signals` is preserved.
+Instruments reach the registry two ways:
+
+* **pulled** — the hot per-event accounting (queue occupancy, link
+  traffic, busy bins, memory service times) lives *inside* the
+  components as :class:`Occupancy` and :class:`ServiceAccount`
+  accumulators, incremented in place like the paper's hardware
+  histogrammers.  A monitor arms them and registers itself as a pull
+  source (:meth:`MetricsRegistry.add_source`); nothing is read until a
+  snapshot or timeline sample asks.
+* **pushed** — cold signals (PFU lifecycle, sync ops, faults) are still
+  counted by bus subscribers writing get-or-create instruments.
+
+Either way an unmonitored simulation touches none of this code: an
+unarmed component pays one ``is not None`` branch per would-be update,
+and the zero-cost fast path of :mod:`repro.monitor.signals` is kept.
 
 Instrument kinds
 ----------------
@@ -115,12 +125,7 @@ class TimeWeighted:
 
     def mean(self, now: Optional[float] = None) -> float:
         """Time-weighted mean from the first update through ``now``."""
-        end = self._since if now is None else max(now, self._since)
-        elapsed = end - self._start
-        if elapsed <= 0:
-            return self._value
-        tail = (end - self._since) * self._value
-        return (self._weighted + tail) / elapsed
+        return _held_mean(self._start, self._since, self._value, self._weighted, now)
 
     def distribution(self, now: Optional[float] = None) -> Dict[float, float]:
         """``{value: cycles held}`` including the still-open interval."""
@@ -129,6 +134,18 @@ class TimeWeighted:
         if end > self._since:
             dist[self._value] = dist.get(self._value, 0.0) + (end - self._since)
         return dist
+
+
+def _held_mean(start, since, value, weighted, now) -> float:
+    """The time-weighted mean of a held value over ``start..now``:
+    ``weighted`` integrates every closed interval, the open one runs
+    from ``since`` (a ``now`` before ``since`` is clamped to it)."""
+    end = since if now is None else max(now, since)
+    elapsed = end - start
+    if elapsed <= 0:
+        return value
+    tail = (end - since) * value
+    return (weighted + tail) / elapsed
 
 
 class Timeline:
@@ -174,6 +191,117 @@ class Timeline:
             return 0.0
         return min(1.0, max(self._bins.values()) / self.bin_cycles)
 
+    def clear(self) -> None:
+        self._bins.clear()
+
+
+def _histogram_from_counts(
+    counts: Dict[float, int], lo: float, hi: float, bins: int
+) -> Histogrammer:
+    """Rebuild a :class:`Histogrammer` from a ``{value: samples}`` table.
+    Values are replayed in first-seen order, so bins fill in the order
+    live recording would have created them and the float sums behind
+    ``mean()`` come out bit-identical."""
+    hist = Histogrammer(lo, hi, bins=bins)
+    for value, count in counts.items():
+        hist.record_count(value, count)
+    return hist
+
+
+class Occupancy:
+    """In-place queue and traffic accounting carried by one armed
+    :class:`~repro.network.resource.Resource`.
+
+    The resource calls :meth:`edge` where a packet joins its queue and
+    :meth:`depart` where one leaves; each call folds the queue depth
+    into a sampled-and-held level (area and maximum, the
+    :class:`TimeWeighted` arithmetic minus its duration table) and a
+    count-weighted ``{queued words: edges}`` table, and a departure also
+    counts packets / words and credits the optional ``busy`` timeline
+    (shared by every link of one network stage).  Nothing else happens
+    until a registry snapshot reads the accumulator back: ``value``,
+    ``maximum`` and :meth:`mean` answer like a :class:`TimeWeighted`,
+    :meth:`histogram` rebuilds the depth distribution.
+    """
+
+    __slots__ = (
+        "value", "since", "area", "maximum", "counts", "packets", "words", "busy",
+    )
+
+    def __init__(self, busy: Optional[Timeline] = None) -> None:
+        self.busy = busy
+        self.clear()
+
+    def clear(self) -> None:
+        """Back to the freshly-armed state (the shared busy timeline
+        included — every link of a stage resets together)."""
+        self.value = 0.0
+        self.since = 0.0
+        self.area = 0.0
+        self.maximum = 0.0
+        self.counts: Dict[float, int] = {}
+        self.packets = 0
+        self.words = 0
+        if self.busy is not None:
+            self.busy.clear()
+
+    def edge(self, value: int, now: float) -> None:
+        held = now - self.since
+        if held > 0:
+            self.area += self.value * held
+        self.value = value
+        self.since = now
+        if value > self.maximum:
+            self.maximum = value
+        counts = self.counts
+        counts[value] = counts.get(value, 0) + 1
+
+    def depart(self, value: int, words: int, duration: float, now: float) -> None:
+        self.edge(value, now)
+        self.packets += 1
+        self.words += words
+        busy = self.busy
+        if busy is not None:
+            busy.add(now - duration, duration)
+
+    def mean(self, now: Optional[float] = None) -> float:
+        return _held_mean(0.0, self.since, self.value, self.area, now)
+
+    def histogram(self, lo: float, hi: float, bins: int) -> Histogrammer:
+        return _histogram_from_counts(self.counts, lo, hi, bins)
+
+
+class ServiceAccount:
+    """In-place service accounting carried by one armed server (a global
+    memory module): services, request words, a ``{service cycles:
+    count}`` table, and busy credit into the optional (shared) ``busy``
+    timeline.  :meth:`record` runs once per completed service."""
+
+    __slots__ = ("services", "words", "cycles", "busy")
+
+    def __init__(self, busy: Optional[Timeline] = None) -> None:
+        self.busy = busy
+        self.clear()
+
+    def clear(self) -> None:
+        self.services = 0
+        self.words = 0
+        self.cycles: Dict[float, int] = {}
+        if self.busy is not None:
+            self.busy.clear()
+
+    def record(self, words: int, cycles: float, now: float) -> None:
+        self.services += 1
+        self.words += words
+        table = self.cycles
+        table[cycles] = table.get(cycles, 0) + 1
+        busy = self.busy
+        if busy is not None:
+            busy.add(now - cycles, cycles)
+
+    def histogram(self, lo: float, hi: float, bins: int) -> Histogrammer:
+        return _histogram_from_counts(self.cycles, lo, hi, bins)
+
 
 class MetricsRegistry:
     """Get-or-create registry of named instruments.
@@ -181,6 +309,14 @@ class MetricsRegistry:
     One registry instruments one machine; :meth:`snapshot` flattens
     everything into a JSON-serializable dict for
     :class:`~repro.monitor.report.RunReport`.
+
+    Pull sources (:meth:`add_source`) contribute instruments read from
+    component accumulators at call time; each one provides
+    ``counters()``, ``levels()``, ``histograms()`` and ``timelines()``,
+    each an iterable of ``(name, instrument)`` pairs (a counter's
+    instrument is its plain value, a level answers like a
+    :class:`TimeWeighted`), listing only instruments that have seen
+    traffic.
     """
 
     def __init__(self) -> None:
@@ -189,6 +325,12 @@ class MetricsRegistry:
         self._time_weighted: Dict[str, TimeWeighted] = {}
         self._histograms: Dict[str, Histogrammer] = {}
         self._timelines: Dict[str, Timeline] = {}
+        self._sources: List[object] = []
+
+    def add_source(self, source) -> None:
+        """Register a pull source (idempotent)."""
+        if source not in self._sources:
+            self._sources.append(source)
 
     # -- get-or-create accessors ------------------------------------------------
 
@@ -225,10 +367,39 @@ class MetricsRegistry:
         return inst
 
     # -- introspection ----------------------------------------------------------
+    #
+    # Each accessor merges the pushed instruments with what the pull
+    # sources report right now.
+
+    def counter_values(self) -> Dict[str, float]:
+        values = {name: counter.value for name, counter in self._counters.items()}
+        for source in self._sources:
+            values.update(source.counters())
+        return values
+
+    def levels(self) -> Dict[str, object]:
+        """Time-weighted instruments: :class:`TimeWeighted` or pulled
+        :class:`Occupancy` accumulators."""
+        levels: Dict[str, object] = dict(self._time_weighted)
+        for source in self._sources:
+            levels.update(source.levels())
+        return levels
+
+    def histograms(self) -> Dict[str, Histogrammer]:
+        hists = dict(self._histograms)
+        for source in self._sources:
+            hists.update(source.histograms())
+        return hists
+
+    def timelines(self) -> Dict[str, Timeline]:
+        timelines = dict(self._timelines)
+        for source in self._sources:
+            timelines.update(source.timelines())
+        return timelines
 
     def names(self) -> List[str]:
-        out = set(self._counters) | set(self._gauges) | set(self._time_weighted)
-        out |= set(self._histograms) | set(self._timelines)
+        out = set(self.counter_values()) | set(self._gauges) | set(self.levels())
+        out |= set(self.histograms()) | set(self.timelines())
         return sorted(out)
 
     def __len__(self) -> int:
@@ -240,9 +411,7 @@ class MetricsRegistry:
         Histograms and distributions are summarized (samples, mean,
         p50/p95) rather than dumped bin-by-bin, keeping reports compact.
         """
-        snap: Dict[str, object] = {}
-        for name, counter in self._counters.items():
-            snap[name] = counter.value
+        snap: Dict[str, object] = dict(self.counter_values())
         for name, gauge in self._gauges.items():
             snap[name] = {
                 "value": gauge.value,
@@ -250,20 +419,20 @@ class MetricsRegistry:
                 "max": gauge.maximum,
                 "updates": gauge.updates,
             }
-        for name, tw in self._time_weighted.items():
+        for name, tw in self.levels().items():
             snap[name] = {
                 "mean": round(tw.mean(now), 4),
                 "max": tw.maximum,
                 "final": tw.value,
             }
-        for name, hist in self._histograms.items():
+        for name, hist in self.histograms().items():
             entry: Dict[str, object] = {"samples": hist.samples}
             if hist.samples:
                 entry["mean"] = round(hist.mean(), 4)
                 entry["p50"] = round(hist.percentile(0.5), 4)
                 entry["p95"] = round(hist.percentile(0.95), 4)
             snap[name] = entry
-        for name, timeline in self._timelines.items():
+        for name, timeline in self.timelines().items():
             fractions = timeline.fractions()
             snap[name] = {
                 "bins": len(fractions),

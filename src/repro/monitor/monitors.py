@@ -1,42 +1,236 @@
-"""Utilization monitors: broadcast bus subscribers feeding the registry.
+"""Utilization monitors: the instruments behind every report's metrics.
 
 The paper attaches histogrammers and tracers to arbitrary hardware
-signals; these classes are their software counterparts.  Each monitor
-subscribes *broadcast* to one family of architectural signals and
-derives:
+signals; these classes are their software counterparts, in two kinds.
 
-* **busy-fraction timelines** (network stages, memory modules) from
-  departure/service events and the resources' public rate parameters;
-* **queue-occupancy distributions** (time-weighted words queued per
-  resource) from the ``net.enqueue`` / ``net.dequeue`` pair;
-* **per-module service-time histograms** from ``gmem.service``'s
-  ``cycles`` payload.
+**Pull monitors** (:class:`NetworkMonitor`, :class:`MemoryMonitor`,
+:class:`ClusterMonitor`) cover the hot, per-packet accounting.  Like the
+paper's histogrammers — counters incremented in place, read after the
+run — they arm accumulators *inside* the components
+(:class:`~repro.monitor.metrics.Occupancy` on each queueing resource,
+:class:`~repro.monitor.metrics.ServiceAccount` on each memory module)
+and register as pull sources of the
+:class:`~repro.monitor.metrics.MetricsRegistry`, which reads the
+accumulators only when a snapshot or timeline sample asks.  They derive
 
-Monitors only read signal payloads and write
-:class:`~repro.monitor.metrics.MetricsRegistry` instruments — they
-never touch machine state, so attaching any set of them leaves cycle
-counts bit-identical (the zero-cost contract, verified by
+* **busy-fraction timelines** (network stages, memory modules, cluster
+  banks) from departure/service credit;
+* **queue-occupancy levels and distributions** (time-weighted and
+  count-weighted words queued per resource);
+* **per-module service-time histograms** and per-link traffic counters.
+
+Pull monitors attach to a :class:`~repro.core.context.SimContext`
+(``monitor.attach(ctx)``): they arm every component already registered
+and every one added later, so a context observer can attach them before
+the machine is assembled.  ``detach()`` disarms what the monitor armed
+and freezes its readings; ``reset()`` on a component clears its
+accumulators, so a reset machine reports like a fresh one.
+
+**Push monitors** (:class:`SyncMonitor`, :class:`PrefetchMonitor`,
+:class:`FaultMonitor`) stay bus subscribers (``monitor.attach(bus)``):
+their signals are cold — a few per reference at most — and they write
+get-or-create registry instruments directly.
+
+Neither kind touches machine timing, so attaching any set of them leaves
+cycle counts bit-identical (the zero-cost contract, verified by
 ``tests/test_zero_cost.py``).
 
 Metric naming scheme: ``<component path>.<metric>`` where the component
 path matches the machine's resource names — ``net.fwd.s0[3]``,
 ``gmem.module[12]``, ``sync.module[12]``, ``pfu.port[0]``,
 ``cluster.cl2.cache``.  Stage/subsystem aggregates drop the trailing
-index: ``net.fwd.s0.busy``, ``gmem.busy``.
+index: ``net.fwd.s0``, ``gmem.busy``.  Queue instruments use the raw
+resource name: ``fwd.s0[3].queue_words``, ``gm[4].queue_dist``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from repro.monitor.metrics import MetricsRegistry
+from repro.monitor.metrics import MetricsRegistry, Occupancy, ServiceAccount, Timeline
 
 #: default busy-timeline bin width in cycles.
 DEFAULT_BIN_CYCLES = 256.0
 
 
+class PullMonitor:
+    """Arms in-place accounting on one family of components and reads
+    it back as a registry pull source.
+
+    Subclasses implement :meth:`_arm` (called once per component);
+    the shared queue bookkeeping lives here.  A resource reachable from
+    two components (a shared-fabric stage link) is armed once, by the
+    first — the ownership rule :meth:`OmegaNetwork.attach` applies to
+    signal channels.  A resource already armed by another monitor is
+    read through its existing accumulator.
+    """
+
+    def __init__(
+        self, metrics: MetricsRegistry, bin_cycles: float = DEFAULT_BIN_CYCLES
+    ) -> None:
+        self.metrics = metrics
+        self.bin_cycles = bin_cycles
+        self._ctx = None
+        #: ``(resource, occupancy, counter prefix or None)`` in arm order.
+        self._queues: List[tuple] = []
+        self._seen: set = set()
+        #: ``(object, slot)`` pairs this monitor armed; cleared on detach.
+        self._owned: List[tuple] = []
+        self._busy: Dict[str, Timeline] = {}
+
+    def attach(self, ctx) -> "PullMonitor":
+        self.metrics.add_source(self)
+        self._ctx = ctx
+        ctx.watch(self._arm)
+        return self
+
+    def detach(self) -> None:
+        if self._ctx is not None:
+            self._ctx.unwatch(self._arm)
+            self._ctx = None
+        for obj, slot in self._owned:
+            setattr(obj, slot, None)
+        self._owned = []
+
+    def _arm(self, name: str, component) -> None:
+        raise NotImplementedError
+
+    def _timeline(self, name: str) -> Timeline:
+        timeline = self._busy.get(name)
+        if timeline is None:
+            timeline = self._busy[name] = Timeline(name, self.bin_cycles)
+        return timeline
+
+    def _arm_queue(
+        self, resource, prefix: Optional[str] = None, busy: Optional[Timeline] = None
+    ) -> None:
+        """Arm ``resource``'s occupancy accumulator.  ``prefix`` names
+        its traffic counters (``None``: none reported); ``busy`` is the
+        timeline its departures credit."""
+        if id(resource) in self._seen:
+            return
+        self._seen.add(id(resource))
+        acc = resource.occupancy
+        if acc is None:
+            acc = resource.occupancy = Occupancy(busy)
+            self._owned.append((resource, "occupancy"))
+        self._queues.append((resource, acc, prefix))
+
+    # -- pull source protocol (see MetricsRegistry) --------------------------
+
+    def counters(self):
+        for resource, acc, prefix in self._queues:
+            if prefix is not None and acc.packets:
+                base = prefix + resource.name
+                yield base + ".packets", acc.packets
+                yield base + ".words", acc.words
+
+    def levels(self):
+        for resource, acc, _prefix in self._queues:
+            if acc.counts:
+                yield resource.name + ".queue_words", acc
+
+    def histograms(self):
+        for resource, acc, _prefix in self._queues:
+            if acc.counts:
+                capacity = resource.capacity_words
+                yield resource.name + ".queue_dist", acc.histogram(
+                    0.0, float(max(capacity, 1)) + 1.0, min(64, capacity + 2)
+                )
+
+    def timelines(self):
+        for _resource, acc, _prefix in self._queues:
+            if acc.busy is not None and acc.packets:
+                yield acc.busy.name, acc.busy
+
+
+class NetworkMonitor(PullMonitor):
+    """Per-link traffic counters, stage busy timelines, queue occupancy
+    of every injection port and stage link."""
+
+    @staticmethod
+    def _stage_path(resource_name: str) -> str:
+        """``"fwd.s0[3]"`` -> ``"net.fwd.s0"`` (aggregation track)."""
+        return "net." + resource_name.split("[", 1)[0]
+
+    def _arm(self, name: str, component) -> None:
+        if not (hasattr(component, "stages") and hasattr(component, "injection_ports")):
+            return
+        links = list(component.injection_ports)
+        for stage in component.stages:
+            links.extend(stage)
+        for link in links:
+            self._arm_queue(link, "net.", self._timeline(self._stage_path(link.name)))
+
+
+class MemoryMonitor(PullMonitor):
+    """Per-module service counters, service-time histograms, the
+    ``gmem.busy`` timeline, and module queue occupancy."""
+
+    def __init__(
+        self,
+        metrics: MetricsRegistry,
+        bin_cycles: float = DEFAULT_BIN_CYCLES,
+        histogram_hi: float = 64.0,
+    ) -> None:
+        super().__init__(metrics, bin_cycles)
+        self.histogram_hi = histogram_hi
+        #: ``(module, service account)`` in arm order.
+        self._services: List[tuple] = []
+
+    def _arm(self, name: str, component) -> None:
+        if not hasattr(component, "modules"):
+            return
+        for module in component.modules:
+            if id(module) in self._seen:
+                continue
+            self._arm_queue(module)
+            account = module.service_account
+            if account is None:
+                account = module.service_account = ServiceAccount(
+                    self._timeline("gmem.busy")
+                )
+                self._owned.append((module, "service_account"))
+            self._services.append((module, account))
+
+    def counters(self):
+        for module, account in self._services:
+            if account.services:
+                base = f"gmem.module[{module.index}]"
+                yield base + ".services", account.services
+                yield base + ".words", account.words
+
+    def histograms(self):
+        yield from super().histograms()
+        for module, account in self._services:
+            if account.services:
+                yield f"gmem.module[{module.index}].service_cycles", account.histogram(
+                    0.0, self.histogram_hi, 64
+                )
+
+    def timelines(self):
+        for _module, account in self._services:
+            if account.services and account.busy is not None:
+                yield account.busy.name, account.busy
+
+
+class ClusterMonitor(PullMonitor):
+    """Cluster cache / cluster-memory traffic, busy timelines, and
+    bank queue occupancy."""
+
+    def _arm(self, name: str, component) -> None:
+        if not hasattr(component, "cluster_memory"):
+            return
+        for resource in (component.cache, component.cluster_memory):
+            self._arm_queue(
+                resource,
+                "cluster.",
+                self._timeline(f"cluster.{resource.name}.busy"),
+            )
+
+
 class MonitorBase:
-    """Subscription bookkeeping shared by every monitor."""
+    """Subscription bookkeeping shared by every push monitor."""
 
     #: signal names the monitor wants (subclasses override).
     SIGNALS: tuple = ()
@@ -57,78 +251,6 @@ class MonitorBase:
         for bus, subscription in self._subscriptions:
             bus.unsubscribe(subscription)
         self._subscriptions = []
-
-
-class NetworkMonitor(MonitorBase):
-    """Per-link traffic counters, stage busy timelines, queue occupancy."""
-
-    SIGNALS = ("net.hop", "net.enqueue", "net.dequeue")
-
-    def __init__(
-        self, metrics: MetricsRegistry, bin_cycles: float = DEFAULT_BIN_CYCLES
-    ) -> None:
-        super().__init__(metrics)
-        self.bin_cycles = bin_cycles
-
-    @staticmethod
-    def _stage_path(resource_name: str) -> str:
-        """``"fwd.s0[3]"`` -> ``"net.fwd.s0"`` (aggregation track)."""
-        return "net." + resource_name.split("[", 1)[0]
-
-    def _on_net_hop(self, resource, packet, time: float) -> None:
-        m = self.metrics
-        base = f"net.{resource.name}"
-        m.counter(f"{base}.packets").inc()
-        m.counter(f"{base}.words").inc(packet.words)
-        duration = resource.fixed_cycles + packet.words / resource.words_per_cycle
-        m.timeline(self._stage_path(resource.name), self.bin_cycles).add(
-            time - duration, duration
-        )
-
-    def _on_net_enqueue(self, resource, packet, time: float) -> None:
-        self._occupancy(resource, time)
-
-    def _on_net_dequeue(self, resource, packet, time: float) -> None:
-        self._occupancy(resource, time)
-
-    def _occupancy(self, resource, time: float) -> None:
-        # raw resource names here: queue signals also come from memory
-        # modules ("gm[4]") and cluster banks ("cl0.cache"), not only
-        # network links.
-        m = self.metrics
-        m.time_weighted(f"{resource.name}.queue_words").update(
-            resource.queued_words, time
-        )
-        m.histogram(
-            f"{resource.name}.queue_dist",
-            0.0,
-            float(max(resource.capacity_words, 1)) + 1.0,
-            bins=min(64, resource.capacity_words + 2),
-        ).record(resource.queued_words)
-
-
-class MemoryMonitor(MonitorBase):
-    """Per-module service counters and service-time histograms."""
-
-    SIGNALS = ("gmem.service",)
-
-    def __init__(
-        self,
-        metrics: MetricsRegistry,
-        bin_cycles: float = DEFAULT_BIN_CYCLES,
-        histogram_hi: float = 64.0,
-    ) -> None:
-        super().__init__(metrics)
-        self.bin_cycles = bin_cycles
-        self.histogram_hi = histogram_hi
-
-    def _on_gmem_service(self, module: int, packet, time: float, cycles: float) -> None:
-        m = self.metrics
-        base = f"gmem.module[{module}]"
-        m.counter(f"{base}.services").inc()
-        m.counter(f"{base}.words").inc(packet.words)
-        m.histogram(f"{base}.service_cycles", 0.0, self.histogram_hi).record(cycles)
-        m.timeline("gmem.busy", self.bin_cycles).add(time - cycles, cycles)
 
 
 class SyncMonitor(MonitorBase):
@@ -175,26 +297,6 @@ class PrefetchMonitor(MonitorBase):
         self.metrics.time_weighted(f"pfu.port[{port}].outstanding").update(count, time)
 
 
-class ClusterMonitor(MonitorBase):
-    """Cluster cache / cluster-memory traffic and busy timelines."""
-
-    SIGNALS = ("cluster.access",)
-
-    def __init__(
-        self, metrics: MetricsRegistry, bin_cycles: float = DEFAULT_BIN_CYCLES
-    ) -> None:
-        super().__init__(metrics)
-        self.bin_cycles = bin_cycles
-
-    def _on_cluster_access(self, resource, packet, time: float) -> None:
-        m = self.metrics
-        base = f"cluster.{resource.name}"
-        m.counter(f"{base}.packets").inc()
-        m.counter(f"{base}.words").inc(packet.words)
-        duration = resource.fixed_cycles + packet.words / resource.words_per_cycle
-        m.timeline(f"{base}.busy", self.bin_cycles).add(time - duration, duration)
-
-
 class FaultMonitor(MonitorBase):
     """Fault-injection event counters and stall-cost accounting."""
 
@@ -239,27 +341,23 @@ class FaultMonitor(MonitorBase):
         self.metrics.counter(f"fault.{network}.reroutes").inc()
 
 
-#: the monitor set `attach_standard_monitors` instantiates, in order.
-STANDARD_MONITORS = (
-    NetworkMonitor,
-    MemoryMonitor,
-    SyncMonitor,
-    PrefetchMonitor,
-    ClusterMonitor,
-    FaultMonitor,
-)
+#: the monitor sets `attach_standard_monitors` instantiates, in order:
+#: pull monitors attach to the context, push monitors to its bus.
+PULL_MONITORS = (NetworkMonitor, MemoryMonitor, ClusterMonitor)
+PUSH_MONITORS = (SyncMonitor, PrefetchMonitor, FaultMonitor)
 
 
-def attach_standard_monitors(
-    bus, metrics: Optional[MetricsRegistry] = None
-) -> List[MonitorBase]:
-    """Attach one of each standard monitor to ``bus``; returns them
-    (all sharing ``metrics``, created if not supplied).  Detach with
+def attach_standard_monitors(ctx, metrics: Optional[MetricsRegistry] = None) -> list:
+    """Attach one of each standard monitor to the
+    :class:`~repro.core.context.SimContext` ``ctx``; returns them (all
+    sharing ``metrics``, created if not supplied).  Detach with
     :func:`detach_monitors`."""
     registry = metrics if metrics is not None else MetricsRegistry()
-    return [monitor_cls(registry).attach(bus) for monitor_cls in STANDARD_MONITORS]
+    monitors: list = [cls(registry).attach(ctx) for cls in PULL_MONITORS]
+    monitors += [cls(registry).attach(ctx.bus) for cls in PUSH_MONITORS]
+    return monitors
 
 
-def detach_monitors(monitors: List[MonitorBase]) -> None:
+def detach_monitors(monitors: list) -> None:
     for monitor in monitors:
         monitor.detach()

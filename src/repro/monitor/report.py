@@ -12,8 +12,10 @@ Collection uses the context-observer hook
 :class:`ReportCollector` is installed, every machine built anywhere in
 the process — including deep inside experiment code — gets a
 :class:`~repro.monitor.metrics.MetricsRegistry` plus the standard
-monitor set attached to its signal bus.  Monitors only observe, so the
-simulated results are bit-identical with or without collection.
+monitor set: in-place accounting armed on its links, memory modules and
+cluster banks as they are assembled (read back when the report is
+built), and subscribers on its cold signals.  Monitors only observe, so
+the simulated results are bit-identical with or without collection.
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ class ReportCollector:
 
     def _observe(self, ctx) -> None:
         registry = MetricsRegistry()
-        monitors = attach_standard_monitors(ctx.bus, registry)
+        monitors = attach_standard_monitors(ctx, registry)
         spans = None
         if self.collect_spans:
             if self.stream:

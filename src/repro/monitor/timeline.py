@@ -239,18 +239,18 @@ class MetricTimeline:
         (``fwd.s0[3].queue_words``); one series per instance would blow
         the document up, so indexes collapse and instances sum into one
         series per instrument group (``reg.fwd.s0.queue_words``).
-        Instruments are created lazily by the monitors, so a group
+        Instruments appear only once they have seen traffic, so a group
         first seen mid-run is backfilled with zeros."""
         n = len(self._edges)  # intervals already closed (pre-append)
         registry = self.registry
         groups: Dict[str, float] = {}
-        for name, counter in registry._counters.items():
+        for name, value in registry.counter_values().items():
             key = "reg." + _INDEX_RE.sub("", name)
-            groups[key] = groups.get(key, 0.0) + counter.value
+            groups[key] = groups.get(key, 0.0) + value
         for key, total in sorted(groups.items()):
             self._append_dynamic(key, KIND_DELTA, total, n)
         groups = {}
-        for name, tw in registry._time_weighted.items():
+        for name, tw in registry.levels().items():
             key = "reg." + _INDEX_RE.sub("", name)
             groups[key] = groups.get(key, 0.0) + tw.value
         for key, total in sorted(groups.items()):

@@ -100,6 +100,7 @@ class Resource:
         "service_end_signal",
         "span_signal",
         "fault_hook",
+        "occupancy",
         "_has_service_hook",
         "_has_complete_hook",
         "__weakref__",
@@ -143,7 +144,7 @@ class Resource:
         #: pre-check.
         #: ``depart_signal`` -> ``net.hop`` (a packet leaving the server),
         #: ``enqueue_signal`` / ``dequeue_signal`` -> ``net.enqueue`` /
-        #: ``net.dequeue`` (queue-occupancy edges for the monitors),
+        #: ``net.dequeue`` (queue-occupancy edges for the tracer),
         #: ``service_end_signal`` -> ``net.service`` (service finishing
         #: *before* any head-of-line blocking on the next hop — the
         #: timestamp the span layer needs to split a hop into
@@ -160,6 +161,13 @@ class Resource:
         #: injector attach time.  Same ``is not None`` fast path as the
         #: signals: an unarmed resource pays one branch per service.
         self.fault_hook = None
+        #: optional in-place accounting (a
+        #: :class:`~repro.monitor.metrics.Occupancy`), armed by the
+        #: standard monitors and read back when a report is built.  Same
+        #: ``is not None`` fast path: an unarmed resource pays one branch
+        #: per queue edge.  Armed resources take ``_finish_batch``'s
+        #: per-record scalar fallback.
+        self.occupancy = None
         # devirtualize the per-packet hooks: plain FIFO links (the vast
         # majority) take branch-only fast paths in _start_service/_finish.
         cls = type(self)
@@ -185,6 +193,9 @@ class Resource:
             # direct slot read: the property descriptor costs a frame,
             # and this stamp runs once per occupancy on traced runs.
             transit.enq_t = self.engine._now
+        acc = self.occupancy
+        if acc is not None:
+            acc.edge(self._words_queued, self.engine._now)
         sig = self.enqueue_signal
         if sig.callbacks:
             sig.emit(self, transit.packet, self.engine.now)
@@ -293,6 +304,14 @@ class Resource:
         if self._blocked_head is transit:
             st.blocked_cycles += now - self._blocked_since
             self._blocked_head = None
+        acc = self.occupancy
+        if acc is not None:
+            acc.depart(
+                self._words_queued,
+                words,
+                self.fixed_cycles + words / self.words_per_cycle,
+                now,
+            )
         sig = self.dequeue_signal
         if sig.callbacks:
             sig.emit(self, transit.packet, now)
@@ -342,7 +361,8 @@ class Resource:
 
     def reset(self) -> None:
         """Return to post-construction state: empty queue, zero stats,
-        no blocking.  Part of the component-lifecycle contract."""
+        no blocking, a cleared accumulator (still armed).  Part of the
+        component-lifecycle contract."""
         self.stats = ResourceStats()
         self._queue.clear()
         self._words_queued = 0
@@ -351,6 +371,8 @@ class Resource:
         self._blocked_since = 0.0
         self._waiters.clear()
         self._recovered_at = 0.0
+        if self.occupancy is not None:
+            self.occupancy.clear()
 
     # -- introspection -----------------------------------------------------
 
@@ -386,13 +408,13 @@ class Resource:
 # subscribed signal channels) handing off to another plain link.
 #
 # Anything off that path — memory modules (completion hook + recovery),
-# monitored links, stages carrying faults or escape routing, blocked
-# heads — falls back to the scalar methods *per record*, so the two
-# paths are one semantics with two dispatch costs.  Every inlined
-# mutation below mirrors the scalar method it replaces line for line
-# (the scalar code is the reference; change both together), which is
-# what the batched-identity harness and the adversarial ordering tests
-# enforce.
+# monitored or accounting-armed links, stages carrying faults or escape
+# routing, blocked heads — falls back to the scalar methods *per
+# record*, so the two paths are one semantics with two dispatch costs.
+# Every inlined mutation below mirrors the scalar method it replaces
+# line for line (the scalar code is the reference; change both
+# together), which is what the batched-identity harness and the
+# adversarial ordering tests enforce.
 
 def _finish_batch(eng: Engine, batch: List[list], i: int, n: int):
     """Group handler for a same-timestamp run of ``Resource._finish``
@@ -438,12 +460,14 @@ def _finish_batch(eng: Engine, batch: List[list], i: int, n: int):
                 res._has_complete_hook
                 or res.recovery_cycles
                 or res._blocked_head is not None
+                or res.occupancy is not None
                 or res.span_signal.callbacks
                 or res.service_end_signal.callbacks
                 or res.dequeue_signal.callbacks
                 or res.depart_signal.callbacks
             ):
-                # scalar fallback: hooks, monitors, recovery, faults.
+                # scalar fallback: hooks, monitors, accounting, recovery,
+                # faults.
                 if len(free) < _FREE_LIST_MAX:
                     free.append(spare)
                 res._finish(transit)
@@ -468,7 +492,11 @@ def _finish_batch(eng: Engine, batch: List[list], i: int, n: int):
                     st.words += words
                     transit.idx = nxt_idx
                     # -- nxt.offer
-                    if nxt.enqueue_signal.callbacks or nxt.span_signal.callbacks:
+                    if (
+                        nxt.occupancy is not None
+                        or nxt.enqueue_signal.callbacks
+                        or nxt.span_signal.callbacks
+                    ):
                         if not nxt.offer(transit):
                             raise SimulationError(
                                 f"{nxt.name} refused after reporting space"

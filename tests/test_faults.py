@@ -158,7 +158,7 @@ class TestCountersAndSignals:
         machine = CedarMachine(
             CedarConfig(faults=FaultPlan.uniform(0.05, seed=13)), monitor_port=0
         )
-        monitors = attach_standard_monitors(machine.bus, registry)
+        monitors = attach_standard_monitors(machine.ctx, registry)
         try:
             shape = KERNELS["CG"]
             machine.run_programs(

@@ -203,7 +203,7 @@ class TestStandardMonitors:
     def test_monitors_populate_registry(self):
         machine = CedarMachine(CedarConfig(), monitor_port=0)
         registry = MetricsRegistry()
-        monitors = attach_standard_monitors(machine.bus, registry)
+        monitors = attach_standard_monitors(machine.ctx, registry)
         try:
             run_small_kernel(machine)
         finally:
@@ -224,7 +224,7 @@ class TestStandardMonitors:
 
     def test_detached_monitors_leave_bus_quiescent(self):
         machine = CedarMachine(CedarConfig())
-        monitors = attach_standard_monitors(machine.bus)
+        monitors = attach_standard_monitors(machine.ctx)
         detach_monitors(monitors)
         assert machine.bus.quiescent()
 

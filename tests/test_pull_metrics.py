@@ -1,0 +1,264 @@
+"""Pulled metrics against a push oracle.
+
+The network, memory and cluster monitors keep their per-event
+accounting inside the components (``Resource.occupancy``,
+``MemoryModule.service_account``) and read it back when the registry is
+snapshotted.  The reference here is the push model they replaced: a
+small bus subscriber that builds the same instruments event by event
+from the signals the machine still emits.  Every pulled value must
+equal the oracle's exactly — counts, float sums, histogram statistics,
+busy timelines — and so must the ``reg.*`` series a
+:class:`MetricTimeline` samples from the registry mid-run.
+"""
+
+from dataclasses import replace
+
+import pytest
+
+from repro.core.config import CedarConfig
+from repro.core.context import add_context_observer, remove_context_observer
+from repro.core.machine import CedarMachine
+from repro.experiments.kernels_sim import _run
+from repro.monitor.metrics import MetricsRegistry
+from repro.monitor.monitors import (
+    PULL_MONITORS,
+    PUSH_MONITORS,
+    attach_standard_monitors,
+    detach_monitors,
+)
+from repro.monitor.timeline import MetricTimeline
+
+
+class PushOracle:
+    """The push handlers the pull model replaced, kept as the reference:
+    one registry update per ``net.hop`` / ``net.enqueue`` /
+    ``net.dequeue`` / ``gmem.service`` / ``cluster.access`` emission."""
+
+    def __init__(self, metrics, bin_cycles=256.0, histogram_hi=64.0):
+        self.metrics = metrics
+        self.bin_cycles = bin_cycles
+        self.histogram_hi = histogram_hi
+        self._subs = []
+
+    def attach(self, bus):
+        self._bus = bus
+        for name, handler in (
+            ("net.hop", self._hop),
+            ("net.enqueue", self._queue),
+            ("net.dequeue", self._queue),
+            ("gmem.service", self._service),
+            ("cluster.access", self._cluster),
+        ):
+            self._subs.append(bus.subscribe(name, handler))
+        return self
+
+    def detach(self):
+        for sub in self._subs:
+            self._bus.unsubscribe(sub)
+        self._subs = []
+
+    def _traffic(self, base, timeline, resource, packet, time):
+        m = self.metrics
+        m.counter(f"{base}.packets").inc()
+        m.counter(f"{base}.words").inc(packet.words)
+        duration = resource.fixed_cycles + packet.words / resource.words_per_cycle
+        m.timeline(timeline, self.bin_cycles).add(time - duration, duration)
+
+    def _hop(self, resource, packet, time):
+        stage = "net." + resource.name.split("[", 1)[0]
+        self._traffic(f"net.{resource.name}", stage, resource, packet, time)
+
+    def _cluster(self, resource, packet, time):
+        base = f"cluster.{resource.name}"
+        self._traffic(base, f"{base}.busy", resource, packet, time)
+
+    def _queue(self, resource, packet, time):
+        m = self.metrics
+        m.time_weighted(f"{resource.name}.queue_words").update(
+            resource.queued_words, time
+        )
+        m.histogram(
+            f"{resource.name}.queue_dist",
+            0.0,
+            float(max(resource.capacity_words, 1)) + 1.0,
+            bins=min(64, resource.capacity_words + 2),
+        ).record(resource.queued_words)
+
+    def _service(self, module, packet, time, cycles):
+        m = self.metrics
+        base = f"gmem.module[{module}]"
+        m.counter(f"{base}.services").inc()
+        m.counter(f"{base}.words").inc(packet.words)
+        m.histogram(f"{base}.service_cycles", 0.0, self.histogram_hi).record(cycles)
+        m.timeline("gmem.busy", self.bin_cycles).add(time - cycles, cycles)
+
+
+def observed(run, timeline_interval=None):
+    """Run ``run()`` with, on every machine it builds, the standard
+    monitors on one registry and the oracle (plus the same cold push
+    monitors) on another.  Returns ``(ctx, pulled, oracle, timelines)``
+    per machine; ``timelines`` is a (pulled, oracle) pair of
+    registry-sampling :class:`MetricTimeline` when an interval is set."""
+    records = []
+    attached = []
+
+    def observe(ctx):
+        pulled, oracle = MetricsRegistry(), MetricsRegistry()
+        attached.extend(attach_standard_monitors(ctx, pulled))
+        attached.append(PushOracle(oracle).attach(ctx.bus))
+        attached.extend(cls(oracle).attach(ctx.bus) for cls in PUSH_MONITORS)
+        timelines = None
+        if timeline_interval is not None:
+            timelines = tuple(
+                MetricTimeline([], interval_cycles=timeline_interval, registry=reg)
+                for reg in (pulled, oracle)
+            )
+            ctx.engine.attach_pulse(
+                lambda engine: [t.pulse(engine) for t in timelines], every=64
+            )
+        records.append((ctx, pulled, oracle, timelines))
+
+    observer = add_context_observer(observe)
+    try:
+        run()
+    finally:
+        remove_context_observer(observer)
+        detach_monitors(attached)
+    return records
+
+
+def assert_snapshots_match(records):
+    assert records, "no machine was built"
+    for ctx, pulled, oracle, _timelines in records:
+        now = ctx.engine.now
+        assert pulled.snapshot(now=now) == oracle.snapshot(now=now)
+        assert pulled.names() == oracle.names()
+
+
+def with_network(**fields):
+    config = CedarConfig()
+    return replace(config, network=replace(config.network, **fields))
+
+
+class TestPulledMatchesOracle:
+    @pytest.mark.parametrize("prefetch", [False, True], ids=["GM-no-pref", "GM-pref"])
+    def test_rk_slice_32_ces(self, prefetch):
+        records = observed(lambda: _run(CedarConfig(), "RK", 32, prefetch, 1))
+        assert_snapshots_match(records)
+        snap = records[0][1].snapshot(now=records[0][0].engine.now)
+        assert snap["gmem.busy"]["busy_cycles"] > 0
+        assert any(k.endswith(".queue_dist") and k.startswith("gm[") for k in snap)
+
+    def test_fault_injected_run(self):
+        from repro.faults import FaultPlan
+
+        config = CedarConfig(faults=FaultPlan.uniform(0.05, seed=13))
+        records = observed(lambda: _run(config, "CG", 8, True, 2))
+        assert_snapshots_match(records)
+        snap = records[0][1].snapshot(now=records[0][0].engine.now)
+        assert snap.get("fault.transients", 0) > 0  # faults really fired
+
+    @pytest.mark.parametrize("escape", [False, True], ids=["shared", "shared-escape"])
+    def test_shared_single_network(self, escape):
+        config = with_network(shared_single_network=True, reply_escape=escape)
+        records = observed(lambda: _run(config, "CG", 4, True, 2))
+        assert_snapshots_match(records)
+        snap = records[0][1].snapshot(now=records[0][0].engine.now)
+        assert "net.fwd.s0" in snap  # stage links counted once, under fwd
+        assert not any(k.startswith("net.rev.s") for k in snap)
+
+    def test_idle_machine_has_no_instruments(self):
+        from repro.experiments.fig1 import topology_summary
+
+        records = observed(topology_summary)
+        assert_snapshots_match(records)
+        for ctx, pulled, _oracle, _timelines in records:
+            assert ctx.engine.now == 0.0
+            assert pulled.snapshot(now=0.0) == {}
+            assert len(pulled) == 0
+
+    def test_metric_timeline_registry_series(self):
+        records = observed(
+            lambda: _run(CedarConfig(), "RK", 32, True, 1), timeline_interval=4.0
+        )
+        backfilled = 0
+        for ctx, _pulled, _oracle, (pulled_tl, oracle_tl) in records:
+            docs = []
+            for timeline in (pulled_tl, oracle_tl):
+                timeline.finalize(ctx.engine.now)
+                series = timeline.to_dict()["series"]
+                docs.append({k: v for k, v in series.items() if k.startswith("reg.")})
+            assert docs[0] == docs[1]
+            assert pulled_tl.intervals > 1
+            # groups first seen mid-run (the reverse network, which only
+            # carries replies) are zero back-filled on both sides
+            backfilled += sum(
+                1 for entry in docs[0].values()
+                if entry["values"][0] == 0 and any(entry["values"])
+            )
+        assert backfilled > 0
+
+
+class TestPullLifecycle:
+    def run_small(self, machine):
+        from repro.cluster.ce import AwaitStream, StartPrefetch, SyncInstruction
+
+        def prog():
+            stream = yield StartPrefetch(length=16, stride=1, address=0)
+            yield AwaitStream(stream)
+            yield SyncInstruction(address=4096)
+
+        return machine.run_programs({0: prog(), 1: prog()})
+
+    def pull_only(self, machine):
+        registry = MetricsRegistry()
+        monitors = [cls(registry).attach(machine.ctx) for cls in PULL_MONITORS]
+        return registry, monitors
+
+    def test_reset_machine_reports_like_a_fresh_one(self):
+        fresh = CedarMachine(CedarConfig(), monitor_port=0)
+        fresh_reg, _ = self.pull_only(fresh)
+        self.run_small(fresh)
+
+        reused = CedarMachine(CedarConfig(), monitor_port=0)
+        reused_reg, _ = self.pull_only(reused)
+        self.run_small(reused)
+        reused.reset()
+        assert reused_reg.snapshot(now=0.0) == {}
+        self.run_small(reused)
+        now = fresh.engine.now
+        assert reused.engine.now == now
+        assert reused_reg.snapshot(now=now) == fresh_reg.snapshot(now=now)
+
+    def test_components_added_after_attach_are_armed(self):
+        """A context observer fires before assembly: arming must reach
+        components registered later."""
+        attached = []
+        observer = add_context_observer(
+            lambda ctx: attached.extend(attach_standard_monitors(ctx))
+        )
+        try:
+            machine = CedarMachine(CedarConfig(), monitor_port=0)
+        finally:
+            remove_context_observer(observer)
+        links = [p for p in machine.forward_network.injection_ports]
+        links += [link for stage in machine.forward_network.stages for link in stage]
+        assert all(link.occupancy is not None for link in links)
+        assert all(m.service_account is not None for m in machine.gmem.modules)
+        assert all(c.cache.occupancy is not None for c in machine.clusters)
+        detach_monitors(attached)
+
+    def test_detach_disarms_and_freezes(self):
+        machine = CedarMachine(CedarConfig(), monitor_port=0)
+        registry = MetricsRegistry()
+        monitors = attach_standard_monitors(machine.ctx, registry)
+        self.run_small(machine)
+        now = machine.engine.now
+        before = registry.snapshot(now=now)
+        detach_monitors(monitors)
+        assert all(m.occupancy is None and m.service_account is None
+                   for m in machine.gmem.modules)
+        assert all(p.occupancy is None for p in machine.forward_network.injection_ports)
+        machine.reset()
+        self.run_small(machine)
+        assert registry.snapshot(now=now) == before

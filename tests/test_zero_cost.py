@@ -41,7 +41,7 @@ class TestZeroCost:
         registry = MetricsRegistry()
         attached = []
         observer = add_context_observer(
-            lambda ctx: attached.extend(attach_standard_monitors(ctx.bus, registry))
+            lambda ctx: attached.extend(attach_standard_monitors(ctx, registry))
         )
         try:
             monitored = measure()
@@ -150,6 +150,7 @@ class TestZeroCost:
         assert len(sites) > 8  # ports, stage links, memory modules
         for resource in sites:
             assert resource.span_signal.callbacks == ()
+            assert resource.occupancy is None  # no accounting armed
 
     def test_no_prefetch_path_is_also_unperturbed(self):
         baseline = measure(prefetch=False)
@@ -212,7 +213,9 @@ class TestZeroCost:
 
     def test_rerun_on_same_machine_is_deterministic(self):
         """Attach/detach cycles leave no residue: a monitored machine,
-        reset and re-run unmonitored, reproduces its first run."""
+        reset and re-run unmonitored, reproduces its first run; and a
+        reused machine, reset and then monitored, reports exactly what a
+        fresh machine does."""
         from repro.core.machine import CedarMachine
         from repro.cluster.ce import AwaitStream, StartPrefetch
 
@@ -220,14 +223,25 @@ class TestZeroCost:
             stream = yield StartPrefetch(length=8, stride=1, address=0)
             yield AwaitStream(stream)
 
+        fresh = CedarMachine(CedarConfig(), monitor_port=0)
+        fresh_registry = MetricsRegistry()
+        fresh_monitors = attach_standard_monitors(fresh.ctx, fresh_registry)
+        fresh.run_programs({0: prog()})
+        detach_monitors(fresh_monitors)
+
         machine = CedarMachine(CedarConfig(), monitor_port=0)
         first = machine.run_programs({0: prog()})
         machine.reset()
-        monitors = attach_standard_monitors(machine.bus)
+        registry = MetricsRegistry()
+        monitors = attach_standard_monitors(machine.ctx, registry)
         tracer = ChromeTracer().attach(machine.bus)
         second = machine.run_programs({0: prog()})
         detach_monitors(monitors)
         tracer.detach()
+        now = machine.engine.now
+        assert registry.snapshot(now=now) == fresh_registry.snapshot(now=now)
         machine.reset()
         third = machine.run_programs({0: prog()})
         assert first == second == third
+        # detaching disarmed every accumulator: the fast paths are back
+        assert all(m.occupancy is None for m in machine.gmem.modules)
