@@ -101,7 +101,7 @@ class MemoryModule(Resource):
             # recomputing the service time here costs nothing on the
             # unmonitored path (we are inside the subscriber guard); it
             # gives the monitors per-module service-time histograms.
-            sig.emit(self.index, packet, self.engine.now, self.service_cycles(packet))
+            sig.emit(self.index, packet, self.engine._now, self.service_cycles(packet))
         account = self.service_account
         if account is not None:
             account.record(packet.words, self.service_cycles(packet), self.engine._now)
@@ -151,7 +151,7 @@ class MemoryModule(Resource):
         sig = self.sync_signal
         if sig.callbacks:
             sig.emit(
-                self.index, packet.address, self.engine.now, packet, result.success
+                self.index, packet.address, self.engine._now, packet, result.success
             )
         return result
 
@@ -167,7 +167,7 @@ class MemoryModule(Resource):
             return  # route already extends past the module
         rev_route = self.reverse_network.route_for(reply)
         transit.route = (*transit.route, *rev_route)
-        reply.injected_at = self.engine.now
+        reply.injected_at = self.engine._now
 
 
 class GlobalMemory:

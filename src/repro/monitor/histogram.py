@@ -65,6 +65,19 @@ class Histogrammer:
         elif value >= self.hi:
             self.overflow += count
 
+    @classmethod
+    def from_counts(
+        cls, counts: Dict[float, int], lo: float, hi: float, bins: int = BINS
+    ) -> "Histogrammer":
+        """A bank holding ``counts`` (``{value: samples}``).  Values are
+        replayed in the table's order, so a first-seen-order table fills
+        bins in the order live recording would have created them and
+        the float sums behind :meth:`mean` come out bit-identical."""
+        hist = cls(lo, hi, bins=bins)
+        for value, count in counts.items():
+            hist.record_count(value, count)
+        return hist
+
     def count(self, idx: int) -> int:
         return self._counts.get(idx, 0)
 

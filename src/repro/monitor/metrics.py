@@ -195,19 +195,6 @@ class Timeline:
         self._bins.clear()
 
 
-def _histogram_from_counts(
-    counts: Dict[float, int], lo: float, hi: float, bins: int
-) -> Histogrammer:
-    """Rebuild a :class:`Histogrammer` from a ``{value: samples}`` table.
-    Values are replayed in first-seen order, so bins fill in the order
-    live recording would have created them and the float sums behind
-    ``mean()`` come out bit-identical."""
-    hist = Histogrammer(lo, hi, bins=bins)
-    for value, count in counts.items():
-        hist.record_count(value, count)
-    return hist
-
-
 class Occupancy:
     """In-place queue and traffic accounting carried by one armed
     :class:`~repro.network.resource.Resource`.
@@ -246,6 +233,8 @@ class Occupancy:
             self.busy.clear()
 
     def edge(self, value: int, now: float) -> None:
+        """Fold the queue depth ``value`` at time ``now`` into the level
+        and the depth table (:meth:`depart` repeats this inline)."""
         held = now - self.since
         if held > 0:
             self.area += self.value * held
@@ -257,18 +246,39 @@ class Occupancy:
         counts[value] = counts.get(value, 0) + 1
 
     def depart(self, value: int, words: int, duration: float, now: float) -> None:
-        self.edge(value, now)
+        """:meth:`edge`, the traffic counts and the busy credit of one
+        departure, in one frame: it runs once per hop of every packet."""
+        held = now - self.since
+        if held > 0:
+            self.area += self.value * held
+        self.value = value
+        self.since = now
+        if value > self.maximum:
+            self.maximum = value
+        counts = self.counts
+        counts[value] = counts.get(value, 0) + 1
         self.packets += 1
         self.words += words
         busy = self.busy
-        if busy is not None:
-            busy.add(now - duration, duration)
+        if busy is not None and duration > 0:
+            # an interval inside one bin is one dict update, with
+            # Timeline.add's arithmetic: credit (start + d) - start.
+            start = now - duration
+            width = busy.bin_cycles
+            idx = int(start // width)
+            end = start + duration
+            if start >= 0.0 and end <= (idx + 1) * width:
+                if end > start:  # an interval rounding to nothing: no bin
+                    bins = busy._bins
+                    bins[idx] = bins.get(idx, 0.0) + (end - start)
+            else:
+                busy.add(start, duration)
 
     def mean(self, now: Optional[float] = None) -> float:
         return _held_mean(0.0, self.since, self.value, self.area, now)
 
     def histogram(self, lo: float, hi: float, bins: int) -> Histogrammer:
-        return _histogram_from_counts(self.counts, lo, hi, bins)
+        return Histogrammer.from_counts(self.counts, lo, hi, bins)
 
 
 class ServiceAccount:
@@ -300,7 +310,7 @@ class ServiceAccount:
             busy.add(now - cycles, cycles)
 
     def histogram(self, lo: float, hi: float, bins: int) -> Histogrammer:
-        return _histogram_from_counts(self.cycles, lo, hi, bins)
+        return Histogrammer.from_counts(self.cycles, lo, hi, bins)
 
 
 class MetricsRegistry:

@@ -35,7 +35,9 @@ carry no tracing state beyond the id they always had.
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from functools import lru_cache
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.gmemory.sync import format_sync_op
 from repro.monitor.histogram import Histogrammer
@@ -51,11 +53,35 @@ STREAM_SPANS_VERSION = 2
 PHASES = ("forward", "memory_wait", "memory_service", "memory_block", "reverse")
 
 
+@lru_cache(maxsize=4096)
 def _stage_of(resource_name: str) -> str:
-    """``"fwd.s0[3]"`` -> ``"fwd.s0"``; ``"gm[4]"`` -> ``"gmem"``."""
+    """``"fwd.s0[3]"`` -> ``"fwd.s0"``; ``"gm[4]"`` -> ``"gmem"``
+    (memoized: a machine has a fixed, small set of resource names)."""
     if resource_name.startswith("gm["):
         return "gmem"
     return resource_name.split("[", 1)[0]
+
+
+#: slots per flat hop record: the ``net.span`` record as emitted —
+#: ``(resource, request_id, is_reply, is_write, svc, enqueue,
+#: service_end, depart)``.
+HOP_SLOTS = 8
+
+
+def hop_segments(raw_hops: Sequence) -> Iterator[Tuple[str, float, float, float]]:
+    """``(stage, queue_wait, service, blocked)`` per flat hop record in
+    ``raw_hops`` (:attr:`RequestSpan.raw_hops`), with
+    :meth:`HopSpan.segments`' arithmetic — the analyses read hops
+    through this instead of building a :class:`HopSpan` each."""
+    for j in range(0, len(raw_hops), HOP_SLOTS):
+        svc = raw_hops[j + 4]
+        service_end = raw_hops[j + 6]
+        yield (
+            _stage_of(raw_hops[j]),
+            max(0.0, service_end - svc - raw_hops[j + 5]),
+            svc,
+            max(0.0, raw_hops[j + 7] - service_end),
+        )
 
 
 class HopSpan:
@@ -68,14 +94,16 @@ class HopSpan:
                  "service_end", "depart")
 
     def __init__(self, resource: str, stage: str, is_reply: bool,
-                 enqueue: float, svc: float) -> None:
+                 enqueue: float, svc: float,
+                 service_end: Optional[float] = None,
+                 depart: Optional[float] = None) -> None:
         self.resource = resource
         self.stage = stage
         self.is_reply = is_reply
         self.enqueue = enqueue
         self.svc = svc
-        self.service_end: Optional[float] = None
-        self.depart: Optional[float] = None
+        self.service_end = service_end
+        self.depart = depart
 
     def segments(self) -> Optional[Tuple[float, float, float]]:
         """(queue_wait, service, blocked) cycles, or None while the hop
@@ -102,11 +130,16 @@ class HopSpan:
 
 
 class RequestSpan:
-    """The stitched span tree of one global reference."""
+    """The stitched span tree of one global reference.
+
+    Hops are kept as the flat ``net.span`` records they arrived as:
+    :attr:`raw_hops` concatenates :data:`HOP_SLOTS` slots per hop, and
+    :attr:`hops` builds :class:`HopSpan` objects from them on demand.
+    """
 
     __slots__ = (
         "request_id", "origin", "port", "address", "kind", "words", "birth",
-        "hops", "mem_module", "mem_enqueue", "mem_cycles", "mem_service_end",
+        "raw_hops", "mem_module", "mem_enqueue", "mem_cycles", "mem_service_end",
         "mem_depart", "sync_success", "sync_op", "faults", "end", "complete",
     )
 
@@ -119,7 +152,7 @@ class RequestSpan:
         self.kind = kind
         self.words = words
         self.birth = birth
-        self.hops: List[HopSpan] = []
+        self.raw_hops: list = []
         self.mem_module: Optional[int] = None
         self.mem_enqueue: Optional[float] = None
         self.mem_cycles: Optional[float] = None
@@ -130,6 +163,18 @@ class RequestSpan:
         self.faults: List[dict] = []
         self.end: Optional[float] = None
         self.complete = False
+
+    @property
+    def hops(self) -> List[HopSpan]:
+        """The request's hops in departure order, built from
+        :attr:`raw_hops` on each read (a fresh list: mutating it leaves
+        the span unchanged)."""
+        raw = self.raw_hops
+        return [
+            HopSpan(raw[j], _stage_of(raw[j]), raw[j + 2], raw[j + 5],
+                    raw[j + 4], raw[j + 6], raw[j + 7])
+            for j in range(0, len(raw), HOP_SLOTS)
+        ]
 
     # -- derived latency ---------------------------------------------------
 
@@ -190,9 +235,10 @@ class RequestSpan:
 
 
 #: event-record tags for the deferred stitching buffer.  ``net.span``
-#: records carry no tag — they arrive pre-packed from the emission site
-#: with the :class:`~repro.network.resource.Resource` in slot 0, so the
-#: drain loop distinguishes them by ``type(ev[0]) is not int``.
+#: records carry no tag — their eight slots are flattened straight into
+#: the buffer with the resource *name* in slot 0, so the drain loop
+#: recognises one by ``ev.__class__ is str`` (every other buffer entry
+#: is a tagged tuple).
 _EV_GSVC = 1
 _EV_BIRTH = 2
 _EV_DELIVER = 3
@@ -220,8 +266,9 @@ class SpanCollector:
     extracting the packet fields they need **at event time**, because
     packets are pooled and mutate (a request becomes its reply in
     place, then is recycled into an unrelated reference).  The actual
-    span assembly — dict lookups, :class:`HopSpan` construction —
-    replays the buffer in temporal order on first read
+    span assembly — dict lookups, appending each hop's flat record to
+    its request's :attr:`RequestSpan.raw_hops` — replays the buffer in
+    temporal order on first read
     (:attr:`requests`, :meth:`complete_spans`, :meth:`spans`, ...),
     outside the measured run loop.  Results are identical to eager
     stitching; only *when* the work happens changes.
@@ -362,24 +409,21 @@ class SpanCollector:
                 # entry); slot 0 is the resource name — the only string
                 # that ever lands in the buffer at top level, so the
                 # type check is the dispatch.
-                (name, rid, is_reply, is_write, svc,
-                 enqueue, service_end, depart) = events[i:i + 8]
-                i += 8
-                span = requests.get(rid)
+                span = requests.get(events[i + 1])
                 if span is None or span.complete:
+                    i += HOP_SLOTS
                     continue
-                if name.startswith("gm["):
-                    span.mem_enqueue = enqueue
+                if ev.startswith("gm["):
+                    span.mem_enqueue = events[i + 5]
+                    depart = events[i + 7]
                     span.mem_depart = depart
                     # stores are terminal at the module: no reply
                     # travels back
-                    if is_write:
+                    if events[i + 3]:
                         self._finish(span, depart)
-                    continue
-                hop = HopSpan(name, _stage_of(name), is_reply, enqueue, svc)
-                hop.service_end = service_end
-                hop.depart = depart
-                span.hops.append(hop)
+                else:
+                    span.raw_hops += events[i:i + HOP_SLOTS]
+                i += HOP_SLOTS
                 continue
             i += 1
             tag = ev[0]
@@ -543,11 +587,12 @@ class LatencyAnalysis:
     # -- percentile machinery ----------------------------------------------
 
     def _histogram(self, values: Sequence[float]) -> Histogrammer:
+        # filled from a {value: count} table in first-seen order: the
+        # same bank state as recording each value in turn.
         hi = max(max(values), 1e-9)
-        hist = Histogrammer(0.0, hi * (1.0 + 1e-6), bins=self.bins)
-        for value in values:
-            hist.record(value)
-        return hist
+        return Histogrammer.from_counts(
+            Counter(values), 0.0, hi * (1.0 + 1e-6), self.bins
+        )
 
     def _stats_row(self, values: Sequence[float]) -> dict:
         hist = self._histogram(values)
@@ -598,12 +643,10 @@ class LatencyAnalysis:
         share of total end-to-end latency."""
         acc: Dict[str, List[float]] = {}
         for span in self.spans:
-            for hop in span.hops:
-                segments = hop.segments()
-                if segments is None:
-                    continue
-                wait, service, blocked = segments
-                entry = acc.setdefault(hop.stage, [0.0, 0.0, 0.0, 0])
+            for stage, wait, service, blocked in hop_segments(span.raw_hops):
+                entry = acc.get(stage)
+                if entry is None:
+                    entry = acc[stage] = [0.0, 0.0, 0.0, 0]
                 entry[0] += wait
                 entry[1] += service
                 entry[2] += blocked
@@ -649,11 +692,8 @@ class LatencyAnalysis:
         total = 0.0
         for span in cohort:
             total += span.latency
-            for hop in span.hops:
-                segments = hop.segments()
-                if segments is None:
-                    continue
-                acc[hop.stage] = acc.get(hop.stage, 0.0) + sum(segments)
+            for stage, wait, service, blocked in hop_segments(span.raw_hops):
+                acc[stage] = acc.get(stage, 0.0) + (wait + service + blocked)
             phases = span.phases()
             acc["gmem"] = acc.get("gmem", 0.0) + (
                 phases["memory_wait"] + phases["memory_service"]

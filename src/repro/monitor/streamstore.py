@@ -55,6 +55,7 @@ from repro.monitor.spans import (
     RequestSpan,
     STREAM_SPANS_VERSION,
     SpanCollector,
+    hop_segments,
 )
 from repro.monitor.sampling import SampledSpanCollector
 
@@ -154,20 +155,16 @@ class _StreamingMixin:
             self.phase_sketches[phase].record(value)
         stage_totals = self.stage_totals
         stage_sketches = self.stage_sketches
-        for hop in span.hops:
-            segments = hop.segments()
-            if segments is None:
-                continue
-            wait, service, blocked = segments
-            entry = stage_totals.get(hop.stage)
+        for stage, wait, service, blocked in hop_segments(span.raw_hops):
+            entry = stage_totals.get(stage)
             if entry is None:
-                entry = stage_totals[hop.stage] = [0.0, 0.0, 0.0, 0]
-                stage_sketches[hop.stage] = QuantileSketch(self.relative_error)
+                entry = stage_totals[stage] = [0.0, 0.0, 0.0, 0]
+                stage_sketches[stage] = QuantileSketch(self.relative_error)
             entry[0] += wait
             entry[1] += service
             entry[2] += blocked
             entry[3] += 1
-            stage_sketches[hop.stage].record(wait + service + blocked)
+            stage_sketches[stage].record(wait + service + blocked)
         entry = stage_totals.get("gmem")
         if entry is None:
             entry = stage_totals["gmem"] = [0.0, 0.0, 0.0, 0]
@@ -561,11 +558,8 @@ class StreamingLatencyAnalysis:
         total = 0.0
         for span in cohort:
             total += span.latency
-            for hop in span.hops:
-                segments = hop.segments()
-                if segments is None:
-                    continue
-                acc[hop.stage] = acc.get(hop.stage, 0.0) + sum(segments)
+            for stage, wait, service, blocked in hop_segments(span.raw_hops):
+                acc[stage] = acc.get(stage, 0.0) + (wait + service + blocked)
             phases = span.phases()
             acc["gmem"] = acc.get("gmem", 0.0) + (
                 phases["memory_wait"] + phases["memory_service"]

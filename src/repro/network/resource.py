@@ -165,8 +165,8 @@ class Resource:
         #: :class:`~repro.monitor.metrics.Occupancy`), armed by the
         #: standard monitors and read back when a report is built.  Same
         #: ``is not None`` fast path: an unarmed resource pays one branch
-        #: per queue edge.  Armed resources take ``_finish_batch``'s
-        #: per-record scalar fallback.
+        #: per queue edge.  Armed links stay on ``_finish_batch``'s
+        #: grouped pass, which makes the same calls inline.
         self.occupancy = None
         # devirtualize the per-packet hooks: plain FIFO links (the vast
         # majority) take branch-only fast paths in _start_service/_finish.
@@ -198,7 +198,7 @@ class Resource:
             acc.edge(self._words_queued, self.engine._now)
         sig = self.enqueue_signal
         if sig.callbacks:
-            sig.emit(self, transit.packet, self.engine.now)
+            sig.emit(self, transit.packet, self.engine._now)
         if not self._serving and self._blocked_head is None:
             self._maybe_start()
         return True
@@ -224,10 +224,10 @@ class Resource:
     def _maybe_start(self) -> None:
         if self._serving or self._blocked_head is not None or not self._queue:
             return
-        if self.recovery_cycles and self.engine.now < self._recovered_at:
+        if self.recovery_cycles and self.engine._now < self._recovered_at:
             self._serving = True  # hold the slot through recovery
             transit = self._queue[0]
-            delay = self._recovered_at - self.engine.now
+            delay = self._recovered_at - self.engine._now
             self.engine.schedule_after(delay, self._start_service, transit)
             return
         self._start_service(self._queue[0])
@@ -257,7 +257,7 @@ class Resource:
             transit.svc_t = self.engine._now
         sig = self.service_end_signal
         if sig.callbacks:
-            sig.emit(self, transit.packet, self.engine.now)
+            sig.emit(self, transit.packet, self.engine._now)
         if self._has_complete_hook and not self.on_service_complete(transit):
             self._pop_head(transit)
             self._advance()
@@ -286,7 +286,7 @@ class Resource:
         else:
             if self._blocked_head is None:
                 self._blocked_head = transit
-                self._blocked_since = self.engine.now
+                self._blocked_since = self.engine._now
             nxt.add_waiter(self)
 
     def _pop_head(self, transit: Transit) -> None:
@@ -298,7 +298,7 @@ class Resource:
         st = self.stats
         st.packets += 1
         st.words += words
-        now = self.engine.now
+        now = self.engine._now
         if self.recovery_cycles:
             self._recovered_at = now + self.recovery_cycles
         if self._blocked_head is transit:
@@ -403,16 +403,23 @@ class Resource:
 # _start_service -> schedule_after -> _advance -> ...).  The batched
 # engine hands every same-cycle run of finishes to `_finish_batch`,
 # which services them in ONE Python call with the whole chain inlined
-# for the dominant case: a plain unmonitored FIFO link (no service /
-# completion hooks, no armed fault site, no recovery window, no
-# subscribed signal channels) handing off to another plain link.
+# for the dominant case: a FIFO link without service / completion hooks
+# or a recovery window handing off to another link.
 #
-# Anything off that path — memory modules (completion hook + recovery),
-# monitored or accounting-armed links, stages carrying faults or escape
-# routing, blocked heads — falls back to the scalar methods *per
-# record*, so the two paths are one semantics with two dispatch costs.
-# Every inlined mutation below mirrors the scalar method it replaces
-# line for line (the scalar code is the reference; change both
+# Observation stays on the grouped pass.  A link armed with an
+# ``occupancy`` accumulator or a ``net.span`` subscriber gets its
+# accounting inline, in the scalar order: on departure the ``svc_t``
+# stamp, ``Occupancy.depart`` and the eight-slot span record; on
+# admission the ``enq_t`` stamp and ``Occupancy.edge``.
+#
+# Anything else falls back to the scalar methods *per record*: memory
+# modules (completion hook + recovery), blocked heads, and links whose
+# point signals (``net.service`` / ``net.dequeue`` / ``net.hop`` /
+# ``net.enqueue``) have subscribers, such as the tracer's.  A fault site
+# or service hook on the next service start goes through
+# ``_maybe_start``.  The two paths are one semantics with two dispatch
+# costs: every inlined mutation below mirrors the scalar method it
+# replaces line for line (the scalar code is the reference; change both
 # together), which is what the batched-identity harness and the
 # adversarial ordering tests enforce.
 
@@ -460,14 +467,12 @@ def _finish_batch(eng: Engine, batch: List[list], i: int, n: int):
                 res._has_complete_hook
                 or res.recovery_cycles
                 or res._blocked_head is not None
-                or res.occupancy is not None
-                or res.span_signal.callbacks
                 or res.service_end_signal.callbacks
                 or res.dequeue_signal.callbacks
                 or res.depart_signal.callbacks
             ):
-                # scalar fallback: hooks, monitors, accounting, recovery,
-                # faults.
+                # scalar fallback: hooks, point signals, recovery,
+                # blocked heads.
                 if len(free) < _FREE_LIST_MAX:
                     free.append(spare)
                 res._finish(transit)
@@ -478,89 +483,103 @@ def _finish_batch(eng: Engine, batch: List[list], i: int, n: int):
             if not queue or queue[0] is not transit:
                 raise SimulationError(f"{res.name}: finished packet is not at head")
             res._serving = False
+            span_cbs = res.span_signal.callbacks
+            if span_cbs:
+                transit.svc_t = now
+            # -- res._try_handoff
             route = transit.route
             nxt_idx = transit.idx + 1
             nxt = route[nxt_idx] if nxt_idx < len(route) else None
-            if isinstance(nxt, Resource):
-                if nxt._words_queued < nxt.capacity_words:
-                    # -- res._pop_head (plain: no recovery, no signals)
-                    queue.popleft()
-                    words = transit.packet.words
-                    res._words_queued -= words
-                    st = res.stats
-                    st.packets += 1
-                    st.words += words
-                    transit.idx = nxt_idx
-                    # -- nxt.offer
-                    if (
-                        nxt.occupancy is not None
-                        or nxt.enqueue_signal.callbacks
-                        or nxt.span_signal.callbacks
-                    ):
-                        if not nxt.offer(transit):
-                            raise SimulationError(
-                                f"{nxt.name} refused after reporting space"
-                            )
-                    else:
-                        nxt._queue.append(transit)
-                        nxt._words_queued += words
-                        if not nxt._serving and nxt._blocked_head is None:
-                            # -- nxt._maybe_start / _start_service /
-                            #    engine.schedule_after
-                            if (
-                                nxt.fault_hook is not None
-                                or nxt._has_service_hook
-                                or nxt.recovery_cycles
-                            ):
-                                nxt._maybe_start()
-                            else:
-                                head = nxt._queue[0]
-                                cycles = (
-                                    nxt.fixed_cycles
-                                    + head.packet.words / nxt.words_per_cycle
-                                )
-                                nxt.stats.busy_cycles += cycles
-                                nxt._serving = True
-                                when = now + cycles
-                                if spare is not None:
-                                    rec = spare
-                                    spare = None
-                                    rec[0] = when
-                                    rec[2] = nxt._finish
-                                    rec[3] = (head,)
-                                elif free:
-                                    rec = free.pop()
-                                    rec[0] = when
-                                    rec[2] = nxt._finish
-                                    rec[3] = (head,)
-                                else:
-                                    rec = [when, 0, nxt._finish, (head,)]
-                                b = bucket_get(when)
-                                if b is None:
-                                    buckets[when] = [rec]
-                                    heappush(ts_heap, when)
-                                else:
-                                    b.append(rec)
+            to_link = isinstance(nxt, Resource)
+            if to_link and nxt._words_queued >= nxt.capacity_words:
+                # head-of-line block: downstream queue is full.
+                res._blocked_head = transit
+                res._blocked_since = now
+                nxt.add_waiter(res)
+                if len(free) < _FREE_LIST_MAX:
+                    free.append(spare)
+                if eng._stop_requested:
+                    return i, done
+                continue
+            # -- res._pop_head (no recovery, no point signals)
+            queue.popleft()
+            packet = transit.packet
+            words = packet.words
+            res._words_queued -= words
+            st = res.stats
+            st.packets += 1
+            st.words += words
+            acc = res.occupancy
+            if acc is not None:
+                acc.depart(
+                    res._words_queued,
+                    words,
+                    res.fixed_cycles + words / res.words_per_cycle,
+                    now,
+                )
+            if span_cbs and packet.trace:
+                span = (res.name, packet.request_id, packet.is_reply,
+                        packet.kind is _WRITE_REQ,
+                        res.fixed_cycles + words / res.words_per_cycle,
+                        transit.enq_t, transit.svc_t, now)
+                for span_cb in span_cbs:
+                    span_cb(span)
+            if to_link:
+                transit.idx = nxt_idx
+                # -- nxt.offer
+                if nxt.enqueue_signal.callbacks:
+                    if not nxt.offer(transit):
+                        raise SimulationError(
+                            f"{nxt.name} refused after reporting space"
+                        )
                 else:
-                    # head-of-line block: downstream queue is full.
-                    res._blocked_head = transit
-                    res._blocked_since = now
-                    nxt.add_waiter(res)
-                    if len(free) < _FREE_LIST_MAX:
-                        free.append(spare)
-                    if eng._stop_requested:
-                        return i, done
-                    continue
-            else:
-                # terminal sink callable, or the route ends here.
-                queue.popleft()
-                words = transit.packet.words
-                res._words_queued -= words
-                st = res.stats
-                st.packets += 1
-                st.words += words
-                if nxt is not None:
-                    nxt(transit.packet)
+                    nxt._queue.append(transit)
+                    nxt._words_queued += words
+                    if nxt.span_signal.callbacks:
+                        transit.enq_t = now
+                    acc = nxt.occupancy
+                    if acc is not None:
+                        acc.edge(nxt._words_queued, now)
+                    if not nxt._serving and nxt._blocked_head is None:
+                        # -- nxt._maybe_start / _start_service /
+                        #    engine.schedule_after
+                        if (
+                            nxt.fault_hook is not None
+                            or nxt._has_service_hook
+                            or nxt.recovery_cycles
+                        ):
+                            nxt._maybe_start()
+                        else:
+                            head = nxt._queue[0]
+                            cycles = (
+                                nxt.fixed_cycles
+                                + head.packet.words / nxt.words_per_cycle
+                            )
+                            nxt.stats.busy_cycles += cycles
+                            nxt._serving = True
+                            when = now + cycles
+                            if spare is not None:
+                                rec = spare
+                                spare = None
+                                rec[0] = when
+                                rec[2] = nxt._finish
+                                rec[3] = (head,)
+                            elif free:
+                                rec = free.pop()
+                                rec[0] = when
+                                rec[2] = nxt._finish
+                                rec[3] = (head,)
+                            else:
+                                rec = [when, 0, nxt._finish, (head,)]
+                            b = bucket_get(when)
+                            if b is None:
+                                buckets[when] = [rec]
+                                heappush(ts_heap, when)
+                            else:
+                                b.append(rec)
+            elif nxt is not None:
+                # terminal sink callable
+                nxt(packet)
             # -- res._advance
             if res._waiters:
                 res._notify_waiters()

@@ -410,3 +410,114 @@ def test_machine_run_identical_across_drains(monkeypatch):
     assert batched[0] == scalar[0], "simulated cycles diverged"
     assert batched[1] == scalar[1], "event counts diverged"
     assert batched[2] == scalar[2], "component counters diverged"
+
+
+# ---------------------------------------------------------------------------
+# observed-machine identity (the group handler's inlined accounting)
+
+
+def _observed(monkeypatch, gate, run):
+    """Run ``run()`` on the ``gate`` drain with the standard monitors, a
+    buffered :class:`SpanCollector` and a :class:`StreamingSpanStore` on
+    every machine it builds; return what each machine observed.  Request
+    ids restart at zero, so both drains number their spans alike."""
+    import itertools
+
+    from repro.core.context import add_context_observer, remove_context_observer
+    from repro.monitor.metrics import MetricsRegistry
+    from repro.monitor.monitors import attach_standard_monitors, detach_monitors
+    from repro.monitor.spans import LatencyAnalysis, SpanCollector
+    from repro.monitor.streamstore import StreamingSpanStore
+    from repro.network import packet
+
+    monkeypatch.setenv("CEDAR_BATCHED", gate)
+    monkeypatch.setattr(packet, "_packet_ids", itertools.count())
+    attached = []
+
+    def observe(ctx):
+        registry = MetricsRegistry()
+        monitors = attach_standard_monitors(ctx, registry)
+        spans = SpanCollector().attach(ctx.bus)
+        stream = StreamingSpanStore().attach(ctx.bus)
+        attached.append((ctx, registry, monitors, spans, stream))
+
+    observer = add_context_observer(observe)
+    try:
+        run()
+    finally:
+        remove_context_observer(observer)
+    machines = []
+    for ctx, registry, monitors, spans, stream in attached:
+        engine = ctx.engine
+        links = [
+            link
+            for _name, component in ctx.components()
+            if hasattr(component, "stages")
+            for stage in component.stages
+            for link in stage
+        ]
+        machines.append({
+            "engine": type(engine).__name__,
+            "cycles": engine.now,
+            "events": engine.events_processed,
+            "snapshot": registry.snapshot(now=engine.now),
+            "spans": spans.spans(),
+            "streaming": stream.spans(),
+            "latency": LatencyAnalysis.from_collector(spans).summary(),
+            "blocked_cycles": sum(link.stats.blocked_cycles for link in links),
+        })
+        detach_monitors(monitors)
+        spans.detach()
+        stream.detach()
+    return machines
+
+
+def _assert_observed_identical(monkeypatch, run):
+    scalar = _observed(monkeypatch, "0", run)
+    batched = _observed(monkeypatch, "1", run)
+    assert scalar, "no machine was built"
+    assert {m.pop("engine") for m in scalar} == {"Engine"}
+    assert {m.pop("engine") for m in batched} == {"BatchedEngine"}
+    assert batched == scalar
+    return scalar
+
+
+def test_observed_rk_slice_identical_across_drains(monkeypatch):
+    from repro.core.config import CedarConfig
+    from repro.experiments.kernels_sim import _run
+
+    machines = _assert_observed_identical(
+        monkeypatch, lambda: _run(CedarConfig(), "RK", 32, True, 1)
+    )
+    assert machines[0]["spans"]["complete"] > 0
+    assert machines[0]["streaming"]["complete"] == machines[0]["spans"]["complete"]
+
+
+def test_observed_fault_run_identical_across_drains(monkeypatch):
+    # fault sites send the next service start through the scalar
+    # _maybe_start, so inlined and fallback records mix within batches.
+    from repro.core.config import CedarConfig
+    from repro.experiments.kernels_sim import _run
+    from repro.faults import FaultPlan
+
+    config = CedarConfig(faults=FaultPlan.uniform(0.05, seed=13))
+    machines = _assert_observed_identical(
+        monkeypatch, lambda: _run(config, "CG", 8, True, 2)
+    )
+    assert machines[0]["snapshot"].get("fault.transients", 0) > 0
+
+
+def test_observed_head_of_line_blocking_identical_across_drains(monkeypatch):
+    # one-word link queues: armed links block on a full next hop all the
+    # time, and the blocked heads retry through the scalar path.
+    from dataclasses import replace
+
+    from repro.core.config import CedarConfig
+    from repro.experiments.kernels_sim import _run
+
+    config = CedarConfig()
+    config = replace(config, network=replace(config.network, queue_words=1))
+    machines = _assert_observed_identical(
+        monkeypatch, lambda: _run(config, "CG", 8, True, 2)
+    )
+    assert machines[0]["blocked_cycles"] > 0

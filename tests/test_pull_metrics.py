@@ -14,12 +14,13 @@ busy timelines — and so must the ``reg.*`` series a
 from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.config import CedarConfig
 from repro.core.context import add_context_observer, remove_context_observer
 from repro.core.machine import CedarMachine
 from repro.experiments.kernels_sim import _run
-from repro.monitor.metrics import MetricsRegistry
+from repro.monitor.metrics import MetricsRegistry, Occupancy, ServiceAccount, Timeline
 from repro.monitor.monitors import (
     PULL_MONITORS,
     PUSH_MONITORS,
@@ -197,6 +198,64 @@ class TestPulledMatchesOracle:
                 if entry["values"][0] == 0 and any(entry["values"])
             )
         assert backfilled > 0
+
+
+def reference_bins(intervals, bin_cycles):
+    """The ``Timeline.add`` loop, kept here as the reference for the
+    one-bin shortcut in ``Occupancy.depart``."""
+    bins = {}
+    for start, duration in intervals:
+        if duration <= 0:
+            continue
+        start = max(0.0, start)
+        end = start + duration
+        idx = int(start // bin_cycles)
+        while start < end:
+            edge = (idx + 1) * bin_cycles
+            bins[idx] = bins.get(idx, 0.0) + (min(end, edge) - start)
+            start = edge
+            idx += 1
+    return bins
+
+
+_departures = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=1e5, allow_nan=False),  # now
+        st.floats(min_value=0.0, max_value=600.0, allow_nan=False),  # duration
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestBusyCredit:
+    """The busy credit of ``Occupancy.depart`` (one dict update when the
+    interval sits inside one bin) and ``ServiceAccount.record`` must
+    leave the bins bit-identical to the reference loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        departures=_departures,
+        bin_cycles=st.sampled_from([0.1, 1.0, 3.0, 7.5, 64.0, 256.0]),
+    )
+    @example(departures=[(260.0, 4.0)], bin_cycles=256.0)  # starts on an edge
+    @example(departures=[(512.0, 6.0)], bin_cycles=256.0)  # ends on an edge
+    @example(departures=[(700.0, 600.0)], bin_cycles=256.0)  # three bins
+    @example(departures=[(10.0, 0.0)], bin_cycles=256.0)  # zero duration
+    @example(departures=[(3.0, 5.0)], bin_cycles=256.0)  # starts before zero
+    def test_bins_match_reference_loop(self, departures, bin_cycles):
+        occupancy = Occupancy(Timeline("link", bin_cycles))
+        account = ServiceAccount(Timeline("module", bin_cycles))
+        for now, duration in departures:
+            occupancy.depart(0, 1, duration, now)
+            account.record(1, duration, now)
+        expected = reference_bins(
+            [(now - duration, duration) for now, duration in departures], bin_cycles
+        )
+        # bit for bit, in insertion order (busy_cycles sums in that order)
+        want = [(idx, busy.hex()) for idx, busy in expected.items()]
+        assert [(i, b.hex()) for i, b in occupancy.busy._bins.items()] == want
+        assert [(i, b.hex()) for i, b in account.busy._bins.items()] == want
 
 
 class TestPullLifecycle:

@@ -17,7 +17,9 @@ from repro.cluster.ce import (
     SyncInstruction,
 )
 from repro.monitor.histogram import Histogrammer
+from repro.monitor.sampling import SampledSpanCollector
 from repro.monitor.spans import (
+    HopSpan,
     LatencyAnalysis,
     PHASES,
     SpanCollector,
@@ -122,6 +124,64 @@ class TestStitching:
         _machine, collector = _traced_run(collector=SpanCollector(max_requests=3))
         assert len(collector.requests) == 3
         assert collector.dropped > 0
+
+
+class TestHopView:
+    """``RequestSpan.hops`` is built on demand from the flat ``net.span``
+    records the collector keeps per request."""
+
+    def _recorded_run(self, collector):
+        machine = CedarMachine(CedarConfig())
+        collector.attach(machine.bus)
+        records = []
+        machine.bus.subscribe("net.span", records.append)
+        machine.run_programs(_mixed_programs())
+        return collector, records
+
+    def test_hops_match_net_span_records(self):
+        collector, records = self._recorded_run(SpanCollector())
+        by_request = {}
+        for record in records:
+            if not record[0].startswith("gm["):
+                by_request.setdefault(record[1], []).append(record)
+        checked = 0
+        for rid, span in collector.requests.items():
+            hops = span.hops
+            expected = by_request.get(rid, [])
+            assert len(hops) == len(expected)
+            for hop, record in zip(hops, expected):
+                name, _rid, is_reply, _is_write, svc, enqueue, end, depart = record
+                assert isinstance(hop, HopSpan)
+                assert (hop.resource, hop.stage, hop.is_reply, hop.svc,
+                        hop.enqueue, hop.service_end, hop.depart) == (
+                    name, name.split("[", 1)[0], is_reply, svc, enqueue, end,
+                    depart,
+                )
+                assert hop.segments() == (
+                    max(0.0, end - svc - enqueue), svc, max(0.0, depart - end)
+                )
+                checked += 1
+        assert checked > 0
+
+    def test_returned_list_is_a_copy(self):
+        _machine, collector = _traced_run()
+        span = next(s for s in collector.complete_spans() if s.hops)
+        before = [hop.to_dict() for hop in span.hops]
+        hops = span.hops
+        hops[0].depart = -1.0
+        hops.clear()
+        assert [hop.to_dict() for hop in span.hops] == before
+
+    def test_sampled_spans_carry_hops(self):
+        collector, records = self._recorded_run(SampledSpanCollector(every=2))
+        spans = collector.complete_spans()
+        assert spans
+        for span in spans:
+            assert span.hops
+            assert len(span.hops) == sum(
+                1 for r in records
+                if r[1] == span.request_id and not r[0].startswith("gm[")
+            )
 
 
 class TestOrphans:
