@@ -16,30 +16,25 @@ Part two runs a small whole-machine kernel simulation in four modes —
 bare, with a full :class:`~repro.monitor.spans.SpanCollector`, with
 a 1-in-16 :class:`~repro.monitor.sampling.SampledSpanCollector`, and
 with a :class:`~repro.monitor.timeline.MetricTimeline` sampling at the
-default 64-cycle interval — plus the opposite engine drain (scalar when
-``CEDAR_BATCHED`` is on, batched otherwise), and appends one trajectory
-point (bare events/sec, batched/scalar rates and their ratio, full-span,
-sampled-span and timeline overhead percentages clamped at 0, and
-inter-rep spread) to ``BENCH_sim.json`` at the repository root.  Gated
-modes (bare, timeline, the scalar/batched reference) take the **median
-of 5 timed runs after a warmup iteration**; ungated overhead modes take
-the median of 3.  All modes must report *identical* simulated cycles
-(the zero-cost contract and the batched-identity contract); a mismatch
-fails the smoke.
+default 64-cycle interval — and appends one trajectory point (bare
+events/sec, full-span, sampled-span and timeline overhead percentages
+clamped at 0, and inter-rep spread) to ``BENCH_sim.json`` at the
+repository root.  Gated modes (bare, timeline) take the **median of 5
+timed runs after a warmup iteration**; ungated overhead modes take the
+median of 3.  All modes must report *identical* simulated cycles (the
+zero-cost contract); a mismatch fails the smoke.
 
 Usage: ``python benchmarks/perf_smoke.py`` (exit 0 = within tolerance).
 With ``--gate``, additionally enforce the CI perf-gate bands: the new
 bare rate must stay within 1.5x of the previous ``BENCH_sim.json``
-point, timeline overhead within 5%, and the batched/scalar ratio above
-its floor; when inter-rep spread exceeds the gate band the gate warns
-that its verdict is noise-limited (it does not fail on spread alone).
+point and timeline overhead within 5%; when inter-rep spread exceeds
+the gate band the gate warns that its verdict is noise-limited (it does
+not fail on spread alone).
 """
 
 from __future__ import annotations
 
-import contextlib
 import json
-import os
 import pathlib
 import sys
 import time
@@ -56,9 +51,8 @@ SIM_HISTORY = 200
 #: every append so the file's self-description tracks the point schema.
 BENCH_SIM_DESCRIPTION = (
     "simulator perf trajectory: one point per perf-smoke run (bare "
-    "events/sec; batched and scalar engine rates with their ratio; "
-    "full, 1-in-N sampled and timeline collection overhead % clamped "
-    "at 0; inter-rep spread %; peak span-tracing bytes)"
+    "events/sec; full, 1-in-N sampled and timeline collection overhead "
+    "% clamped at 0; inter-rep spread %; peak span-tracing bytes)"
 )
 
 #: a smoke run on a noisy shared runner may be this much slower than the
@@ -73,25 +67,9 @@ SIM_GATE_TOLERANCE = 1.5
 #: default interval — the time-resolved view must stay near-free.
 TIMELINE_GATE_PCT = 5.0
 
-#: perf-gate floor (``--gate``) on the batched-vs-scalar throughput
-#: ratio: the batched drain must never be *slower* than the scalar
-#: reference beyond runner noise.  The measured steady-state advantage
-#: on this workload is ~1.1-1.15x (dispatch/frame overhead is ~1/3 of
-#: per-event cost; the rest is callback-body work the batch dispatch
-#: cannot remove — see docs/API.md "Performance"), so the hard floor
-#: sits below 1.0 to absorb shared-runner noise while still catching a
-#: batched-path regression.
-BATCHED_RATIO_FLOOR = 0.85
-
-#: tracked aspiration for the batched-vs-scalar ratio (ISSUE 10's 1.5x
-#: target).  Below this the gate *warns* — the remaining gap lives in
-#: callback bodies, not dispatch, and closing it needs array-resident
-#: component state (see ROADMAP), not a different drain.
-BATCHED_RATIO_TARGET = 1.5
-
-#: reps per mode: gated modes (bare throughput, timeline overhead, and
-#: the scalar reference for the batched ratio) take the median of 5;
-#: ungated overhead modes stay at 3 to bound smoke runtime.
+#: reps per mode: gated modes (bare throughput, timeline overhead) take
+#: the median of 5; ungated overhead modes stay at 3 to bound smoke
+#: runtime.
 GATED_REPS = 5
 UNGATED_REPS = 3
 
@@ -150,44 +128,20 @@ def peak_tracing_bytes() -> int:
 SIM_TIMELINE_INTERVAL = 64.0
 
 
-@contextlib.contextmanager
-def _engine_gate(value):
-    """Force ``CEDAR_BATCHED`` to ``value`` ("0"/"1") for the enclosed
-    machine build; ``None`` leaves the ambient gate untouched."""
-    if value is None:
-        yield
-        return
-    previous = os.environ.get("CEDAR_BATCHED")
-    os.environ["CEDAR_BATCHED"] = value
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("CEDAR_BATCHED", None)
-        else:
-            os.environ["CEDAR_BATCHED"] = previous
-
-
 def sim_measurement(mode="bare"):
     """One whole-machine kernel run; returns (sim cycles, events/sec,
     requests traced).  ``mode`` is ``"bare"`` (no collector),
     ``"spans"`` (full :class:`SpanCollector`), ``"sampled"``
     (1-in-``SIM_SAMPLE_EVERY`` :class:`SampledSpanCollector`),
     ``"timeline"`` (a :class:`MetricTimeline` riding the engine pulse
-    at the default interval — the bus stays quiescent), or
-    ``"scalar"`` / ``"batched"`` (bare, with ``CEDAR_BATCHED`` forced
-    off / on for the batched-vs-scalar ratio)."""
+    at the default interval — the bus stays quiescent)."""
     from repro.core.config import CedarConfig
     from repro.core.machine import CedarMachine
     from repro.kernels.programs import KERNELS, kernel_program
     from repro.monitor.sampling import SampledSpanCollector
     from repro.monitor.spans import SpanCollector
 
-    gate = {"scalar": "0", "batched": "1"}.get(mode)
-    if gate is not None:
-        mode = "bare"
-    with _engine_gate(gate):
-        machine = CedarMachine(CedarConfig())
+    machine = CedarMachine(CedarConfig())
     timeline = None
     if mode == "spans":
         collector = SpanCollector().attach(machine.bus)
@@ -231,7 +185,7 @@ def _median_rates(modes, reps=None):
     instead of poisoning whichever mode ran in that window; first-run
     effects (imports, pool warm-up) are absorbed by the warmup
     iteration the caller runs.  ``reps`` maps mode -> rep count
-    (default :data:`GATED_REPS` for bare/timeline/scalar/batched,
+    (default :data:`GATED_REPS` for bare/timeline,
     :data:`UNGATED_REPS` otherwise); modes with fewer reps drop out of
     the later rounds.  All reps of a mode must report identical
     simulated cycles.  Returns ``{mode: (cycles, median events/sec,
@@ -239,7 +193,7 @@ def _median_rates(modes, reps=None):
     the reps — the inter-rep noise the gate warns about."""
     if reps is None:
         reps = {}
-    gated = ("bare", "timeline", "scalar", "batched")
+    gated = ("bare", "timeline")
     want = {
         mode: reps.get(mode, GATED_REPS if mode in gated else UNGATED_REPS)
         for mode in modes
@@ -272,19 +226,13 @@ def append_sim_point() -> dict:
     ``RuntimeError`` if any monitored run's simulated cycles differ
     from the bare run's (a zero-cost violation).
     """
-    from repro.perf.batch import batched_enabled
-
     sim_measurement("bare")  # warmup: imports, packet pool, code caches
-    # "bare" runs under the ambient CEDAR_BATCHED gate; the opposite
-    # drain is measured explicitly so every point carries both sides of
-    # the batched-vs-scalar ratio without doubling the round-robin.
-    other = "scalar" if batched_enabled() else "batched"
-    medians = _median_rates(("bare", "spans", "sampled", "timeline", other))
+    medians = _median_rates(("bare", "spans", "sampled", "timeline"))
     bare = medians["bare"]
     traced = medians["spans"]
     sampled = medians["sampled"]
     timeline = medians["timeline"]
-    for label in ("spans", "sampled", "timeline", other):
+    for label in ("spans", "sampled", "timeline"):
         if medians[label][0] != bare[0]:
             raise RuntimeError(
                 f"{label} run changed simulated cycles: "
@@ -299,21 +247,11 @@ def append_sim_point() -> dict:
             return 0.0
         return max(0.0, (bare[1] / monitored - 1.0) * 100.0)
 
-    if batched_enabled():
-        batched_rate, scalar_rate = bare[1], medians[other][1]
-        spreads = {"batched": bare[3], "scalar": medians[other][3]}
-    else:
-        batched_rate, scalar_rate = medians[other][1], bare[1]
-        spreads = {"batched": medians[other][3], "scalar": bare[3]}
-    ratio = batched_rate / scalar_rate if scalar_rate else 0.0
     point = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "workload": f"CG x{SIM_CES}ces x{SIM_STRIPS}strips",
         "sim_cycles": bare[0],
         "events_per_sec": round(bare[1], 1),
-        "events_per_sec_scalar": round(scalar_rate, 1),
-        "events_per_sec_batched": round(batched_rate, 1),
-        "batched_vs_scalar": round(ratio, 3),
         "events_per_sec_with_spans": round(traced[1], 1),
         "span_overhead_pct": round(_overhead_pct(traced[1]), 1),
         "events_per_sec_sampled": round(sampled[1], 1),
@@ -323,8 +261,6 @@ def append_sim_point() -> dict:
         "timeline_interval": SIM_TIMELINE_INTERVAL,
         "timeline_overhead_pct": round(_overhead_pct(timeline[1]), 1),
         "bare_spread_pct": round(bare[3] * 100.0, 1),
-        "batched_spread_pct": round(spreads["batched"] * 100.0, 1),
-        "scalar_spread_pct": round(spreads["scalar"] * 100.0, 1),
         "timeline_spread_pct": round(timeline[3] * 100.0, 1),
         "requests_traced": traced[2],
         # measured untimed, after the timed reps, so tracemalloc's
@@ -356,11 +292,9 @@ def gate_against(previous, point):
     bare rate (shared runners are noisy — this catches structural
     regressions, not percent drift), timeline sampling at the default
     interval must cost at most :data:`TIMELINE_GATE_PCT` of bare
-    throughput, and the batched drain must hold
-    :data:`BATCHED_RATIO_FLOOR` x the scalar reference.  Returns
-    ``(failures, warnings)``: warnings flag inter-rep spread wider than
-    the gate band (the gate's verdict is then noise-limited) and a
-    batched ratio below the :data:`BATCHED_RATIO_TARGET` aspiration."""
+    throughput.  Returns ``(failures, warnings)``: warnings flag
+    inter-rep spread wider than the gate band (the gate's verdict is
+    then noise-limited)."""
     failures = []
     warnings = []
     if previous is not None:
@@ -394,34 +328,16 @@ def gate_against(previous, point):
             )
         else:
             failures.append(message)
-    ratio = point.get("batched_vs_scalar")
-    if ratio is not None:
-        if ratio < BATCHED_RATIO_FLOOR:
-            failures.append(
-                f"batched/scalar throughput ratio {ratio:.3f} fell below "
-                f"the {BATCHED_RATIO_FLOOR} floor (batched "
-                f"{point['events_per_sec_batched']:,.0f} vs scalar "
-                f"{point['events_per_sec_scalar']:,.0f} events/s)"
-            )
-        elif ratio < BATCHED_RATIO_TARGET:
-            warnings.append(
-                f"batched/scalar ratio {ratio:.3f} is below the "
-                f"{BATCHED_RATIO_TARGET}x target (tracked aspiration; "
-                f"remaining scalar time is callback-body work — see "
-                f"`python -m repro profile --compare-batched`)"
-            )
     # a gate verdict is only as good as the measurement: when one mode's
     # reps disagree by more than the gate band, say so out loud.
     gate_band_pct = (SIM_GATE_TOLERANCE - 1.0) * 100.0
-    for label in ("bare_spread_pct", "batched_spread_pct",
-                  "scalar_spread_pct"):
-        spread = point.get(label, 0.0)
-        if spread > gate_band_pct:
-            warnings.append(
-                f"{label.replace('_pct', '')} {spread:.1f}% exceeds the "
-                f"{gate_band_pct:.0f}% gate band — this runner is too "
-                f"noisy for the gate verdict to be meaningful"
-            )
+    spread = point.get("bare_spread_pct", 0.0)
+    if spread > gate_band_pct:
+        warnings.append(
+            f"bare_spread {spread:.1f}% exceeds the "
+            f"{gate_band_pct:.0f}% gate band — this runner is too "
+            f"noisy for the gate verdict to be meaningful"
+        )
     # zero-cost cycle divergence already raises inside append_sim_point.
     return failures, warnings
 
@@ -432,10 +348,7 @@ def main(argv=None) -> int:
     previous = last_sim_point()
     point = append_sim_point()
     print(
-        f"perf-smoke: sim {point['events_per_sec']:,.0f} events/s "
-        f"(batched {point['events_per_sec_batched']:,.0f} / scalar "
-        f"{point['events_per_sec_scalar']:,.0f} = "
-        f"{point['batched_vs_scalar']:.3f}x), "
+        f"perf-smoke: sim {point['events_per_sec']:,.0f} events/s, "
         f"span overhead {point['span_overhead_pct']:+.1f}% full / "
         f"{point['sampled_overhead_pct']:+.1f}% sampled 1/"
         f"{point['sampled_every']}, timeline overhead "
@@ -453,9 +366,8 @@ def main(argv=None) -> int:
             return 1
         print(
             f"perf-gate: OK (within {SIM_GATE_TOLERANCE}x of last point, "
-            f"timeline overhead <= {TIMELINE_GATE_PCT:.0f}%, batched >= "
-            f"{BATCHED_RATIO_FLOOR}x scalar, cycles identical across "
-            f"bare/spans/sampled/timeline/scalar)"
+            f"timeline overhead <= {TIMELINE_GATE_PCT:.0f}%, cycles "
+            f"identical across bare/spans/sampled/timeline)"
         )
     try:
         baseline = json.loads(BENCH_JSON.read_text())

@@ -1,8 +1,9 @@
 """Performance of the reproduction itself (proper pytest-benchmark
 timing runs: these measure OUR code, not the paper's machine).
 
-Regression guards for the hot paths: the event engine, the network
-pipeline, the dependence tester, and the stability metric.
+Regression guards for the hot paths: the event engine (the one
+bucket-queue ``Engine`` every machine runs), the network pipeline, the
+dependence tester, and the stability metric.
 """
 
 import json

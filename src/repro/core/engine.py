@@ -8,10 +8,10 @@ Hot-path design
 ---------------
 
 Events are *slot-based records*: plain lists ``[when, seq, callback,
-args]`` ordered by ``(when, seq)``.  The record doubles as the
-**cancellation handle** — :meth:`Engine.cancel` blanks the callback
-slot in place, so cancellation is O(1) and cancelled slots are skipped
-(and reclaimed) when they surface at the head of the queue.
+args]``.  The record doubles as the **cancellation handle** —
+:meth:`Engine.cancel` blanks the callback slot in place, so
+cancellation is O(1) and cancelled slots are skipped (and reclaimed)
+when their turn comes.
 
 Executed records are recycled through a bounded **free list** instead
 of being re-allocated per event: the run loops push each drained
@@ -24,63 +24,45 @@ recycled into a different pending event — holding handles past
 execution to cancel them later was never meaningful and is now
 undefined).
 
-The pending set is split into two structures:
-
-* a **sorted tail** (deque): most simulation scheduling is monotone —
-  each event is scheduled at or after the latest pending time — so an
-  append keeps the deque sorted by ``(when, seq)`` with no heap work;
-* a **heap** for the out-of-order remainder.
-
-The run loop merges the two sorted sequences by comparing their heads.
-Chained hot loops (the PFU issue loop, resource service/finish) hit
-the deque path: O(1) append, O(1) popleft, no sift.
-
 Callbacks take positional ``*args`` captured in the record, so hot
 loops schedule *bound methods with arguments* instead of allocating a
 fresh closure per event.
 
-:meth:`Engine.run_until_idle` is the batch fast path: a tight drain
-loop with no bound/predicate checks per event.  ``run()`` delegates to
-it whenever no bound is requested.
+Cycle-synchronous dispatch
+--------------------------
 
-Batched dispatch
-----------------
+The Cedar machine advances on one clock, so events *cluster on
+timestamps* (a cycle finishes tens of link and module services).  The
+engine is built around that:
 
-:class:`BatchedEngine` restructures both the pending set and the drain
-around the observation that events *cluster on timestamps* (a
-cycle-synchronous machine finishes tens of services per cycle):
-
-* the pending set becomes a **bucket queue** — a dict mapping each
-  pending timestamp to the list of its event records, plus a heap of
-  the *unique* timestamps.  Scheduling is one dict probe and an append
-  (no per-record heap sift; the heap sees one push per new timestamp,
-  roughly the number of distinct cycles instead of the number of
-  events), and bucket lists are sequence-ordered for free because
-  sequence numbers are globally monotone — appends arrive in seq
-  order, so a popped bucket IS the dispatch order with no sort;
-* the drain pops one whole timestamp bucket per transaction, stores
-  the clock once per batch, and hands consecutive events bound to the
-  same underlying function to a registered **group handler**
+* the pending set is a **bucket queue** — a dict mapping each pending
+  timestamp to the list of its event records, plus a heap of the
+  *unique* timestamps.  Scheduling is one dict probe and an append (the
+  heap sees one push per new timestamp, roughly the number of distinct
+  cycles instead of the number of events), and a bucket's append order
+  *is* scheduling order, so a popped bucket IS the dispatch order with
+  no sort and no sequence stamp;
+* the unbounded drain pops one whole timestamp bucket per transaction,
+  stores the clock once per batch, and hands consecutive events bound
+  to the same underlying function to a registered **group handler**
   (:func:`register_batch_handler`) in one Python call instead of one
   frame per event.  Group handlers inline hot callback chains (see
   ``repro.network.resource``) while performing the identical state
-  mutations in the identical order — cancellation, ``request_stop``
-  mid-batch, and the resume contract all behave exactly as in the
-  scalar drain, so cycles, event counts, and final state are
-  bit-identical.
+  mutations in the identical order as calling each record in turn;
+* bounded and watchdog-supervised runs take a **checked loop** over
+  the same buckets: one callback per Python call, with per-event
+  bound, predicate and watchdog checks.
 
-:func:`make_engine` selects the engine class from the
-``CEDAR_BATCHED`` environment variable (default on); the scalar
-:class:`Engine` remains the reference semantics and the fallback for
-bounded/watchdogged runs.
+The reference semantics — a plain next-event heap with FIFO ties — live
+outside the package, in the test oracle ``tests/engine_oracle.py``;
+the tests run the engine and the oracle side by side and require
+identical dispatch order and final state.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import os
-from collections import deque
 from time import perf_counter as _perf_counter
 from types import MethodType as _MethodType
 from typing import Callable, Dict, List, Optional, Tuple
@@ -112,8 +94,8 @@ class SimulationError(RuntimeError):
 # whose record's callback is a bound method of its registered function
 # (e.g. a ``Resource._finish`` due this cycle) and dispatches the
 # maximal run of such records in one Python call.  The registry is
-# keyed on the unbound function object; only :class:`BatchedEngine`
-# consults it.
+# keyed on the unbound function object; only the engine's unbounded
+# drain consults it.
 
 #: unbound function -> ``handler(engine, batch, i, n) -> (next_i, executed)``.
 #: The handler must consume records from ``batch[i]`` forward, in
@@ -141,31 +123,11 @@ def register_batch_handler(func: Callable, handler: Callable) -> Callable:
     The handler must be *semantically transparent*: dispatching the run
     through it performs exactly the state mutations, in exactly the
     order, that calling each record's callback in sequence would — the
-    bit-identity contract between :class:`BatchedEngine` and
-    :class:`Engine` rests on this.
+    identity between :class:`Engine` and the per-record reference
+    semantics (the heap oracle in ``tests/``) rests on this.
     """
     _BATCH_HANDLERS[func] = handler
     return handler
-
-
-def batched_enabled() -> bool:
-    """Whether ``CEDAR_BATCHED`` selects the batched engine (default on).
-
-    Read at call time, not import time, so tests and the identity
-    harness can flip the gate between runs in one process.
-    """
-    return os.environ.get("CEDAR_BATCHED", "1").strip().lower() not in (
-        "0", "off", "false", "no",
-    )
-
-
-def make_engine() -> "Engine":
-    """The feature-gated engine factory: a :class:`BatchedEngine` when
-    ``CEDAR_BATCHED`` is on (the default), a scalar :class:`Engine`
-    otherwise.  Machine assembly (``SimContext``) builds its engine
-    through this, so one environment variable flips every simulation in
-    the process between the two drains."""
-    return BatchedEngine() if batched_enabled() else Engine()
 
 
 class WatchdogError(SimulationError):
@@ -291,7 +253,8 @@ class Watchdog:
 
 
 class Engine:
-    """A deterministic event-driven simulation kernel.
+    """A deterministic event-driven simulation kernel over a bucket
+    queue (see the module docstring).
 
     >>> eng = Engine()
     >>> hits = []
@@ -300,19 +263,23 @@ class Engine:
     >>> hits
     [5]
 
-    **Resume contract**: ``run(until=T)`` advances ``now`` to exactly
-    ``T`` and leaves every event scheduled after ``T`` on the queue.  A
-    subsequent ``run()`` (or ``run(until=T2)``) continues from the
-    preserved queue with no events lost, duplicated, or reordered —
-    bounded runs compose: ``run(until=a); run()`` processes the same
-    events at the same times as a single unbounded ``run()``.
+    **Resume contract**: ``run(until=T)`` dispatches every event due at
+    or before ``T`` and leaves every event scheduled after ``T`` on the
+    queue.  While anything is still queued after ``T`` (a cancelled
+    slot counts until it is reclaimed), ``now`` advances to exactly
+    ``T``; when the queue drains first, ``now`` stays at the last
+    timestamp drained (``schedule(3); run(until=10)`` leaves
+    ``now == 3``).  A subsequent ``run()`` (or ``run(until=T2)``)
+    continues from the preserved queue with no events lost, duplicated,
+    or reordered — bounded runs compose: ``run(until=a); run()``
+    processes the same events at the same times as a single unbounded
+    ``run()``.
     """
 
     __slots__ = (
-        "_heap",
-        "_tail",
-        "_tail_last",
-        "_next_seq",
+        "_buckets",
+        "_ts_heap",
+        "_group_progress",
         "_now",
         "_events_processed",
         "_cancelled",
@@ -327,15 +294,20 @@ class Engine:
     )
 
     def __init__(self) -> None:
-        self._heap: List[list] = []
-        self._tail: deque = deque()
+        #: pending timestamp -> list of event records in scheduling
+        #: order.  Invariant: ``when`` is a key of ``_buckets`` iff
+        #: ``when`` is in ``_ts_heap`` (exactly once) — maintained by
+        #: scheduling (push on bucket creation only) and the drains (pop
+        #: both together).
+        self._buckets: Dict[float, List[list]] = {}
+        self._ts_heap: List[float] = []
+        #: ``(next_i, executed)`` posted by a group handler that is
+        #: propagating an exception, so the drain requeues exactly the
+        #: unconsumed remainder (see :func:`register_batch_handler`).
+        self._group_progress: Optional[Tuple[int, int]] = None
         #: recycled event records (blanked); schedule paths refill from
         #: here so steady-state scheduling allocates no new lists.
         self._free: List[list] = []
-        #: timestamp of the tail's last record; -inf when the tail is
-        #: empty, so the monotone-append test is one float compare.
-        self._tail_last = float("-inf")
-        self._next_seq = itertools.count().__next__
         self._now: float = 0.0
         self._events_processed = 0
         self._cancelled = 0
@@ -361,10 +333,15 @@ class Engine:
     def events_processed(self) -> int:
         return self._events_processed
 
+    # -- scheduling into the bucket queue ----------------------------------
+
     def schedule(self, when: float, callback: Callable, *args) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute time ``when`` (>= now).
 
         Returns the event's slot record, usable with :meth:`cancel`.
+        Bucket append order *is* scheduling order, so records need no
+        sequence stamp — the seq slot stays 0, keeping
+        :meth:`dump_state`'s stable sort equal to dispatch order.
         """
         if when < self._now:
             raise SimulationError(
@@ -374,16 +351,17 @@ class Engine:
         if free:
             record = free.pop()
             record[0] = when
-            record[1] = self._next_seq()
             record[2] = callback
             record[3] = args
         else:
-            record = [when, self._next_seq(), callback, args]
-        if when >= self._tail_last or not self._tail:
-            self._tail.append(record)
-            self._tail_last = when
+            record = [when, 0, callback, args]
+        buckets = self._buckets
+        bucket = buckets.get(when)
+        if bucket is None:
+            buckets[when] = [record]
+            _heappush(self._ts_heap, when)
         else:
-            _heappush(self._heap, record)
+            bucket.append(record)
         return record
 
     def schedule_after(self, delay: float, callback: Callable, *args) -> EventHandle:
@@ -395,24 +373,25 @@ class Engine:
         if free:
             record = free.pop()
             record[0] = when
-            record[1] = self._next_seq()
             record[2] = callback
             record[3] = args
         else:
-            record = [when, self._next_seq(), callback, args]
-        if when >= self._tail_last or not self._tail:
-            self._tail.append(record)
-            self._tail_last = when
+            record = [when, 0, callback, args]
+        buckets = self._buckets
+        bucket = buckets.get(when)
+        if bucket is None:
+            buckets[when] = [record]
+            _heappush(self._ts_heap, when)
         else:
-            _heappush(self._heap, record)
+            bucket.append(record)
         return record
 
     def cancel(self, handle: EventHandle) -> bool:
         """Cancel a scheduled event by its handle.
 
-        O(1): the slot is blanked in place and reclaimed lazily when it
-        reaches the head of the queue.  Returns ``False`` if the event
-        already ran or was already cancelled.
+        O(1): the slot is blanked in place and reclaimed lazily when its
+        turn comes.  Returns ``False`` if the event already ran or was
+        already cancelled.
         """
         if handle[2] is None:
             return False
@@ -430,469 +409,11 @@ class Engine:
         """
         self._stop_requested = True
 
-    def run_until_idle(self) -> float:
-        """Batch fast path: drain the queue with no per-event bound,
-        predicate, or budget checks; returns the final time.
-
-        Honors :meth:`request_stop` and skips cancelled slots.  With a
-        caller watchdog armed the drain routes through the checked loop
-        instead (``run()``'s fast path also requires no watchdog, so
-        this does not recurse); with only the pulse-only supervisor
-        armed it takes the pulsed fast drain.
-        """
-        if self._watchdog is not None:
-            if self._watchdog is self._pulse_watchdog:
-                return self._drain_pulsed()
-            return self.run(until=None)
-        self._stop_requested = False
-        heap = self._heap
-        tail = self._tail
-        pop = _heappop
-        popleft = tail.popleft
-        free = self._free
-        free_max = _FREE_LIST_MAX
-        processed = 0
-        started = _perf_counter()
-        try:
-            while True:
-                if heap:
-                    if tail and tail[0] < heap[0]:
-                        record = popleft()
-                    else:
-                        record = pop(heap)
-                else:
-                    try:
-                        record = popleft()
-                    except IndexError:
-                        break
-                callback = record[2]
-                if callback is None:
-                    self._cancelled -= 1
-                    if len(free) < free_max:
-                        free.append(record)
-                    continue
-                self._now = record[0]
-                args = record[3]
-                # blank the slot first: cancel() on an executed handle is
-                # then a no-op returning False, and the record drops its
-                # callback/args references immediately.
-                record[2] = None
-                record[3] = ()
-                # plain call beats CALL_FUNCTION_EX on the no-arg path
-                if args:
-                    callback(*args)
-                else:
-                    callback()
-                # recycle after the callback: any events it scheduled
-                # took records from the free list, never this one.
-                if len(free) < free_max:
-                    free.append(record)
-                processed += 1
-                if self._stop_requested:
-                    break
-        finally:
-            self._events_processed += processed
-            self._run_wall_s += _perf_counter() - started
-            self._runs += 1
-        return self._now
-
-    def _drain_pulsed(self) -> float:
-        """Fast drain with only the pulse-only supervisor armed: the
-        same unchecked loop as :meth:`run_until_idle` plus one
-        local-counter compare per event to visit the read-only pulse at
-        its cadence.  Event order and callbacks are untouched — pulsed
-        runs stay bit-identical with bare ones — at a fraction of the
-        checked loop's per-event bookkeeping cost.  ``_events_processed``
-        is flushed before each pulse visit so the hook reads a current
-        count."""
-        self._stop_requested = False
-        heap = self._heap
-        tail = self._tail
-        pop = _heappop
-        popleft = tail.popleft
-        free = self._free
-        free_max = _FREE_LIST_MAX
-        pulse = self._pulse
-        next_pulse = self._pulse_every
-        processed = 0
-        flushed = 0
-        started = _perf_counter()
-        try:
-            while True:
-                if heap:
-                    if tail and tail[0] < heap[0]:
-                        record = popleft()
-                    else:
-                        record = pop(heap)
-                else:
-                    try:
-                        record = popleft()
-                    except IndexError:
-                        break
-                callback = record[2]
-                if callback is None:
-                    self._cancelled -= 1
-                    if len(free) < free_max:
-                        free.append(record)
-                    continue
-                self._now = record[0]
-                args = record[3]
-                record[2] = None
-                record[3] = ()
-                if args:
-                    callback(*args)
-                else:
-                    callback()
-                if len(free) < free_max:
-                    free.append(record)
-                processed += 1
-                if processed >= next_pulse:
-                    next_pulse = processed + self._pulse_every
-                    self._events_processed += processed - flushed
-                    flushed = processed
-                    if pulse is not None:
-                        pulse(self)
-                if self._stop_requested:
-                    break
-        finally:
-            self._events_processed += processed - flushed
-            self._run_wall_s += _perf_counter() - started
-            self._runs += 1
-        return self._now
-
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
-    ) -> float:
-        """Run until the queue drains (or a bound is hit); return final time.
-
-        ``until`` bounds simulated time, ``max_events`` bounds work, and
-        ``stop_when`` is polled after every event for early termination.
-        With no bounds at all this delegates to :meth:`run_until_idle`.
-
-        After an ``until``-bounded return, ``now == until`` and the
-        queue is intact; calling ``run()`` again *continues correctly*
-        (see the class docstring's resume contract).
-        """
-        if until is None and max_events is None and stop_when is None:
-            if self._watchdog is None:
-                return self.run_until_idle()
-            if self._watchdog is self._pulse_watchdog:
-                return self._drain_pulsed()
-        self._stop_requested = False
-        heap = self._heap
-        tail = self._tail
-        pop = _heappop
-        popleft = tail.popleft
-        started = _perf_counter()
-        try:
-            self._run_bounded(until, max_events, stop_when, heap, tail, pop, popleft)
-        finally:
-            self._run_wall_s += _perf_counter() - started
-            self._runs += 1
-        return self._now
-
-    def _run_bounded(self, until, max_events, stop_when, heap, tail, pop, popleft):
-        processed = 0
-        wd = self._watchdog
-        free = self._free
-        while True:
-            if heap:
-                if tail and tail[0] < heap[0]:
-                    head, from_tail = tail[0], True
-                else:
-                    head, from_tail = heap[0], False
-            elif tail:
-                head, from_tail = tail[0], True
-            else:
-                break
-            if head[2] is None:
-                popleft() if from_tail else pop(heap)
-                self._cancelled -= 1
-                if len(free) < _FREE_LIST_MAX:
-                    free.append(head)
-                continue
-            when = head[0]
-            if until is not None and when > until:
-                self._now = until
-                break
-            popleft() if from_tail else pop(heap)
-            self._now = when
-            callback = head[2]
-            args = head[3]
-            head[2] = None
-            head[3] = ()
-            if args:
-                callback(*args)
-            else:
-                callback()
-            if len(free) < _FREE_LIST_MAX:
-                free.append(head)
-            self._events_processed += 1
-            processed += 1
-            if wd is not None:
-                wd._since_check += 1
-                if wd._since_check >= wd.check_every:
-                    wd._since_check = 0
-                    wd._check(self)
-            if self._stop_requested:
-                break
-            if stop_when is not None and stop_when():
-                break
-            if max_events is not None and processed >= max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; likely livelock"
-                )
-
-    # -- supervision -------------------------------------------------------
-
-    def attach_watchdog(self, watchdog: Watchdog) -> Watchdog:
-        """Arm ``watchdog`` over subsequent runs (budgets and progress
-        count from this moment).  Runs route through the checked loop
-        until :meth:`detach_watchdog`.  An armed pulse survives: it
-        rides the new watchdog's check cadence (via ``on_check``) while
-        the watchdog is armed and re-arms on its own when it detaches.
-        """
-        watchdog._arm(self)
-        if self._pulse is not None and watchdog.on_check is None:
-            watchdog.on_check = self._pulse
-        self._watchdog = watchdog
-        self._pulse_watchdog = None
-        return watchdog
-
-    def detach_watchdog(self) -> Optional[Watchdog]:
-        """Disarm the current watchdog (restoring the unchecked fast
-        paths, unless a pulse stays armed) and return it, or None when
-        none was armed (a pulse-only supervisor does not count)."""
-        watchdog = self._watchdog
-        self._watchdog = None
-        if watchdog is not None and watchdog is self._pulse_watchdog:
-            self._pulse_watchdog = None
-            return None
-        if watchdog is not None and watchdog.on_check is self._pulse:
-            watchdog.on_check = None
-        if self._pulse is not None:
-            self._arm_pulse_watchdog()
-        return watchdog
-
-    def attach_pulse(
-        self,
-        pulse: Callable[["Engine"], None],
-        every: int = PULSE_CHECK_EVERY,
-    ) -> Callable[["Engine"], None]:
-        """Arm a periodic read-only hook: ``pulse(engine)`` roughly every
-        ``every`` processed events, piggybacking on the watchdog check
-        cadence (worker heartbeats use this).  With no caller watchdog
-        armed, a budget-free pulse-only supervisor routes unbounded
-        drains through the pulsed fast path (:meth:`_drain_pulsed`) and
-        bounded runs through the checked loop; when a caller arms a real
-        watchdog the pulse rides its checks instead.  The hook must only
-        read engine state, so pulsed runs stay bit-identical with
-        unpulsed ones."""
-        self._pulse = pulse
-        self._pulse_every = every
-        if self._watchdog is not None:
-            if self._watchdog.on_check is None:
-                self._watchdog.on_check = pulse
-        else:
-            self._arm_pulse_watchdog()
-        return pulse
-
-    def detach_pulse(self) -> Optional[Callable[["Engine"], None]]:
-        """Disarm the pulse hook (restoring the unchecked fast paths
-        when no caller watchdog is armed) and return it, or None."""
-        pulse = self._pulse
-        self._pulse = None
-        if self._watchdog is not None:
-            if self._watchdog is self._pulse_watchdog:
-                self._watchdog = None
-            elif self._watchdog.on_check is pulse:
-                self._watchdog.on_check = None
-        self._pulse_watchdog = None
-        return pulse
-
-    def _arm_pulse_watchdog(self) -> None:
-        # budget-free supervisor whose only job is the cadence visit; a
-        # fresh-counter progress fingerprint always changes, so it can
-        # never declare a livelock on its own.
-        watchdog = Watchdog(
-            check_every=self._pulse_every,
-            progress=itertools.count().__next__,
-            on_check=self._pulse,
-        )
-        watchdog._arm(self)
-        self._watchdog = watchdog
-        self._pulse_watchdog = watchdog
-
-    def dump_state(self, limit: int = 10) -> Dict[str, object]:
-        """Diagnostic snapshot for abort reports: the self-metrics plus
-        the next ``limit`` live queued events with callback names —
-        enough to see *what* a stuck simulation keeps rescheduling."""
-        live = [r for r in self._pending_records() if r[2] is not None]
-        live.sort(key=lambda r: (r[0], r[1]))
-        upcoming = [
-            {
-                "when": record[0],
-                "seq": record[1],
-                "callback": getattr(
-                    record[2], "__qualname__", repr(record[2])
-                ),
-            }
-            for record in live[:limit]
-        ]
-        state = self.self_metrics()
-        state["upcoming"] = upcoming
-        return state
-
-    def _pending_records(self):
-        """Every queued record (live and cancelled), storage-agnostic —
-        the seam :meth:`dump_state` reads so engine subclasses with a
-        different pending-set layout only override this."""
-        yield from self._tail
-        yield from self._heap
-
-    def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
-        return len(self._heap) + len(self._tail) - self._cancelled
-
-    @property
-    def run_wall_s(self) -> float:
-        """Wall-clock seconds spent inside run loops since reset."""
-        return self._run_wall_s
-
-    def self_metrics(self) -> Dict[str, object]:
-        """The engine's own observability counters: dispatch volume,
-        realized events/sec, and queue depths.  This is the native data
-        source for the BENCH trajectory and per-run reports."""
-        wall = self._run_wall_s
-        return {
-            "events_processed": self._events_processed,
-            "events_per_sec": round(self._events_processed / wall, 1) if wall > 0 else 0.0,
-            "run_wall_s": round(wall, 6),
-            "runs": self._runs,
-            "sim_cycles": self._now,
-            "pending": self.pending(),
-            "queue_depth_tail": len(self._tail),
-            "queue_depth_heap": len(self._heap),
-            "cancelled_pending": self._cancelled,
-        }
-
-    def reset(self) -> None:
-        """Return to time zero with an empty queue, in place — holders
-        of an engine reference (components) stay valid."""
-        self._heap.clear()
-        self._tail.clear()
-        self._free.clear()
-        self._tail_last = float("-inf")
-        self._next_seq = itertools.count().__next__
-        self._now = 0.0
-        self._events_processed = 0
-        self._cancelled = 0
-        self._stop_requested = False
-        self._run_wall_s = 0.0
-        self._runs = 0
-        self._watchdog = None
-        self._pulse = None
-        self._pulse_watchdog = None
-
-
-class BatchedEngine(Engine):
-    """The cycle-synchronous batched drain (see the module docstring).
-
-    Same public surface and bit-identical behaviour as :class:`Engine`,
-    with a different pending-set layout: a **bucket queue** — a dict
-    mapping each pending timestamp to its (seq-ordered) list of event
-    records, plus a heap of the unique pending timestamps.  Scheduling
-    costs one dict probe and a list append; the heap is touched once
-    per *distinct timestamp*, not once per event.  Bounded and
-    watchdog-supervised runs dispatch scalar (one callback per Python
-    call, per-event checks) over the same buckets, so supervision
-    semantics match the reference engine exactly.
-
-    >>> eng = BatchedEngine()
-    >>> hits = []
-    >>> _ = eng.schedule(5, lambda: hits.append(eng.now))
-    >>> _ = eng.run()
-    >>> hits
-    [5]
-    """
-
-    __slots__ = ("_buckets", "_ts_heap", "_group_progress")
-
-    def __init__(self) -> None:
-        super().__init__()
-        #: pending timestamp -> list of event records in seq order.
-        #: Invariant: ``when`` is a key of ``_buckets`` iff ``when`` is
-        #: in ``_ts_heap`` (exactly once) — maintained by scheduling
-        #: (push on bucket creation only) and the drains (pop both
-        #: together).
-        self._buckets: Dict[float, List[list]] = {}
-        self._ts_heap: List[float] = []
-        #: ``(next_i, executed)`` posted by a group handler that is
-        #: propagating an exception, so the drain requeues exactly the
-        #: unconsumed remainder (see :func:`register_batch_handler`).
-        self._group_progress: Optional[Tuple[int, int]] = None
-
-    # -- scheduling into the bucket queue ----------------------------------
-
-    def schedule(self, when: float, callback: Callable, *args) -> EventHandle:
-        """See :meth:`Engine.schedule`; same contract, bucket storage.
-
-        Bucket append order *is* scheduling order, so records need no
-        sequence stamp — the seq slot stays 0 (every record in a
-        batched engine carries 0, keeping :meth:`dump_state`'s stable
-        sort equal to dispatch order)."""
-        if when < self._now:
-            raise SimulationError(
-                f"cannot schedule event at {when} before current time {self._now}"
-            )
-        free = self._free
-        if free:
-            record = free.pop()
-            record[0] = when
-            record[2] = callback
-            record[3] = args
-        else:
-            record = [when, 0, callback, args]
-        buckets = self._buckets
-        bucket = buckets.get(when)
-        if bucket is None:
-            buckets[when] = [record]
-            _heappush(self._ts_heap, when)
-        else:
-            bucket.append(record)
-        return record
-
-    def schedule_after(self, delay: float, callback: Callable, *args) -> EventHandle:
-        """See :meth:`Engine.schedule_after`; same contract, bucket
-        storage (see :meth:`schedule` for the seq-slot convention)."""
-        if delay < 0:
-            raise SimulationError(f"negative delay {delay}")
-        when = self._now + delay
-        free = self._free
-        if free:
-            record = free.pop()
-            record[0] = when
-            record[2] = callback
-            record[3] = args
-        else:
-            record = [when, 0, callback, args]
-        buckets = self._buckets
-        bucket = buckets.get(when)
-        if bucket is None:
-            buckets[when] = [record]
-            _heappush(self._ts_heap, when)
-        else:
-            bucket.append(record)
-        return record
-
     def _requeue(self, when: float, batch: List[list], i: int) -> None:
         """Reinstate ``batch[i:]`` as the front of the ``when`` bucket —
         the resume contract after ``request_stop`` mid-batch or an
         exception escaping a callback.  Events scheduled *at* ``when``
-        during the batch (strictly higher seq) already re-created the
+        during the batch (scheduled later) already re-created the
         bucket; the unconsumed remainder goes in front of them."""
         rest = batch[i:]
         buckets = self._buckets
@@ -904,28 +425,17 @@ class BatchedEngine(Engine):
             rest.extend(existing)
             buckets[when] = rest
 
-    # -- introspection over buckets ----------------------------------------
-
-    def _pending_records(self):
-        for bucket in self._buckets.values():
-            yield from bucket
-
-    def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
-        return sum(map(len, self._buckets.values())) - self._cancelled
-
-    def reset(self) -> None:
-        super().reset()
-        self._buckets.clear()
-        self._ts_heap.clear()
-
     # -- run loops ----------------------------------------------------------
 
     def run_until_idle(self) -> float:
-        """Batched fast path: drain per-timestamp buckets.  Routing
-        mirrors the scalar engine: a caller watchdog forces the checked
-        scalar-dispatch loop, the pulse-only supervisor takes the
-        batched drain with pulse visits at batch boundaries."""
+        """Drain the queue with no bound or predicate; returns the final
+        time.
+
+        Honors :meth:`request_stop` and skips cancelled slots.  With a
+        caller watchdog armed the drain routes through the checked loop;
+        with only the pulse-only supervisor armed it takes the batched
+        drain with pulse visits at batch boundaries.
+        """
         wd = self._watchdog
         if wd is not None:
             if wd is self._pulse_watchdog:
@@ -933,17 +443,25 @@ class BatchedEngine(Engine):
             return self.run(until=None)
         return self._drain_batched(None)
 
-    def _drain_pulsed(self) -> float:
-        return self._drain_batched(self._pulse)
-
     def run(
         self,
         until: Optional[float] = None,
         max_events: Optional[int] = None,
         stop_when: Optional[Callable[[], bool]] = None,
     ) -> float:
-        """See :meth:`Engine.run`; bounded/supervised runs take the
-        checked scalar-dispatch loop over the bucket queue."""
+        """Run until the queue drains (or a bound is hit); return final time.
+
+        ``until`` bounds simulated time, ``max_events`` bounds work, and
+        ``stop_when`` is polled after every event for early termination.
+        With no bounds and no caller watchdog this is the batched drain
+        (:meth:`run_until_idle`); otherwise the checked loop.
+
+        After an ``until``-bounded return the queue is intact and
+        ``now == until`` if anything is still queued after ``until``
+        (the last timestamp drained if the queue emptied first);
+        calling ``run()`` again *continues correctly* (see the class
+        docstring's resume contract).
+        """
         if until is None and max_events is None and stop_when is None:
             if self._watchdog is None:
                 return self._drain_batched(None)
@@ -952,16 +470,15 @@ class BatchedEngine(Engine):
         self._stop_requested = False
         started = _perf_counter()
         try:
-            self._run_bounded_buckets(until, max_events, stop_when)
+            self._run_bounded(until, max_events, stop_when)
         finally:
             self._run_wall_s += _perf_counter() - started
             self._runs += 1
         return self._now
 
-    def _run_bounded_buckets(self, until, max_events, stop_when) -> None:
-        """The checked loop: scalar dispatch (one callback per Python
-        call — no group handlers), per-event watchdog/bound/predicate
-        checks, identical semantics to :meth:`Engine._run_bounded`."""
+    def _run_bounded(self, until, max_events, stop_when) -> None:
+        """The checked loop: one callback per Python call (no group
+        handlers) with per-event watchdog, bound and predicate checks."""
         processed = 0
         wd = self._watchdog
         free = self._free
@@ -988,12 +505,17 @@ class BatchedEngine(Engine):
                             free.append(record)
                         continue
                     args = record[3]
+                    # blank the slot first: cancel() on an executed
+                    # handle is then a no-op returning False, and the
+                    # record drops its callback/args references at once.
                     record[2] = None
                     record[3] = ()
                     if args:
                         callback(*args)
                     else:
                         callback()
+                    # recycle after the callback: any events it scheduled
+                    # took records from the free list, never this one.
                     if len(free) < _FREE_LIST_MAX:
                         free.append(record)
                     self._events_processed += 1
@@ -1020,13 +542,13 @@ class BatchedEngine(Engine):
 
     def _drain_batched(self, pulse: Optional[Callable]) -> float:
         """Pop one whole timestamp bucket per transaction, then
-        dispatch it in seq order with group-handler coalescing.
+        dispatch it in scheduling order with group-handler coalescing.
 
-        Semantics identical to :meth:`Engine.run_until_idle`:
+        Semantics identical to one-callback-per-event dispatch in
+        scheduling order:
 
         * cancellation — a slot blanked by an *earlier* event in the
-          same batch is skipped when its turn comes, exactly as when it
-          surfaces at the scalar queue head;
+          same batch is skipped when its turn comes;
         * ``request_stop`` mid-batch — dispatch stops after the current
           event and the unconsumed remainder of the batch is
           reinstated, so a subsequent run resumes with no events lost,
@@ -1087,8 +609,8 @@ class BatchedEngine(Engine):
                                     break
                                 continue
                         # consume before dispatch: a raising callback is
-                        # spent (exactly as in the scalar drain), so the
-                        # requeue below reinstates only ``batch[i:]``.
+                        # spent, so the requeue below reinstates only
+                        # ``batch[i:]``.
                         record[2] = None
                         args = record[3]
                         record[3] = ()
@@ -1117,3 +639,159 @@ class BatchedEngine(Engine):
             self._run_wall_s += _perf_counter() - started
             self._runs += 1
         return self._now
+
+    # -- supervision -------------------------------------------------------
+
+    def attach_watchdog(self, watchdog: Watchdog) -> Watchdog:
+        """Arm ``watchdog`` over subsequent runs (budgets and progress
+        count from this moment).  Runs route through the checked loop
+        until :meth:`detach_watchdog`.  An armed pulse survives: it
+        rides the new watchdog's check cadence (via ``on_check``) while
+        the watchdog is armed and re-arms on its own when it detaches.
+        """
+        watchdog._arm(self)
+        if self._pulse is not None and watchdog.on_check is None:
+            watchdog.on_check = self._pulse
+        self._watchdog = watchdog
+        self._pulse_watchdog = None
+        return watchdog
+
+    def detach_watchdog(self) -> Optional[Watchdog]:
+        """Disarm the current watchdog (restoring the unchecked fast
+        paths, unless a pulse stays armed) and return it, or None when
+        none was armed (a pulse-only supervisor does not count)."""
+        watchdog = self._watchdog
+        self._watchdog = None
+        if watchdog is not None and watchdog is self._pulse_watchdog:
+            self._pulse_watchdog = None
+            return None
+        if watchdog is not None and watchdog.on_check is self._pulse:
+            watchdog.on_check = None
+        if self._pulse is not None:
+            self._arm_pulse_watchdog()
+        return watchdog
+
+    def attach_pulse(
+        self,
+        pulse: Callable[["Engine"], None],
+        every: int = PULSE_CHECK_EVERY,
+    ) -> Callable[["Engine"], None]:
+        """Arm a periodic read-only hook: ``pulse(engine)`` roughly every
+        ``every`` processed events, piggybacking on the watchdog check
+        cadence (worker heartbeats use this).  With no caller watchdog
+        armed, a budget-free pulse-only supervisor routes unbounded
+        drains through the batched drain (pulse visits at batch
+        boundaries) and bounded runs through the checked loop; when a caller arms a real
+        watchdog the pulse rides its checks instead.  The hook must only
+        read engine state, so pulsed runs stay bit-identical with
+        unpulsed ones."""
+        self._pulse = pulse
+        self._pulse_every = every
+        if self._watchdog is not None:
+            if self._watchdog.on_check is None:
+                self._watchdog.on_check = pulse
+        else:
+            self._arm_pulse_watchdog()
+        return pulse
+
+    def detach_pulse(self) -> Optional[Callable[["Engine"], None]]:
+        """Disarm the pulse hook (restoring the unchecked fast paths
+        when no caller watchdog is armed) and return it, or None."""
+        pulse = self._pulse
+        self._pulse = None
+        if self._watchdog is not None:
+            if self._watchdog is self._pulse_watchdog:
+                self._watchdog = None
+            elif self._watchdog.on_check is pulse:
+                self._watchdog.on_check = None
+        self._pulse_watchdog = None
+        return pulse
+
+    def _arm_pulse_watchdog(self) -> None:
+        # budget-free supervisor whose only job is the cadence visit; a
+        # fresh-counter progress fingerprint always changes, so it can
+        # never declare a livelock on its own.
+        watchdog = Watchdog(
+            check_every=self._pulse_every,
+            progress=itertools.count().__next__,
+            on_check=self._pulse,
+        )
+        watchdog._arm(self)
+        self._watchdog = watchdog
+        self._pulse_watchdog = watchdog
+
+    def dump_state(self, limit: int = 10) -> Dict[str, object]:
+        """Diagnostic snapshot for abort reports: the self-metrics plus
+        the next ``limit`` live queued events with callback names —
+        enough to see *what* a stuck simulation keeps rescheduling."""
+        live = [
+            r for bucket in self._buckets.values() for r in bucket
+            if r[2] is not None
+        ]
+        # stable by time: a bucket's order is its dispatch order
+        live.sort(key=lambda r: r[0])
+        upcoming = [
+            {
+                "when": record[0],
+                "seq": record[1],
+                "callback": getattr(
+                    record[2], "__qualname__", repr(record[2])
+                ),
+            }
+            for record in live[:limit]
+        ]
+        state = self.self_metrics()
+        state["upcoming"] = upcoming
+        return state
+
+    def pending(self) -> int:
+        """Number of live (non-cancelled) events still queued."""
+        return sum(map(len, self._buckets.values())) - self._cancelled
+
+    @property
+    def run_wall_s(self) -> float:
+        """Wall-clock seconds spent inside run loops since reset."""
+        return self._run_wall_s
+
+    def self_metrics(self) -> Dict[str, object]:
+        """The engine's own observability counters: dispatch volume,
+        realized events/sec, and queue depths.  This is the native data
+        source for the BENCH trajectory and per-run reports."""
+        wall = self._run_wall_s
+        return {
+            "events_processed": self._events_processed,
+            "events_per_sec": round(self._events_processed / wall, 1) if wall > 0 else 0.0,
+            "run_wall_s": round(wall, 6),
+            "runs": self._runs,
+            "sim_cycles": self._now,
+            "pending": self.pending(),
+            # the retired tail/heap layout's depths: tracked reports
+            # still carry both keys (always 0 on the bucket queue) until
+            # the canonical-reports item in ROADMAP.md reshapes them.
+            "queue_depth_tail": 0,
+            "queue_depth_heap": 0,
+            "cancelled_pending": self._cancelled,
+        }
+
+    def reset(self) -> None:
+        """Return to time zero with an empty queue, in place — holders
+        of an engine reference (components) stay valid."""
+        self._buckets.clear()
+        self._ts_heap.clear()
+        self._free.clear()
+        self._now = 0.0
+        self._events_processed = 0
+        self._cancelled = 0
+        self._stop_requested = False
+        self._run_wall_s = 0.0
+        self._runs = 0
+        self._watchdog = None
+        self._pulse = None
+        self._pulse_watchdog = None
+
+
+class BatchedEngine(Engine):
+    """Kept as a subclass (not an alias) so tooling that wraps the drains
+    found in each class's own ``vars()`` wraps them once."""
+
+    __slots__ = ()

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Dict, List, Tuple
 
-from repro.core.engine import Engine, make_engine
+from repro.core.engine import Engine
 from repro.network.omega import OmegaNetwork
 from repro.network.packet import Packet, PacketKind
 from repro.network.routing import delta_path
@@ -85,7 +85,7 @@ def run_permutation(
 ) -> PermutationResult:
     """Send ``rounds`` single-word packets from every source along the
     permutation, paced by injection-port availability."""
-    engine = make_engine()
+    engine = Engine()
     net = OmegaNetwork(engine, "perm", N_PORTS)
     delivered = {"words": 0}
     for port in range(N_PORTS):

@@ -28,7 +28,6 @@ from repro.network.omega import OmegaNetwork
 from repro.network.packet import Packet, PacketKind
 from repro.network.resource import Hop, Resource, Transit
 from repro.gmemory.sync import SyncProcessor
-from repro.perf.batch import np as _np
 
 
 class MemoryModule(Resource):
@@ -218,16 +217,6 @@ class GlobalMemory:
                 module.service_account.clear()
 
     def stats(self) -> dict:
-        if _np is not None:
-            arrays = self.module_state_arrays()
-            return {
-                "reads": int(arrays["reads"].sum()),
-                "writes": int(arrays["writes"].sum()),
-                "sync_ops": int(arrays["sync_ops"].sum()),
-                "busy_cycles": float(arrays["busy_cycles"].sum()),
-                "ecc_retries": int(arrays["ecc_retries"].sum()),
-                "sync_timeouts": int(arrays["sync_timeouts"].sum()),
-            }
         return {
             "reads": self.total_reads,
             "writes": self.total_writes,
@@ -235,44 +224,6 @@ class GlobalMemory:
             "busy_cycles": sum(m.stats.busy_cycles for m in self.modules),
             "ecc_retries": sum(m.ecc_retries for m in self.modules),
             "sync_timeouts": sum(m.sync_timeouts for m in self.modules),
-        }
-
-    def module_state_arrays(self) -> dict:
-        """Parallel-array snapshot of per-module state (length
-        ``config.modules``): access counters (``reads``, ``writes``,
-        ``sync_ops``, ``ecc_retries``, ``sync_timeouts``), service
-        accounting (``busy_cycles``, ``words``), and instantaneous bank
-        state (``queued_words``, ``busy``).
-
-        The numpy seam for whole-population aggregation over the
-        interleaved banks — module-utilization histograms, conflict
-        analysis — mirroring ``OmegaNetwork.stage_state_arrays``.  The
-        per-batch service path stays scalar (batch widths sit far below
-        the ufunc break-even; see :mod:`repro.perf.batch`).  Requires
-        numpy; callers without it use the scalar ``stats()`` fallback.
-        """
-        if _np is None:
-            raise RuntimeError("module_state_arrays requires numpy")
-        mods = self.modules
-        n = len(mods)
-
-        def _gather(values, dtype):
-            return _np.fromiter(values, dtype=dtype, count=n)
-
-        return {
-            "reads": _gather((m.reads for m in mods), _np.int64),
-            "writes": _gather((m.writes for m in mods), _np.int64),
-            "sync_ops": _gather((m.sync_ops for m in mods), _np.int64),
-            "ecc_retries": _gather((m.ecc_retries for m in mods), _np.int64),
-            "sync_timeouts": _gather(
-                (m.sync_timeouts for m in mods), _np.int64
-            ),
-            "busy_cycles": _gather(
-                (m.stats.busy_cycles for m in mods), _np.float64
-            ),
-            "words": _gather((m.stats.words for m in mods), _np.int64),
-            "queued_words": _gather((m.queued_words for m in mods), _np.int64),
-            "busy": _gather((m._serving for m in mods), _np.bool_),
         }
 
     def describe(self) -> dict:

@@ -3,9 +3,9 @@
 Everything else in the monitor package measures simulated time; this
 module measures the simulator itself.  The sim trajectory in
 ``BENCH_sim.json`` shows the engine plateauing around a few hundred
-thousand events per second, and the ROADMAP's open item — a batched
-event loop pushing toward 1M events/sec — needs to know *which frames*
-hold the plateau before anything is worth rewriting.
+thousand events per second, and any rework of the hot path needs to
+know *which frames* hold the plateau before anything is worth
+rewriting.
 
 :func:`profile_call` runs a callable under :mod:`cProfile` and folds
 the flat ``pstats`` rows two ways:
@@ -153,47 +153,6 @@ def _shorten(path: str, limit: int = 44) -> str:
     idx = normalized.rfind(marker)
     short = normalized[idx:] if idx >= 0 else normalized.rsplit("/", 1)[-1]
     return short if len(short) <= limit else "…" + short[-(limit - 1):]
-
-
-def render_comparison(scalar: HostProfile, batched: HostProfile) -> str:
-    """Side-by-side subsystem shares for the scalar vs batched engine
-    drains, with the share delta in percentage points.
-
-    This is the map of where the remaining scalar time lives: a
-    subsystem whose share *grows* under the batched drain is one the
-    batch dispatch does not reach (callback-body work — component state
-    mutation, packet handling), while a shrinking share marks overhead
-    the batching removed (per-event frames, heap traffic).  Wall times
-    are cProfile-inflated; read shares and the delta column, not
-    magnitudes."""
-    names = sorted(
-        set(scalar.subsystems) | set(batched.subsystems),
-        key=lambda n: -(
-            scalar.subsystem_shares().get(n, 0.0)
-            + batched.subsystem_shares().get(n, 0.0)
-        ),
-    )
-    s_shares = scalar.subsystem_shares()
-    b_shares = batched.subsystem_shares()
-    lines = [
-        f"batched-vs-scalar profile: {scalar.experiment or '(anonymous)'}",
-        f"  scalar   {scalar.wall_seconds:.3f}s under cProfile, "
-        f"{scalar.total_calls:,} calls",
-        f"  batched  {batched.wall_seconds:.3f}s under cProfile, "
-        f"{batched.total_calls:,} calls "
-        f"({scalar.total_calls - batched.total_calls:+,} frames removed)",
-        "  (tracing inflates absolute time; read shares, not magnitudes)",
-        "",
-        f"  {'subsystem':<12} {'scalar':>8} {'batched':>8} {'delta':>8}",
-    ]
-    for name in names:
-        s = s_shares.get(name, 0.0)
-        b = b_shares.get(name, 0.0)
-        lines.append(
-            f"  {name:<12} {s * 100:7.1f}% {b * 100:7.1f}% "
-            f"{(b - s) * 100:+7.1f}pp"
-        )
-    return "\n".join(lines)
 
 
 def render_profile(profile: HostProfile) -> str:

@@ -400,8 +400,8 @@ class Resource:
 # ``Resource._finish`` is ~80% of all events in a kernel run, and its
 # scalar dispatch fans out across six to ten Python frames per event
 # (_finish -> _try_handoff -> _pop_head -> offer -> _maybe_start ->
-# _start_service -> schedule_after -> _advance -> ...).  The batched
-# engine hands every same-cycle run of finishes to `_finish_batch`,
+# _start_service -> schedule_after -> _advance -> ...).  The engine's
+# unbounded drain hands every same-cycle run of finishes to `_finish_batch`,
 # which services them in ONE Python call with the whole chain inlined
 # for the dominant case: a FIFO link without service / completion hooks
 # or a recovery window handing off to another link.
@@ -420,7 +420,7 @@ class Resource:
 # ``_maybe_start``.  The two paths are one semantics with two dispatch
 # costs: every inlined mutation below mirrors the scalar method it
 # replaces line for line (the scalar code is the reference; change both
-# together), which is what the batched-identity harness and the
+# together), which is what the engine-oracle identity tests and the
 # adversarial ordering tests enforce.
 
 def _finish_batch(eng: Engine, batch: List[list], i: int, n: int):

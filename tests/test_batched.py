@@ -1,62 +1,34 @@
-"""Batched-engine characterization: adversarial same-timestamp mixes.
+"""The engine against its heap oracle: adversarial same-timestamp mixes.
 
-The :class:`~repro.core.engine.BatchedEngine` promises bit-identical
-behaviour to the scalar :class:`~repro.core.engine.Engine` — same
-dispatch order, same final state, same counters — while dispatching
-whole same-timestamp buckets per transaction.  These tests drive both
-engines through the adversarial intra-timestamp cases the bucket queue
-must get right: cancels landing inside an already-popped batch,
-zero-delay re-schedules extending the current timestamp,
-``request_stop`` mid-batch with a resumed run, pulse visits at batch
-boundaries, bounded-run resume over buckets, and exceptions escaping
-mid-batch.  Each scenario runs on both engine classes and asserts the
-*traces* are equal — the scalar engine is the reference semantics.
+:class:`~repro.core.engine.Engine` dispatches whole same-timestamp
+buckets per transaction and hands runs of grouped callbacks to their
+batch handlers.  It promises the semantics of a plain next-event heap —
+the :class:`~tests.engine_oracle.HeapOracle` — with the same dispatch
+order, final state and counters.  These tests drive both through the
+intra-timestamp cases the bucket queue must get right: cancels landing
+inside an already-popped batch, zero-delay re-schedules extending the
+current timestamp, ``request_stop`` mid-batch with a resumed run,
+bounded-run resume over buckets, and exceptions escaping mid-batch —
+then whole machines, bare and observed, with the oracle swapped in as
+the machine's engine.
 """
 
 import pytest
 
-from repro.core.engine import (
-    BatchedEngine,
-    Engine,
-    SimulationError,
-    batched_enabled,
-    make_engine,
-)
+from repro.core.engine import Engine, SimulationError
+from tests.engine_oracle import HeapOracle
 
-ENGINES = [Engine, BatchedEngine]
+ENGINES = [Engine, HeapOracle]
 
 
 def both(scenario):
-    """Run ``scenario(engine) -> trace`` on both engines; assert equal
-    traces and return the shared trace for scenario-specific asserts."""
-    scalar = scenario(Engine())
-    batched = scenario(BatchedEngine())
-    assert batched == scalar
-    return scalar
-
-
-# ---------------------------------------------------------------------------
-# feature gate
-
-
-def test_gate_selects_engine_class(monkeypatch):
-    monkeypatch.delenv("CEDAR_BATCHED", raising=False)
-    assert batched_enabled()
-    assert type(make_engine()) is BatchedEngine
-    monkeypatch.setenv("CEDAR_BATCHED", "0")
-    assert not batched_enabled()
-    assert type(make_engine()) is Engine
-    monkeypatch.setenv("CEDAR_BATCHED", "off")
-    assert type(make_engine()) is Engine
-    monkeypatch.setenv("CEDAR_BATCHED", "1")
-    assert type(make_engine()) is BatchedEngine
-
-
-def test_gate_module_reexports():
-    from repro.perf import batch
-
-    assert batch.make_engine is make_engine
-    assert batch.BatchedEngine is BatchedEngine
+    """Run ``scenario(engine) -> trace`` on the engine and the oracle;
+    assert equal traces and return the shared trace for
+    scenario-specific asserts."""
+    expected = scenario(HeapOracle())
+    actual = scenario(Engine())
+    assert actual == expected
+    return expected
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +48,9 @@ def test_same_timestamp_fifo_order_matches_scalar():
 
 def test_cancel_within_active_batch():
     # an early event in the bucket cancels a later one in the *same*
-    # bucket — the batched drain has already popped the whole batch, so
-    # the blanked slot must be skipped mid-dispatch, exactly as the
-    # scalar drain skips it at the queue head.
+    # bucket — the engine has already popped the whole batch, so the
+    # blanked slot must be skipped mid-dispatch, exactly as the oracle
+    # skips it at the heap head.
     def scenario(eng):
         seen = []
         handles = {}
@@ -103,7 +75,7 @@ def test_zero_delay_reschedule_extends_current_timestamp():
     # schedule_after(0) from inside a batch lands at the *current*
     # timestamp, whose bucket is already popped; the new event must run
     # in this timestamp, after every already-pending record — the
-    # scalar engine's seq order.
+    # oracle's seq order.
     def scenario(eng):
         seen = []
 
@@ -280,7 +252,7 @@ def test_pulse_sees_flushed_counters_at_batch_boundaries():
         eng.detach_pulse()
         return visits
 
-    visits = both(scenario)
+    visits = scenario(Engine())
     assert visits  # the pulse actually fired
     for now, processed in visits:
         # counters are flushed before every visit, and visits happen
@@ -307,7 +279,7 @@ def test_unpulsed_run_is_identical_to_pulsed():
         eng.detach_pulse()
         return seen
 
-    assert both(scenario) == pulsed(BatchedEngine()) == pulsed(Engine())
+    assert both(scenario) == pulsed(Engine())
 
 
 # ---------------------------------------------------------------------------
@@ -339,10 +311,12 @@ def test_raising_callback_consumes_itself_and_preserves_rest(engine_cls):
 
 
 # ---------------------------------------------------------------------------
-# state introspection parity
+# state introspection
 
 
 def test_dump_state_matches_scalar_order():
+    # the dump lists upcoming events in the order the oracle would
+    # dispatch them one at a time.
     def scenario(eng):
         def early_a():  # distinct names so order is visible in the dump
             pass
@@ -359,14 +333,14 @@ def test_dump_state_matches_scalar_order():
         handle = eng.schedule(3.0, lambda: None)
         eng.cancel(handle)
         state = eng.dump_state()
-        # seq values differ by design (batched records carry seq 0);
-        # the (when, callback) order is the contract.
+        # records carry seq 0 (bucket order is dispatch order); the
+        # (when, callback) order is the contract.
         return [
             (e["when"], e["callback"].rsplit(".", 1)[-1])
             for e in state["upcoming"]
         ]
 
-    assert both(scenario) == [
+    assert scenario(Engine()) == [
         (1.0, "early_a"), (1.0, "early_b"), (5.0, "late"),
     ]
 
@@ -379,7 +353,7 @@ def test_pending_and_reset_parity():
         eng.reset()
         return counts + (eng.pending(), eng.now, eng.events_processed)
 
-    assert both(scenario) == (8, 0, 0.0, 0)
+    assert scenario(Engine()) == (8, 0, 0.0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -387,42 +361,44 @@ def test_pending_and_reset_parity():
 
 
 def test_machine_run_identical_across_drains(monkeypatch):
+    import repro.core.context
     from repro.core.config import CedarConfig
     from repro.core.machine import CedarMachine
     from repro.kernels.programs import KERNELS, kernel_program
 
     results = {}
-    for gate in ("0", "1"):
-        monkeypatch.setenv("CEDAR_BATCHED", gate)
+    for engine_cls in ENGINES:
+        monkeypatch.setattr(repro.core.context, "Engine", engine_cls)
         machine = CedarMachine(CedarConfig())
+        assert type(machine.engine) is engine_cls
         programs = {
             port: kernel_program(KERNELS["CG"], port, 2, prefetch=True)
             for port in range(4)
         }
         cycles = machine.run_programs(programs)
-        results[gate] = (
+        results[engine_cls] = (
             cycles,
             machine.engine.events_processed,
             machine.ctx.stats(),
         )
-    scalar, batched = results["0"], results["1"]
-    assert type(CedarMachine(CedarConfig()).engine) is BatchedEngine
-    assert batched[0] == scalar[0], "simulated cycles diverged"
-    assert batched[1] == scalar[1], "event counts diverged"
-    assert batched[2] == scalar[2], "component counters diverged"
+    expected, actual = results[HeapOracle], results[Engine]
+    assert actual[0] == expected[0], "simulated cycles diverged"
+    assert actual[1] == expected[1], "event counts diverged"
+    assert actual[2] == expected[2], "component counters diverged"
 
 
 # ---------------------------------------------------------------------------
 # observed-machine identity (the group handler's inlined accounting)
 
 
-def _observed(monkeypatch, gate, run):
-    """Run ``run()`` on the ``gate`` drain with the standard monitors, a
+def _observed(monkeypatch, engine_cls, run):
+    """Run ``run()`` on ``engine_cls`` with the standard monitors, a
     buffered :class:`SpanCollector` and a :class:`StreamingSpanStore` on
     every machine it builds; return what each machine observed.  Request
-    ids restart at zero, so both drains number their spans alike."""
+    ids restart at zero, so both engines number their spans alike."""
     import itertools
 
+    import repro.core.context
     from repro.core.context import add_context_observer, remove_context_observer
     from repro.monitor.metrics import MetricsRegistry
     from repro.monitor.monitors import attach_standard_monitors, detach_monitors
@@ -430,7 +406,7 @@ def _observed(monkeypatch, gate, run):
     from repro.monitor.streamstore import StreamingSpanStore
     from repro.network import packet
 
-    monkeypatch.setenv("CEDAR_BATCHED", gate)
+    monkeypatch.setattr(repro.core.context, "Engine", engine_cls)
     monkeypatch.setattr(packet, "_packet_ids", itertools.count())
     attached = []
 
@@ -473,13 +449,13 @@ def _observed(monkeypatch, gate, run):
 
 
 def _assert_observed_identical(monkeypatch, run):
-    scalar = _observed(monkeypatch, "0", run)
-    batched = _observed(monkeypatch, "1", run)
-    assert scalar, "no machine was built"
-    assert {m.pop("engine") for m in scalar} == {"Engine"}
-    assert {m.pop("engine") for m in batched} == {"BatchedEngine"}
-    assert batched == scalar
-    return scalar
+    expected = _observed(monkeypatch, HeapOracle, run)
+    actual = _observed(monkeypatch, Engine, run)
+    assert expected, "no machine was built"
+    assert {m.pop("engine") for m in expected} == {"HeapOracle"}
+    assert {m.pop("engine") for m in actual} == {"Engine"}
+    assert actual == expected
+    return expected
 
 
 def test_observed_rk_slice_identical_across_drains(monkeypatch):
@@ -494,7 +470,7 @@ def test_observed_rk_slice_identical_across_drains(monkeypatch):
 
 
 def test_observed_fault_run_identical_across_drains(monkeypatch):
-    # fault sites send the next service start through the scalar
+    # fault sites send the next service start through the per-record
     # _maybe_start, so inlined and fallback records mix within batches.
     from repro.core.config import CedarConfig
     from repro.experiments.kernels_sim import _run
@@ -509,7 +485,7 @@ def test_observed_fault_run_identical_across_drains(monkeypatch):
 
 def test_observed_head_of_line_blocking_identical_across_drains(monkeypatch):
     # one-word link queues: armed links block on a full next hop all the
-    # time, and the blocked heads retry through the scalar path.
+    # time, and the blocked heads retry through the per-record path.
     from dataclasses import replace
 
     from repro.core.config import CedarConfig

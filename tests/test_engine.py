@@ -64,6 +64,16 @@ def test_run_until_bound():
     assert eng.pending() == 1
 
 
+def test_until_past_the_last_event_leaves_now_at_that_event():
+    # the queue drains before the bound: ``now`` is the last dispatched
+    # event's time, not ``until``.
+    eng = Engine()
+    eng.schedule(3, lambda: None)
+    assert eng.run(until=10) == 3
+    assert eng.now == 3
+    assert eng.pending() == 0
+
+
 def test_run_resumes_after_until():
     eng = Engine()
     seen = []
@@ -163,13 +173,12 @@ def test_callback_receives_scheduled_args():
     assert seen == ["a", (1, 2)]
 
 
-# -- out-of-order scheduling (heap path) -----------------------------------
+# -- out-of-order scheduling -----------------------------------------------
 
 
 def test_out_of_order_schedules_interleave_correctly():
-    # Descending times force every record through the heap, then the
-    # monotone appends land on the sorted tail; the merged order must
-    # still be global (when, seq) order.
+    # Descending times, then a monotone chain scheduled from inside
+    # callbacks; dispatch must still be global (time, schedule order).
     eng = Engine()
     seen = []
     for t in (9, 7, 5, 3, 1):
@@ -185,22 +194,22 @@ def test_out_of_order_schedules_interleave_correctly():
     assert seen == [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]
 
 
-def test_tie_between_heap_and_tail_breaks_by_schedule_order():
+def test_earlier_event_scheduled_later_runs_first():
     eng = Engine()
     seen = []
-    eng.schedule(10, lambda: seen.append("tail-early"))
-    eng.schedule(5, lambda: seen.append("heap"))  # out of order -> heap
+    eng.schedule(10, lambda: seen.append("scheduled-first"))
+    eng.schedule(5, lambda: seen.append("earlier"))  # out of order
     eng.run()
-    assert seen == ["heap", "tail-early"]
+    assert seen == ["earlier", "scheduled-first"]
 
 
-def test_fifo_ties_across_heap_and_tail():
+def test_fifo_ties_survive_an_out_of_order_schedule():
     eng = Engine()
     seen = []
-    eng.schedule(10, lambda: seen.append("a"))  # tail, seq 0
-    eng.schedule(10, lambda: seen.append("b"))  # tail, seq 1
-    eng.schedule(9, lambda: None)               # heap (out of order)
-    eng.schedule(10, lambda: seen.append("c"))  # tail, seq 3
+    eng.schedule(10, lambda: seen.append("a"))
+    eng.schedule(10, lambda: seen.append("b"))
+    eng.schedule(9, lambda: None)               # out of order
+    eng.schedule(10, lambda: seen.append("c"))
     eng.run()
     assert seen == ["a", "b", "c"]
 
