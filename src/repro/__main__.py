@@ -90,7 +90,7 @@ non-zero when the runs disagree — a ready-made CI perf gate.
 
 ``store`` maintains the sharded crash-safe result store behind
 ``run-all --cached``: ``verify`` fscks every entry (checksums, orphan
-temps, stale locks, legacy flat files; exit 1 on inconsistency),
+temps, stale locks, foreign files; exit 1 on inconsistency),
 ``repair`` (= ``verify --repair``) quarantines the corrupt and removes
 the debris, ``gc --max-bytes N`` evicts oldest entries to a byte
 budget, and ``stats`` summarizes the tree.

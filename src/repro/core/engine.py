@@ -49,9 +49,12 @@ engine is built around that:
   frame per event.  Group handlers inline hot callback chains (see
   ``repro.network.resource``) while performing the identical state
   mutations in the identical order as calling each record in turn;
-* bounded and watchdog-supervised runs take a **checked loop** over
-  the same buckets: one callback per Python call, with per-event
-  bound, predicate and watchdog checks.
+* an armed :class:`Watchdog` rides the drain: it is checked at the
+  first batch boundary after every ``check_every`` events, so a check
+  can come up to one timestamp bucket late;
+* bounded runs (``until`` / ``max_events`` / ``stop_when``) take a
+  **checked loop** over the same buckets: one callback per Python
+  call, with per-event bound, predicate and watchdog checks.
 
 The reference semantics — a plain next-event heap with FIFO ties — live
 outside the package, in the test oracle ``tests/engine_oracle.py``;
@@ -146,7 +149,9 @@ class Watchdog:
     """Run supervisor: budgets and no-progress (livelock) detection.
 
     Attach to an engine with :meth:`Engine.attach_watchdog`; every
-    ``check_every`` processed events the watchdog verifies:
+    ``check_every`` processed events the watchdog verifies (unbounded
+    drains check at the next timestamp-bucket boundary, so a check can
+    come up to one bucket late; bounded runs check on the exact event):
 
     * **cycle budget** — simulated cycles consumed since arming stay
       within ``max_cycles``;
@@ -315,7 +320,7 @@ class Engine:
         #: wall-clock seconds spent inside run loops (self-metrics).
         self._run_wall_s = 0.0
         self._runs = 0
-        #: armed run supervisor; None keeps the unchecked fast paths.
+        #: armed run supervisor; None runs unchecked.
         self._watchdog: Optional[Watchdog] = None
         #: armed pulse hook (heartbeats); rides the watchdog cadence.
         self._pulse: Optional[Callable[["Engine"], None]] = None
@@ -431,17 +436,11 @@ class Engine:
         """Drain the queue with no bound or predicate; returns the final
         time.
 
-        Honors :meth:`request_stop` and skips cancelled slots.  With a
-        caller watchdog armed the drain routes through the checked loop;
-        with only the pulse-only supervisor armed it takes the batched
-        drain with pulse visits at batch boundaries.
+        Honors :meth:`request_stop` and skips cancelled slots.  This is
+        always the batched drain; an armed watchdog (a caller's or the
+        pulse-only supervisor) is checked at batch boundaries.
         """
-        wd = self._watchdog
-        if wd is not None:
-            if wd is self._pulse_watchdog:
-                return self._drain_batched(self._pulse)
-            return self.run(until=None)
-        return self._drain_batched(None)
+        return self._drain_batched(self._watchdog)
 
     def run(
         self,
@@ -453,8 +452,8 @@ class Engine:
 
         ``until`` bounds simulated time, ``max_events`` bounds work, and
         ``stop_when`` is polled after every event for early termination.
-        With no bounds and no caller watchdog this is the batched drain
-        (:meth:`run_until_idle`); otherwise the checked loop.
+        With no bounds this is the batched drain (:meth:`run_until_idle`),
+        supervised or not; any bound takes the checked loop.
 
         After an ``until``-bounded return the queue is intact and
         ``now == until`` if anything is still queued after ``until``
@@ -463,10 +462,7 @@ class Engine:
         docstring's resume contract).
         """
         if until is None and max_events is None and stop_when is None:
-            if self._watchdog is None:
-                return self._drain_batched(None)
-            if self._watchdog is self._pulse_watchdog:
-                return self._drain_batched(self._pulse)
+            return self._drain_batched(self._watchdog)
         self._stop_requested = False
         started = _perf_counter()
         try:
@@ -540,7 +536,7 @@ class Engine:
                 if i < n:
                     self._requeue(when, batch, i)
 
-    def _drain_batched(self, pulse: Optional[Callable]) -> float:
+    def _drain_batched(self, wd: Optional[Watchdog]) -> float:
         """Pop one whole timestamp bucket per transaction, then
         dispatch it in scheduling order with group-handler coalescing.
 
@@ -553,10 +549,13 @@ class Engine:
           event and the unconsumed remainder of the batch is
           reinstated, so a subsequent run resumes with no events lost,
           duplicated, or reordered;
-        * monitoring — ``pulse`` (heartbeats, metric timelines) is
-          visited only at batch boundaries, with ``events_processed``
-          flushed first, so probes never observe a half-dispatched
-          cycle.
+        * supervision — the watchdog ``wd`` (a caller's, or the
+          pulse-only one carrying heartbeats and metric timelines) is
+          checked at the first batch boundary after every
+          ``check_every`` events, with ``events_processed`` flushed
+          first, so probes never observe a half-dispatched cycle.  The
+          unchecked remainder carries over in ``wd._since_check``, so
+          the cadence spans consecutive drains.
         """
         self._stop_requested = False
         buckets = self._buckets
@@ -566,8 +565,9 @@ class Engine:
         free_max = _FREE_LIST_MAX
         get_handler = _BATCH_HANDLERS.get
         method = _MethodType
-        pulse_every = self._pulse_every
-        next_pulse = pulse_every
+        if wd is not None:
+            check_every = wd.check_every
+            next_check = check_every - wd._since_check
         processed = 0
         flushed = 0
         started = _perf_counter()
@@ -629,13 +629,15 @@ class Engine:
                         self._requeue(when, batch, i)
                 if self._stop_requested:
                     break
-                if pulse is not None and processed >= next_pulse:
+                if wd is not None and processed >= next_check:
                     self._events_processed += processed - flushed
                     flushed = processed
-                    next_pulse = processed + pulse_every
-                    pulse(self)
+                    next_check = processed + check_every
+                    wd._check(self)
         finally:
             self._events_processed += processed - flushed
+            if wd is not None:
+                wd._since_check = processed - (next_check - check_every)
             self._run_wall_s += _perf_counter() - started
             self._runs += 1
         return self._now
@@ -644,8 +646,8 @@ class Engine:
 
     def attach_watchdog(self, watchdog: Watchdog) -> Watchdog:
         """Arm ``watchdog`` over subsequent runs (budgets and progress
-        count from this moment).  Runs route through the checked loop
-        until :meth:`detach_watchdog`.  An armed pulse survives: it
+        count from this moment) until :meth:`detach_watchdog`; unbounded
+        drains check it at batch boundaries.  An armed pulse survives: it
         rides the new watchdog's check cadence (via ``on_check``) while
         the watchdog is armed and re-arms on its own when it detaches.
         """
@@ -657,8 +659,8 @@ class Engine:
         return watchdog
 
     def detach_watchdog(self) -> Optional[Watchdog]:
-        """Disarm the current watchdog (restoring the unchecked fast
-        paths, unless a pulse stays armed) and return it, or None when
+        """Disarm the current watchdog (restoring unchecked runs, unless
+        a pulse stays armed) and return it, or None when
         none was armed (a pulse-only supervisor does not count)."""
         watchdog = self._watchdog
         self._watchdog = None
@@ -679,10 +681,9 @@ class Engine:
         """Arm a periodic read-only hook: ``pulse(engine)`` roughly every
         ``every`` processed events, piggybacking on the watchdog check
         cadence (worker heartbeats use this).  With no caller watchdog
-        armed, a budget-free pulse-only supervisor routes unbounded
-        drains through the batched drain (pulse visits at batch
-        boundaries) and bounded runs through the checked loop; when a caller arms a real
-        watchdog the pulse rides its checks instead.  The hook must only
+        armed, a budget-free pulse-only supervisor carries the cadence;
+        when a caller arms a real watchdog the pulse rides its checks
+        instead.  The hook must only
         read engine state, so pulsed runs stay bit-identical with
         unpulsed ones."""
         self._pulse = pulse
@@ -695,8 +696,8 @@ class Engine:
         return pulse
 
     def detach_pulse(self) -> Optional[Callable[["Engine"], None]]:
-        """Disarm the pulse hook (restoring the unchecked fast paths
-        when no caller watchdog is armed) and return it, or None."""
+        """Disarm the pulse hook (restoring unchecked runs when no
+        caller watchdog is armed) and return it, or None."""
         pulse = self._pulse
         self._pulse = None
         if self._watchdog is not None:

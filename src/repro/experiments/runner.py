@@ -52,11 +52,8 @@ from repro.core.config import CedarConfig, DEFAULT_CONFIG
 
 #: bump when renderer output formats change, invalidating old entries.
 #: v6: entries live in the sharded crash-safe result store
-#: (:mod:`repro.store`); v5 flat entries are re-sharded on first touch.
+#: (:mod:`repro.store`).
 CACHE_VERSION = 6
-
-#: the last flat-layout cache version, still transparently readable.
-LEGACY_CACHE_VERSION = 5
 
 #: default on-disk cache location (repo-/cwd-relative).
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -336,19 +333,13 @@ def cache_key(
     config: CedarConfig = DEFAULT_CONFIG,
     stream: bool = False,
     timeline: Optional[float] = None,
-    version: int = CACHE_VERSION,
 ) -> str:
-    """Stable cache key: experiment identity + arguments + machine config.
-
-    ``version`` defaults to the current :data:`CACHE_VERSION`; pass
-    :data:`LEGACY_CACHE_VERSION` to address the entry a previous
-    release would have written (how flat pre-v6 entries are found and
-    re-sharded on first touch).
-    """
+    """Stable cache key: experiment identity + arguments + machine config
+    (and :data:`CACHE_VERSION`)."""
     import hashlib
 
     material = {
-        "version": version,
+        "version": CACHE_VERSION,
         "experiment": name,
         "kwargs": kwargs,
         "config": config.stable_hash(),
@@ -372,11 +363,6 @@ def _store(cache_dir: Path):
     return ResultStore(Path(cache_dir))
 
 
-def _legacy_flat_path(cache_dir: Path, name: str, legacy_key: str) -> Path:
-    """Where a pre-v6 flat-layout release filed this entry."""
-    return Path(cache_dir) / f"{name}.{legacy_key[:16]}.json"
-
-
 @dataclass(frozen=True)
 class CacheHit:
     """A served cache entry plus where/how it was served — what the
@@ -387,8 +373,6 @@ class CacheHit:
     shard: str
     #: the entry's payload checksum was present and matched on read.
     verified: bool
-    #: the entry was a legacy flat file re-sharded on this touch.
-    migrated: bool = False
 
 
 def _entry_shape_ok(entry: Dict, key: str, where: object) -> bool:
@@ -411,65 +395,24 @@ def _entry_shape_ok(entry: Dict, key: str, where: object) -> bool:
     return True
 
 
-def cache_lookup(
-    cache_dir: Path,
-    name: str,
-    key: str,
-    legacy_key: Optional[str] = None,
-) -> Optional[CacheHit]:
+def cache_lookup(cache_dir: Path, name: str, key: str) -> Optional[CacheHit]:
     """Look ``key`` up in the sharded store; ``None`` on any miss.
 
     Corruption at any layer (torn bytes, checksum mismatch, wrong
     shape) is a warning and a miss — the store quarantines the bad
     entry and the caller recomputes; nothing here ever crashes a run.
-
-    With ``legacy_key`` (the same lookup hashed at
-    :data:`LEGACY_CACHE_VERSION`) a miss falls back to entries a
-    flat-layout release wrote — either already re-sharded by ``store
-    repair`` or still sitting flat in the cache root — and re-homes
-    them under ``key`` on this first touch, preserving the cached
-    output bit for bit.
     """
     store = _store(cache_dir)
     entry = store.get(key)
-    if entry is not None:
-        if _entry_shape_ok(entry, key, store.entry_path(key)):
-            return CacheHit(entry, shard=key[:2], verified=True)
-        return None
-    if legacy_key is None:
-        return None
-    # repair may already have re-sharded the flat file under its v5 key
-    entry = store.get(legacy_key)
-    flat: Optional[Path] = None
-    if entry is None:
-        flat = _legacy_flat_path(cache_dir, name, legacy_key)
-        try:
-            entry = json.loads(flat.read_text())
-        except (OSError, ValueError):
-            return None
-    if not _entry_shape_ok(entry, legacy_key, flat or store.entry_path(legacy_key)):
-        return None
-    entry = dict(entry)
-    entry["key"] = key
-    entry["cache_version"] = CACHE_VERSION
-    try:
-        store.put(key, entry)
-        if flat is not None:
-            flat.unlink()
-    except OSError as exc:
-        warnings.warn(f"legacy cache migration failed for {name}: {exc}")
-    return CacheHit(entry, shard=key[:2], verified=True, migrated=True)
+    if entry is not None and _entry_shape_ok(entry, key, store.entry_path(key)):
+        return CacheHit(entry, shard=key[:2], verified=True)
+    return None
 
 
-def cache_load_entry(
-    cache_dir: Path,
-    name: str,
-    key: str,
-    legacy_key: Optional[str] = None,
-) -> Optional[Dict]:
+def cache_load_entry(cache_dir: Path, name: str, key: str) -> Optional[Dict]:
     """The full cache entry (output plus any stored run report), served
     from the sharded store; see :func:`cache_lookup`."""
-    hit = cache_lookup(cache_dir, name, key, legacy_key=legacy_key)
+    hit = cache_lookup(cache_dir, name, key)
     return hit.entry if hit is not None else None
 
 
@@ -627,15 +570,7 @@ def run_experiment(
     kwargs = exp.arguments(fast)
     key = cache_key(name, kwargs, config, stream=stream, timeline=timeline)
     if cache_dir is not None:
-        entry = cache_load_entry(
-            cache_dir,
-            name,
-            key,
-            legacy_key=cache_key(
-                name, kwargs, config, stream=stream, timeline=timeline,
-                version=LEGACY_CACHE_VERSION,
-            ),
-        )
+        entry = cache_load_entry(cache_dir, name, key)
         if entry is not None and entry.get("output") is not None:
             report = entry.get("report") if collect_report else None
             if not collect_report or report is not None:
@@ -1092,19 +1027,7 @@ def run_all(
         exp = REGISTRY[name]
         kwargs = exp.arguments(fast)
         key = cache_key(name, kwargs, config, stream=stream)
-        hit = (
-            cache_lookup(
-                cache_dir,
-                name,
-                key,
-                legacy_key=cache_key(
-                    name, kwargs, config, stream=stream,
-                    version=LEGACY_CACHE_VERSION,
-                ),
-            )
-            if cache_dir is not None
-            else None
-        )
+        hit = cache_lookup(cache_dir, name, key) if cache_dir is not None else None
         output = hit.entry.get("output") if hit is not None else None
         report = hit.entry.get("report") if hit is not None else None
         if output is not None and (not collect_reports or report is not None):

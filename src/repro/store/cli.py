@@ -32,7 +32,7 @@ def add_store_parser(sub) -> None:
     verify.add_argument(
         "--repair", action="store_true",
         help="quarantine corrupt entries, remove debris, break stale "
-             "locks, re-shard legacy flat entries",
+             "locks",
     )
     _common(verify)
 
@@ -84,7 +84,6 @@ def handle_store(args):
         f"[store] {store.root}/",
         f"  entries      {report.entries} ({report.total_bytes} bytes "
         f"across {report.shards} shards)",
-        f"  legacy flat  {report.legacy}",
         f"  quarantined  {report.quarantined}",
         f"  temps/locks  {report.temps}/{report.locks}",
     ]

@@ -10,8 +10,6 @@ deep, sharded by key prefix::
         abcdef0123....lock        advisory per-entry write lock
         abcdef0123....<pid>.<n>.tmp   in-flight commit (unique per writer)
       quarantine/                 corrupt entries moved aside, never served
-      <name>.<key16>.json         legacy flat entries (pre-v6), re-sharded
-                                  on first touch or by ``repair``
 
 Guarantees
 ----------
@@ -33,10 +31,10 @@ Guarantees
   Because the store is content-addressed — one key, one logical value —
   a writer that loses the lock race simply skips its redundant write.
 * **Self-healing.**  ``verify`` fscks the whole tree (checksums,
-  misplaced entries, orphan temps, stale locks, legacy flat files) and
+  misplaced entries, orphan temps, stale locks, foreign files) and
   with ``repair=True`` restores consistency: corrupt entries are
   quarantined (moved aside for post-mortem, never deleted, never
-  served), debris removed, legacy entries re-sharded in place.
+  served) and debris removed.  Foreign files are only reported.
 
 All I/O goes through the :mod:`repro.store.fs` seam so
 :class:`~repro.store.chaos.ChaosFS` can prove each guarantee by
@@ -187,10 +185,9 @@ class VerifyIssue:
     ``repair`` did about it ("" when only reporting)."""
 
     kind: str  # checksum-mismatch | unparseable | key-mismatch |
-    #          # misplaced | orphan-temp | stale-lock | legacy-flat |
-    #          # foreign-file
+    #          # misplaced | orphan-temp | stale-lock | foreign-file
     path: str
-    action: str = ""  # quarantined | removed | unlocked | resharded | ""
+    action: str = ""  # quarantined | removed | unlocked | ""
 
 
 @dataclass
@@ -220,7 +217,6 @@ class StoreStats:
     entries: int
     total_bytes: int
     shards: int
-    legacy: int
     quarantined: int
     temps: int
     locks: int
@@ -418,9 +414,9 @@ class ResultStore:
         Checks every shard entry's wrapper + checksum, flags misplaced
         and foreign files, over-age orphan temp files (younger than
         ``tmp_grace_s`` are presumed in-flight), stale locks (live
-        writers' locks are honored), and legacy flat entries in the
-        root.  Repair quarantines the corrupt, removes the debris,
-        breaks the stale, and re-shards the legacy.
+        writers' locks are honored), and ``*.json`` files in the root
+        (foreign: reported, never touched).  Repair quarantines the
+        corrupt, removes the debris and breaks the stale.
         """
         report = VerifyReport(repaired=repair)
         now = self.clock()
@@ -478,35 +474,9 @@ class ResultStore:
 
         for name in self.fs.listdir(self.root):
             path = self.root / name
-            if not name.endswith(".json"):
-                continue
-            action = self._reshard_legacy(path) if repair else "resharded"
-            note("legacy-flat", path, action)
+            if name.endswith(".json"):
+                note("foreign-file", path, "")
         return report
-
-    def _reshard_legacy(self, path: Path) -> str:
-        """Move a pre-sharding flat entry into its shard (wrapped and
-        checksummed under its own embedded key), or quarantine it when
-        it is not a sound legacy entry."""
-        try:
-            doc = json.loads(self.fs.read_bytes(path).decode("utf-8"))
-        except (OSError, ValueError, UnicodeDecodeError):
-            self.quarantine(path, "unparseable")
-            return "quarantined"
-        key = doc.get("key") if isinstance(doc, dict) else None
-        if (
-            not isinstance(key, str)
-            or len(key) < SHARD_CHARS + 2
-            or not set(key) <= _HEX
-        ):
-            self.quarantine(path, "key-mismatch")
-            return "quarantined"
-        try:
-            self.put(key, doc)
-            self.fs.unlink(path)
-        except OSError:
-            return ""
-        return "resharded"
 
     # -- retention ---------------------------------------------------------
 
@@ -566,9 +536,6 @@ class ResultStore:
                     temps += 1
                 elif name.endswith(".lock"):
                     locks += 1
-        legacy = sum(
-            1 for name in self.fs.listdir(self.root) if name.endswith(".json")
-        )
         quarantined = len(
             self.fs.listdir(self.root / self.QUARANTINE_DIR)
         )
@@ -576,7 +543,6 @@ class ResultStore:
             entries=entries,
             total_bytes=total_bytes,
             shards=shards,
-            legacy=legacy,
             quarantined=quarantined,
             temps=temps,
             locks=locks,

@@ -5,13 +5,20 @@ version was shown to have almost four times the number of page faults
 relative to the one-cluster version ... The extra faults are TLB miss
 faults as each additional cluster of a multicluster version first
 accesses pages for which a valid PTE exists in global memory."
+
+:meth:`VirtualMemory.touch_range` is the bulk walk: one pass over a
+page range with the TLB, page table and counters held in locals, and
+no per-page result object.  :meth:`VirtualMemory.access` is a one-page
+walk of the same code, so there is one per-page translation.  The
+plain per-access reference lives in the test oracle
+``tests/vm_oracle.py``.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, List, Set
+from dataclasses import dataclass
+from typing import Dict, List, Set, Tuple
 
 from repro.core.config import VMConfig
 
@@ -122,41 +129,88 @@ class VirtualMemory:
         return byte_address // self.config.page_bytes
 
     def access(self, byte_address: int, cluster: int) -> AccessOutcome:
-        """Translate one access from ``cluster``; returns its cost."""
-        if not 0 <= cluster < len(self.tlbs):
-            raise ValueError(f"no cluster {cluster}")
+        """Translate one access from ``cluster``; returns its cost.
+
+        A one-page walk (see :meth:`touch_range`)."""
         vpn = self.page_of(byte_address)
-        tlb = self.tlbs[cluster]
-        self.stats.accesses += 1
-        if tlb.lookup(vpn):
-            self.stats.tlb_hits += 1
-            return AccessOutcome(0.0, tlb_hit=True, tlb_miss_fault=False, page_fault=False)
-        self._touched_by.setdefault(vpn, set()).add(cluster)
-        if self.page_table.is_valid(vpn):
-            tlb.insert(vpn, self.page_table.frame(vpn))
-            cycles = float(self.config.tlb_miss_cycles)
-            self.stats.tlb_miss_faults += 1
-            self.stats.fault_cycles += cycles
-            return AccessOutcome(cycles, tlb_hit=False, tlb_miss_fault=True, page_fault=False)
-        frame = self.page_table.populate(vpn)
-        tlb.insert(vpn, frame)
-        cycles = float(self.config.page_fault_cycles)
-        self.stats.page_faults += 1
-        self.stats.fault_cycles += cycles
-        return AccessOutcome(cycles, tlb_hit=False, tlb_miss_fault=False, page_fault=True)
+        cycles, hits, tlb_miss_faults, page_faults = self._walk(vpn, vpn, cluster)
+        return AccessOutcome(
+            cycles,
+            tlb_hit=hits == 1,
+            tlb_miss_fault=tlb_miss_faults == 1,
+            page_fault=page_faults == 1,
+        )
 
     def touch_range(self, start: int, length_bytes: int, cluster: int) -> float:
-        """Access every page of ``[start, start+length)``; returns the
-        total fault cycles — the bulk operation the TRFD analysis uses."""
+        """Access every page of ``[start, start+length)`` from
+        ``cluster`` in one walk; returns the total fault cycles — the
+        bulk operation the TRFD analysis uses."""
         if length_bytes < 0:
             raise ValueError("negative range")
-        total = 0.0
         first = self.page_of(start)
         last = self.page_of(start + max(0, length_bytes - 1))
+        return self._walk(first, last, cluster)[0]
+
+    def _walk(
+        self, first: int, last: int, cluster: int
+    ) -> Tuple[float, int, int, int]:
+        """Translate pages ``first..last`` from ``cluster`` in order —
+        the one per-page implementation.  Returns the fault cycles and
+        the walk's TLB hit, TLB-miss fault and page fault counts.
+
+        Per page: a TLB hit refreshes the entry's LRU position; a miss
+        records the cluster as a toucher, loads the valid PTE (or has
+        Xylem populate it first) and inserts it, evicting the least
+        recently used entry at capacity.  Counters accumulate in locals
+        and are written back once; ``fault_cycles`` is summed page by
+        page so it is bit-identical to per-access accounting.
+        """
+        if not 0 <= cluster < len(self.tlbs):
+            raise ValueError(f"no cluster {cluster}")
+        tlb = self.tlbs[cluster]
+        tlb_map = tlb._map
+        capacity = tlb.entries
+        table = self.page_table
+        valid = table._valid
+        touched_by = self._touched_by
+        miss_cycles = float(self.config.tlb_miss_cycles)
+        fault_cycles = float(self.config.page_fault_cycles)
+        stats = self.stats
+        spent = stats.fault_cycles
+        total = 0.0
+        hits = tlb_miss_faults = page_faults = 0
         for vpn in range(first, last + 1):
-            outcome = self.access(vpn * self.config.page_bytes, cluster)
-            total += outcome.cycles
-        return total
+            if vpn in tlb_map:
+                tlb_map.move_to_end(vpn)
+                hits += 1
+                continue
+            touched = touched_by.get(vpn)
+            if touched is None:
+                touched_by[vpn] = {cluster}
+            else:
+                touched.add(cluster)
+            frame = valid.get(vpn)
+            if frame is None:
+                frame = table.populate(vpn)
+                cycles = fault_cycles
+                page_faults += 1
+            else:
+                cycles = miss_cycles
+                tlb_miss_faults += 1
+            if len(tlb_map) >= capacity:
+                tlb_map.popitem(last=False)
+            tlb_map[vpn] = frame
+            spent += cycles
+            total += cycles
+        misses = tlb_miss_faults + page_faults
+        tlb.hits += hits
+        tlb.misses += misses
+        stats.accesses += hits + misses
+        stats.tlb_hits += hits
+        stats.tlb_miss_faults += tlb_miss_faults
+        stats.page_faults += page_faults
+        stats.fault_cycles = spent
+        return total, hits, tlb_miss_faults, page_faults
 
     @property
     def faults(self) -> int:

@@ -192,35 +192,6 @@ class TestCacheHardening:
         assert not list(tmp_path.rglob("*.tmp"))
         assert not list(tmp_path.rglob("*.lock"))
 
-    def test_legacy_flat_entry_resharded_on_first_touch(self, tmp_path):
-        import json
-
-        from repro.experiments.runner import (
-            CACHE_VERSION,
-            LEGACY_CACHE_VERSION,
-            cache_lookup,
-        )
-
-        legacy_key = cache_key("topology", {}, version=LEGACY_CACHE_VERSION)
-        flat = tmp_path / f"topology.{legacy_key[:16]}.json"
-        flat.write_text(json.dumps({
-            "key": legacy_key,
-            "experiment": "topology",
-            "output": "legacy rendered text",
-            "elapsed_s": 1.0,
-            "cache_version": LEGACY_CACHE_VERSION,
-        }))
-        key = cache_key("topology", {})
-        hit = cache_lookup(tmp_path, "topology", key, legacy_key=legacy_key)
-        assert hit is not None and hit.migrated and hit.verified
-        assert hit.entry["output"] == "legacy rendered text"
-        assert hit.entry["cache_version"] == CACHE_VERSION
-        assert not flat.exists()  # re-homed into the sharded store
-        # second touch serves straight from the shard, bit-identical
-        again = cache_lookup(tmp_path, "topology", key, legacy_key=legacy_key)
-        assert not again.migrated
-        assert again.entry["output"] == "legacy rendered text"
-
 
 class TestHardenedCLI:
     def test_run_all_flags_parse(self):

@@ -288,25 +288,17 @@ class TestVerifyRepair:
         assert again.issues == [] and again.consistent
 
 
-class TestLegacyMigration:
-    def test_repair_reshards_legacy_flat_entries(self, tmp_path):
-        legacy = {"key": KEY, "experiment": "x", "output": "old text"}
-        (tmp_path / f"x.{KEY[:16]}.json").write_text(json.dumps(legacy))
+class TestForeignFiles:
+    def test_root_level_json_is_reported_and_left_alone(self, tmp_path):
+        flat = tmp_path / f"x.{KEY[:16]}.json"
+        flat.write_text(json.dumps({"key": KEY, "output": "old text"}))
         store = ResultStore(tmp_path)
         report = store.verify(repair=True)
-        assert ("legacy-flat", "resharded") in [
-            (i.kind, i.action) for i in report.issues
+        assert [(i.kind, i.action) for i in report.issues] == [
+            ("foreign-file", "")
         ]
-        assert not (tmp_path / f"x.{KEY[:16]}.json").exists()
-        assert store.get(KEY) == legacy
-
-    def test_repair_quarantines_unsound_legacy_files(self, tmp_path):
-        (tmp_path / "junk.json").write_text("not json at all {")
-        store = ResultStore(tmp_path)
-        with pytest.warns(UserWarning, match="quarantined"):
-            report = store.verify(repair=True)
-        assert report.consistent
-        assert not (tmp_path / "junk.json").exists()
+        assert not report.consistent
+        assert flat.exists() and store.get(KEY) is None
 
 
 class TestGCAndStats:
@@ -334,7 +326,6 @@ class TestGCAndStats:
         store = ResultStore(tmp_path)
         store.put(KEY, {"a": 1})
         store.put(KEY2, {"b": 2})
-        (tmp_path / "legacy.json").write_text("{}")
         (tmp_path / "ab" / "x.tmp").write_text("t")
         (tmp_path / "ab" / "y.lock").write_text("{}")
         store.entry_path(KEY2).write_text("{torn")
@@ -342,7 +333,6 @@ class TestGCAndStats:
             store.get(KEY2)  # quarantines
         stats = store.stats()
         assert stats.entries == 1
-        assert stats.legacy == 1
         assert stats.quarantined == 1
         assert stats.temps == 1 and stats.locks == 1
         assert stats.shards == 1  # ab still populated; ef emptied by quarantine

@@ -10,7 +10,13 @@ spinning forever.
 import pytest
 
 from repro.core.config import CedarConfig
-from repro.core.engine import Engine, Watchdog, WatchdogError
+from repro.core.engine import (
+    _BATCH_HANDLERS,
+    Engine,
+    Watchdog,
+    WatchdogError,
+    register_batch_handler,
+)
 from repro.core.machine import CedarMachine
 from repro.kernels.programs import KERNELS, kernel_program
 
@@ -133,6 +139,86 @@ class TestTransparency:
         engine.attach_watchdog(Watchdog(max_events=1))
         engine.reset()
         assert engine.detach_watchdog() is None
+
+
+class Ticker:
+    """Reschedules itself one cycle later until ``left`` runs out."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.ticks = 0
+
+    def tick(self, left):
+        self.ticks += 1
+        if left:
+            self.engine.schedule_after(1.0, self.tick, left - 1)
+
+
+def counting_group_handler(calls):
+    """A transparent group handler for ``Ticker.tick`` that records the
+    size of every group it dispatches."""
+
+    def handler(engine, batch, i, n):
+        done = 0
+        while i < n:
+            record = batch[i]
+            cb = record[2]
+            if cb is None:
+                engine._cancelled -= 1
+                i += 1
+                continue
+            if getattr(cb, "__func__", None) is not Ticker.tick:
+                break
+            args = record[3]
+            record[2] = None
+            record[3] = ()
+            i += 1
+            cb(*args)
+            done += 1
+            if engine._stop_requested:
+                break
+        calls.append(done)
+        return i, done
+
+    return handler
+
+
+class TestSupervisedDrain:
+    def test_supervised_run_until_idle_takes_group_handlers(self):
+        calls = []
+        register_batch_handler(Ticker.tick, counting_group_handler(calls))
+        try:
+            engine = Engine()
+            tickers = [Ticker(engine) for _ in range(3)]
+            for ticker in tickers:
+                engine.schedule(0.0, ticker.tick, 9)
+            checks = []
+            engine.attach_watchdog(Watchdog(
+                max_events=1000, check_every=4,
+                on_check=lambda e: checks.append(e.events_processed),
+            ))
+            assert engine.run_until_idle() == 9.0
+        finally:
+            _BATCH_HANDLERS.pop(Ticker.tick)
+        assert [t.ticks for t in tickers] == [10, 10, 10]
+        assert calls == [3] * 10  # one group call per timestamp
+        # checked at the first batch boundary past every 4 events
+        assert checks == [6, 12, 18, 24, 30]
+
+    def test_check_cadence_carries_across_drains(self):
+        engine = Engine()
+        checks = []
+        engine.attach_watchdog(Watchdog(
+            check_every=4, on_check=lambda e: checks.append(e.events_processed),
+        ))
+        for when in (1.0, 2.0, 3.0):
+            engine.schedule(when, lambda: None)
+        engine.run_until_idle()
+        assert checks == []
+        for when in (4.0, 5.0, 6.0):
+            engine.schedule(when, lambda: None)
+        engine.run_until_idle()
+        assert checks == [4]
 
 
 class TestMachineIntegration:
