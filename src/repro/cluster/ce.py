@@ -392,9 +392,11 @@ class CE:
                 )
                 packet.meta["ce_reply"] = self.port
                 packet.meta["handler"] = _on_reply
-                sig = self._sig_birth
-                if sig.callbacks:
-                    sig.emit(packet, "demand", self.engine.now)
+                cbs = self._sig_birth.callbacks
+                if cbs:
+                    now = self.engine.now
+                    for cb in cbs:
+                        cb(packet, "demand", now)
                 self.machine.forward_network.inject(
                     packet, tail=self.machine.gmem.route_tail(address)
                 )
@@ -436,9 +438,11 @@ class CE:
             words=2,  # control/address word + one data word
         )
         packet.meta["on_write_done"] = self._store_completed
-        sig = self._sig_birth
-        if sig.callbacks:
-            sig.emit(packet, "store", self.engine.now)
+        cbs = self._sig_birth.callbacks
+        if cbs:
+            now = self.engine.now
+            for cb in cbs:
+                cb(packet, "store", now)
         self._stores_in_flight += 1
         self.machine.forward_network.inject(
             packet, tail=self.machine.gmem.route_tail(address)
@@ -501,9 +505,11 @@ class CE:
                 meta["block_words"] = chunks[i]
                 meta["ce_reply"] = self.port
                 meta["handler"] = _on_reply
-                sig = self._sig_birth
-                if sig.callbacks:
-                    sig.emit(packet, "block", self.engine.now)
+                cbs = self._sig_birth.callbacks
+                if cbs:
+                    now = self.engine.now
+                    for cb in cbs:
+                        cb(packet, "block", now)
                 self.machine.forward_network.inject(
                     packet, tail=self.machine.gmem.route_tail(address)
                 )
@@ -534,9 +540,11 @@ class CE:
             meta["sync"] = (op.test, op.test_operand, op.op, op.op_operand)
             meta["ce_reply"] = self.port
             meta["handler"] = _on_reply
-            sig = self._sig_birth
-            if sig.callbacks:
-                sig.emit(packet, "sync", self.engine.now)
+            cbs = self._sig_birth.callbacks
+            if cbs:
+                now = self.engine.now
+                for cb in cbs:
+                    cb(packet, "sync", now)
             self.machine.forward_network.inject(
                 packet, tail=self.machine.gmem.route_tail(op.address)
             )

@@ -139,8 +139,11 @@ class CedarMachine:
         engine = self.engine
 
         def _sink(packet: Packet) -> None:
-            if deliver.callbacks:
-                deliver.emit(packet, engine.now)
+            cbs = deliver.callbacks
+            if cbs:
+                now = engine.now
+                for cb in cbs:
+                    cb(packet, now)
             handler = packet.meta.get("handler")
             if handler is not None:
                 handler(packet)

@@ -286,7 +286,7 @@ def span_waterfalls(
 def latency_report(analysis: LatencyAnalysis, top: int = 5) -> str:
     """The full `repro analyze` text block: tables, quantile chart,
     bottleneck attribution, exemplar waterfalls, reconciliation check."""
-    if not analysis.spans:
+    if not analysis.requests:
         return "no completed request spans collected"
     parts = []
     dropped = getattr(analysis, "dropped", 0)

@@ -276,16 +276,32 @@ class PrefetchMonitor(MonitorBase):
     def __init__(self, metrics: MetricsRegistry) -> None:
         super().__init__(metrics)
         self._in_flight: dict = {}
+        #: port -> its request / delivery counter and outstanding level,
+        #: each registered on first use (so registration order, and the
+        #: report's key order, is the uncached one).
+        self._requests: dict = {}
+        self._deliveries: dict = {}
+        self._outstanding: dict = {}
 
     def _on_pfu_arm(self, port: int, time: float) -> None:
         self.metrics.counter(f"pfu.port[{port}].streams").inc()
 
     def _on_pfu_request(self, port: int, word_index: int, time: float) -> None:
-        self.metrics.counter(f"pfu.port[{port}].requests").inc()
+        counter = self._requests.get(port)
+        if counter is None:
+            counter = self._requests[port] = self.metrics.counter(
+                f"pfu.port[{port}].requests"
+            )
+        counter.inc()
         self._bump(port, +1, time)
 
     def _on_pfu_deliver(self, port: int, word_index: int, time: float) -> None:
-        self.metrics.counter(f"pfu.port[{port}].deliveries").inc()
+        counter = self._deliveries.get(port)
+        if counter is None:
+            counter = self._deliveries[port] = self.metrics.counter(
+                f"pfu.port[{port}].deliveries"
+            )
+        counter.inc()
         self._bump(port, -1, time)
 
     def _on_pfu_suspend(self, port: int, time: float) -> None:
@@ -294,7 +310,12 @@ class PrefetchMonitor(MonitorBase):
     def _bump(self, port: int, delta: int, time: float) -> None:
         count = self._in_flight.get(port, 0) + delta
         self._in_flight[port] = count
-        self.metrics.time_weighted(f"pfu.port[{port}].outstanding").update(count, time)
+        level = self._outstanding.get(port)
+        if level is None:
+            level = self._outstanding[port] = self.metrics.time_weighted(
+                f"pfu.port[{port}].outstanding"
+            )
+        level.update(count, time)
 
 
 class FaultMonitor(MonitorBase):

@@ -44,13 +44,7 @@ spans document record what fraction was traced.
 
 from __future__ import annotations
 
-from repro.monitor.spans import (
-    SpanCollector,
-    _EV_BIRTH,
-    _EV_DELIVER,
-    _EV_GSVC,
-    _EV_SYNC,
-)
+from repro.monitor.spans import SpanCollector
 
 
 class SampledSpanCollector(SpanCollector):
@@ -86,39 +80,30 @@ class SampledSpanCollector(SpanCollector):
             # reference — a sampled-out hop costs two attribute loads.
             packet.trace = False
             return
-        rid = packet.request_id
-        self._traced.add(rid)
-        self._events.append((
-            _EV_BIRTH, rid, origin, packet.src, packet.address,
-            packet.kind.name, packet.words, time,
-        ))
+        self._traced.add(packet.request_id)
+        super()._on_req_birth(packet, origin, time)
 
     def _on_req_deliver(self, packet, time: float) -> None:
-        rid = packet.request_id
-        if rid in self._traced:
-            self._events.append((_EV_DELIVER, rid, time))
+        if packet.request_id in self._traced:
+            super()._on_req_deliver(packet, time)
 
     # net.span needs no override: sampled-out references get their
     # packet ``trace`` mark cleared at birth, so the emission sites
     # never build records for them and the inherited C-level ``extend``
     # subscriber only ever sees sampled traffic.  (Occupancies of
     # packets that never emit ``req.birth`` — cluster-local traffic —
-    # still arrive exactly as in the full collector and are dropped at
+    # still arrive exactly as in the full collector and are ignored at
     # drain for their unknown request ids.)
 
     def _on_gmem_service(self, module: int, packet, time: float,
                          cycles: float) -> None:
-        rid = packet.request_id
-        if rid in self._traced:
-            self._events.append((_EV_GSVC, rid, module, cycles, time))
+        if packet.request_id in self._traced:
+            super()._on_gmem_service(module, packet, time, cycles)
 
     def _on_sync_op(self, module: int, address: int, time: float, packet,
                     success: bool) -> None:
-        rid = packet.request_id
-        if rid in self._traced:
-            self._events.append((
-                _EV_SYNC, rid, success, packet.meta.get("sync"), time,
-            ))
+        if packet.request_id in self._traced:
+            super()._on_sync_op(module, address, time, packet, success)
 
     def _on_fault_transient(self, resource, packet, time: float,
                             backoff_cycles: float) -> None:

@@ -211,9 +211,10 @@ class PrefetchUnit:
         now = self.engine.now
         stream.issued[index] = now
         self.words_requested += 1
-        sig = self._sig_request
-        if sig.callbacks:
-            sig.emit(self.port, index, now)
+        cbs = self._sig_request.callbacks
+        if cbs:
+            for cb in cbs:
+                cb(self.port, index, now)
         packet = Packet.acquire(
             PacketKind.READ_REQ,
             self.port,
@@ -223,9 +224,10 @@ class PrefetchUnit:
         meta = packet.meta
         meta["pfu_stream"] = stream
         meta["word_index"] = index
-        sig = self._sig_birth
-        if sig.callbacks:
-            sig.emit(packet, "prefetch", now)
+        cbs = self._sig_birth.callbacks
+        if cbs:
+            for cb in cbs:
+                cb(packet, "prefetch", now)
         self.forward_network.inject(packet, tail=self.global_memory.route_tail(address))
         delay = 1.0 / self.config.issue_per_cycle
         self.engine.schedule_after(delay, self._issue, stream, index + 1)
@@ -240,7 +242,8 @@ class PrefetchUnit:
             raise RuntimeError("reply packet lacks prefetch metadata")
         now = self.engine.now
         if stream is self._active:
-            sig = self._sig_deliver
-            if sig.callbacks:
-                sig.emit(self.port, index, now)
+            cbs = self._sig_deliver.callbacks
+            if cbs:
+                for cb in cbs:
+                    cb(self.port, index, now)
         stream._deliver(index, now)

@@ -1,0 +1,474 @@
+"""Reference span stitching: the tuple-buffer collectors the flat-record
+fold in :mod:`repro.monitor.spans` replaced.
+
+Every signal but ``net.span`` is buffered as one tagged tuple, the drain
+replays the buffer into one :class:`~repro.monitor.spans.RequestSpan`
+per request, the streaming variant folds each span into its sketches
+the moment it completes, and the summary is computed over the stitched
+spans.  The code is slow and obviously eager-equivalent, which is what
+an oracle should be: ``tests/test_span_oracle.py`` feeds the same
+signal programs to these classes and to the real collectors and
+requires identical summaries and documents.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+from typing import Dict, List
+
+from repro.gmemory.sync import format_sync_op
+from repro.monitor.histogram import Histogrammer
+from repro.monitor.sketch import (
+    DEFAULT_RELATIVE_ERROR,
+    ExemplarReservoir,
+    QuantileSketch,
+)
+from repro.monitor.spans import (
+    HOP_SLOTS,
+    PHASES,
+    RECONCILE_TOLERANCE,
+    STREAM_SPANS_VERSION,
+    SPANS_VERSION,
+    RequestSpan,
+    hop_segments,
+)
+
+_EV_GSVC = 1
+_EV_BIRTH = 2
+_EV_DELIVER = 3
+_EV_SYNC = 4
+_EV_FAULT = 5
+_EV_SYNC_TIMEOUT = 6
+
+
+class OracleSpanCollector:
+    """Buffered collector: drop births at the cap, stitch on read."""
+
+    SIGNALS = (
+        "req.birth", "req.deliver", "net.span", "gmem.service", "sync.op",
+        "fault.transient", "fault.ecc", "fault.sync_timeout", "fault.reroute",
+    )
+
+    def __init__(self, max_requests: int = 200_000) -> None:
+        self.max_requests = max_requests
+        self._requests: Dict[int, RequestSpan] = {}
+        self._dropped = 0
+        self._completed = 0
+        self._events: List[object] = []
+        self._open_syncs: Dict[int, List[int]] = {}
+        self._subscriptions: List[tuple] = []
+
+    def attach(self, bus) -> "OracleSpanCollector":
+        for name in self.SIGNALS:
+            if name == "net.span":
+                handler = self._events.extend
+            else:
+                handler = getattr(self, "_on_" + name.replace(".", "_"))
+            self._subscriptions.append((bus, bus.subscribe(name, handler)))
+        return self
+
+    def detach(self) -> None:
+        for bus, subscription in self._subscriptions:
+            bus.unsubscribe(subscription)
+        self._subscriptions = []
+
+    # -- handlers ----------------------------------------------------------
+
+    def _on_req_birth(self, packet, origin, time) -> None:
+        self._events.append((
+            _EV_BIRTH, packet.request_id, origin, packet.src,
+            packet.address, packet.kind.name, packet.words, time,
+        ))
+
+    def _on_req_deliver(self, packet, time) -> None:
+        self._events.append((_EV_DELIVER, packet.request_id, time))
+
+    def _on_gmem_service(self, module, packet, time, cycles) -> None:
+        self._events.append((_EV_GSVC, packet.request_id, module, cycles, time))
+
+    def _on_sync_op(self, module, address, time, packet, success) -> None:
+        self._events.append((
+            _EV_SYNC, packet.request_id, success, packet.meta.get("sync"), time,
+        ))
+
+    def _on_fault_transient(self, resource, packet, time, backoff_cycles) -> None:
+        self._events.append((_EV_FAULT, packet.request_id, {
+            "type": "transient", "resource": resource.name,
+            "time": time, "cycles": backoff_cycles,
+        }))
+
+    def _on_fault_ecc(self, module, packet, time, stall_cycles) -> None:
+        self._events.append((_EV_FAULT, packet.request_id, {
+            "type": "ecc", "module": module, "time": time,
+            "cycles": stall_cycles,
+        }))
+
+    def _on_fault_reroute(self, network, packet, time) -> None:
+        self._events.append((_EV_FAULT, packet.request_id, {
+            "type": "reroute", "network": network, "time": time,
+        }))
+
+    def _on_fault_sync_timeout(self, module, address, time, penalty_cycles) -> None:
+        self._events.append(
+            (_EV_SYNC_TIMEOUT, module, address, time, penalty_cycles)
+        )
+
+    # -- stitching ---------------------------------------------------------
+
+    def _drain(self) -> None:
+        events = self._events[:]
+        del self._events[:]
+        requests = self._requests
+        i = 0
+        while i < len(events):
+            ev = events[i]
+            if ev.__class__ is str:
+                span = requests.get(events[i + 1])
+                if span is not None and not span.complete:
+                    if ev.startswith("gm["):
+                        span.mem_enqueue = events[i + 5]
+                        span.mem_depart = events[i + 7]
+                        if events[i + 3]:
+                            self._finish(span, events[i + 7])
+                    else:
+                        span.raw_hops += events[i:i + HOP_SLOTS]
+                i += HOP_SLOTS
+                continue
+            i += 1
+            tag = ev[0]
+            if tag == _EV_GSVC:
+                _, rid, module, cycles, time = ev
+                span = requests.get(rid)
+                if span is not None:
+                    span.mem_module = module
+                    span.mem_cycles = cycles
+                    span.mem_service_end = time
+            elif tag == _EV_BIRTH:
+                _, rid, origin, port, address, kind, words, time = ev
+                if len(requests) >= self.max_requests and not self._make_room():
+                    self._dropped += 1
+                    continue
+                requests[rid] = RequestSpan(
+                    rid, origin, port, address, kind, words, time
+                )
+                if origin == "sync":
+                    self._open_syncs.setdefault(address, []).append(rid)
+            elif tag == _EV_DELIVER:
+                _, rid, time = ev
+                span = requests.get(rid)
+                if span is not None and not span.complete:
+                    self._finish(span, time)
+            elif tag == _EV_SYNC:
+                _, rid, success, operation, time = ev
+                span = requests.get(rid)
+                if span is not None:
+                    span.sync_success = success
+                    span.sync_op = format_sync_op(operation)
+            elif tag == _EV_FAULT:
+                _, rid, fault = ev
+                span = requests.get(rid)
+                if span is not None:
+                    span.faults.append(fault)
+            else:
+                _, module, address, time, penalty = ev
+                for rid in self._open_syncs.get(address, ()):
+                    span = requests.get(rid)
+                    if span is not None and not span.complete:
+                        span.faults.append({
+                            "type": "sync_timeout", "module": module,
+                            "time": time, "cycles": penalty,
+                        })
+                        break
+
+    def _make_room(self) -> bool:
+        return False
+
+    def _finish(self, span: RequestSpan, time: float) -> None:
+        span.end = time
+        span.complete = True
+        self._completed += 1
+        if span.origin == "sync":
+            ids = self._open_syncs.get(span.address)
+            if ids and span.request_id in ids:
+                ids.remove(span.request_id)
+
+    # -- results -----------------------------------------------------------
+
+    @property
+    def dropped(self) -> int:
+        self._drain()
+        return self._dropped
+
+    def complete_spans(self) -> List[RequestSpan]:
+        self._drain()
+        return [s for s in self._requests.values() if s.complete]
+
+    def spans(self) -> dict:
+        self._drain()
+        ordered = sorted(self._requests.values(), key=lambda s: s.birth)
+        return {
+            "version": SPANS_VERSION,
+            "complete": self._completed,
+            "incomplete": len(self._requests) - self._completed,
+            "dropped": self._dropped,
+            "requests": [span.to_dict() for span in ordered],
+        }
+
+
+class OracleSampledSpanCollector(OracleSpanCollector):
+    """Every ``every``-th birth traced end to end."""
+
+    def __init__(self, every: int = 16, max_requests: int = 200_000) -> None:
+        super().__init__(max_requests=max_requests)
+        self.every = every
+        self.births_seen = 0
+        self.sampled_out = 0
+        self._traced = set()
+
+    def _on_req_birth(self, packet, origin, time) -> None:
+        k = self.births_seen
+        self.births_seen = k + 1
+        if k % self.every:
+            self.sampled_out += 1
+            packet.trace = False
+            return
+        self._traced.add(packet.request_id)
+        super()._on_req_birth(packet, origin, time)
+
+    def _on_req_deliver(self, packet, time) -> None:
+        if packet.request_id in self._traced:
+            super()._on_req_deliver(packet, time)
+
+    def _on_gmem_service(self, module, packet, time, cycles) -> None:
+        if packet.request_id in self._traced:
+            super()._on_gmem_service(module, packet, time, cycles)
+
+    def _on_sync_op(self, module, address, time, packet, success) -> None:
+        if packet.request_id in self._traced:
+            super()._on_sync_op(module, address, time, packet, success)
+
+    def _on_fault_transient(self, resource, packet, time, backoff_cycles) -> None:
+        if packet.request_id in self._traced:
+            super()._on_fault_transient(resource, packet, time, backoff_cycles)
+
+    def _on_fault_ecc(self, module, packet, time, stall_cycles) -> None:
+        if packet.request_id in self._traced:
+            super()._on_fault_ecc(module, packet, time, stall_cycles)
+
+    def _on_fault_reroute(self, network, packet, time) -> None:
+        if packet.request_id in self._traced:
+            super()._on_fault_reroute(network, packet, time)
+
+    def spans(self) -> dict:
+        doc = super().spans()
+        doc["sampled_every"] = self.every
+        doc["sampled_out"] = self.sampled_out
+        return doc
+
+
+class _OracleStreaming:
+    """Fold each span into the sketches the moment it completes."""
+
+    def _stream_init(self, relative_error, exemplars, seed) -> None:
+        self.relative_error = relative_error
+        self.latency_sketches = {"all": QuantileSketch(relative_error)}
+        self.phase_sketches = {p: QuantileSketch(relative_error) for p in PHASES}
+        self.stage_totals: Dict[str, list] = {}
+        self.stage_sketches: Dict[str, QuantileSketch] = {}
+        self.exemplars = ExemplarReservoir(k=exemplars, seed=seed)
+        self.evicted = 0
+        self.completed_without_phases = 0
+        self.reconciliation_checked = 0
+        self.reconciliation_violations = 0
+        self.reconciliation_worst = 0.0
+
+    def _make_room(self) -> bool:
+        oldest = next(iter(self._requests), None)
+        if oldest is None:
+            return False
+        self.exemplars.offer_incomplete(self._requests.pop(oldest))
+        self.evicted += 1
+        return True
+
+    def _finish(self, span, time) -> None:
+        super()._finish(span, time)
+        self._fold(span)
+        del self._requests[span.request_id]
+        traced = getattr(self, "_traced", None)
+        if traced is not None:
+            traced.discard(span.request_id)
+
+    def _fold(self, span) -> None:
+        phases = span.phases()
+        if phases is None:
+            self.completed_without_phases += 1
+            return
+        latency = span.latency
+        self.latency_sketches["all"].record(latency)
+        sketch = self.latency_sketches.get(span.origin)
+        if sketch is None:
+            sketch = self.latency_sketches[span.origin] = QuantileSketch(
+                self.relative_error
+            )
+        sketch.record(latency)
+        for phase, value in phases.items():
+            self.phase_sketches[phase].record(value)
+        for stage, wait, service, blocked in hop_segments(span.raw_hops):
+            self._stage(stage, wait, service, blocked)
+        self._stage("gmem", phases["memory_wait"], phases["memory_service"],
+                    phases["memory_block"])
+        drift = abs(sum(phases.values()) - latency)
+        self.reconciliation_checked += 1
+        if drift > RECONCILE_TOLERANCE:
+            self.reconciliation_violations += 1
+        if drift > self.reconciliation_worst:
+            self.reconciliation_worst = drift
+        self.exemplars.offer_complete(span)
+
+    def _stage(self, stage, wait, service, blocked) -> None:
+        entry = self.stage_totals.get(stage)
+        if entry is None:
+            entry = self.stage_totals[stage] = [0.0, 0.0, 0.0, 0]
+            self.stage_sketches[stage] = QuantileSketch(self.relative_error)
+        entry[0] += wait
+        entry[1] += service
+        entry[2] += blocked
+        entry[3] += 1
+        self.stage_sketches[stage].record(wait + service + blocked)
+
+    def complete_spans(self):
+        self._drain()
+        return self.exemplars.slowest()
+
+    def _incomplete_exemplars(self):
+        self._drain()
+        merged = {s.request_id: s for s in self.exemplars.incompletes()
+                  if not s.complete}
+        for span in self._requests.values():
+            if not span.complete:
+                merged[span.request_id] = span
+        ordered = sorted(merged.values(), key=lambda s: (s.birth, s.request_id),
+                         reverse=True)
+        return ordered[:self.exemplars.k]
+
+    def spans(self) -> dict:
+        self._drain()
+        incomplete = [s for s in self._requests.values() if not s.complete]
+        doc = {
+            "version": STREAM_SPANS_VERSION,
+            "mode": "streaming",
+            "complete": self._completed,
+            "incomplete": len(incomplete) + self.evicted,
+            "dropped": self._dropped,
+            "evicted": self.evicted,
+            "completed_without_phases": self.completed_without_phases,
+            "relative_error": self.relative_error,
+            "sketches": {
+                "latency": {n: s.to_dict()
+                            for n, s in sorted(self.latency_sketches.items())},
+                "phases": {p: self.phase_sketches[p].to_dict() for p in PHASES},
+                "stages": {s: self.stage_sketches[s].to_dict()
+                           for s in sorted(self.stage_sketches)},
+            },
+            "stage_totals": {
+                stage: {"queue_wait": e[0], "service": e[1], "blocked": e[2],
+                        "traversals": e[3]}
+                for stage, e in sorted(self.stage_totals.items())
+            },
+            "reconciliation": {
+                "checked": self.reconciliation_checked,
+                "violations": self.reconciliation_violations,
+                "worst": self.reconciliation_worst,
+            },
+            "exemplars": {
+                "slowest": [s.to_dict() for s in self.exemplars.slowest()],
+                "incomplete": [s.to_dict() for s in self._incomplete_exemplars()],
+            },
+        }
+        sampled = getattr(self, "every", None)
+        if sampled is not None:
+            doc["sampled_every"] = sampled
+            doc["sampled_out"] = self.sampled_out
+        return doc
+
+
+class OracleStreamingSpanStore(_OracleStreaming, OracleSpanCollector):
+    def __init__(self, relative_error=DEFAULT_RELATIVE_ERROR, exemplars=64,
+                 seed=0, max_requests=200_000) -> None:
+        super().__init__(max_requests=max_requests)
+        self._stream_init(relative_error, exemplars, seed)
+
+
+class OracleSampledStreamingSpanStore(_OracleStreaming,
+                                      OracleSampledSpanCollector):
+    def __init__(self, every=16, relative_error=DEFAULT_RELATIVE_ERROR,
+                 exemplars=64, seed=0, max_requests=200_000) -> None:
+        super().__init__(every=every, max_requests=max_requests)
+        self._stream_init(relative_error, exemplars, seed)
+
+
+# ---------------------------------------------------------------------------
+# the RequestSpan-based latency summary
+
+
+def _histogram(values, bins):
+    hi = max(max(values), 1e-9)
+    return Histogrammer.from_counts(Counter(values), 0.0, hi * (1.0 + 1e-6), bins)
+
+
+def _stats_row(values, bins):
+    p50, p90, p95, p99 = _histogram(values, bins).quantiles((0.5, 0.9, 0.95, 0.99))
+    return {
+        "count": len(values),
+        "mean": sum(values) / len(values),
+        "p50": p50, "p90": p90, "p95": p95, "p99": p99,
+        "max": max(values),
+    }
+
+
+def oracle_summary(spans, dropped: int = 0, bins: int = 2048) -> dict:
+    """``LatencyAnalysis.summary()`` computed span by span."""
+    spans = [s for s in spans if s.complete and s.phases() is not None]
+    if not spans:
+        return {"requests": 0}
+    by_origin: Dict[str, list] = {}
+    for span in spans:
+        by_origin.setdefault(span.origin, []).append(span.latency)
+    latencies = [s.latency for s in spans]
+    end_to_end = {o: _stats_row(v, bins) for o, v in sorted(by_origin.items())}
+    end_to_end["all"] = _stats_row(latencies, bins)
+    total = sum(latencies) or 1.0
+    phases = {}
+    for phase in PHASES:
+        values = [s.phases()[phase] for s in spans]
+        row = _stats_row(values, bins)
+        row["share"] = sum(values) / total
+        phases[phase] = row
+    threshold = _histogram(latencies, bins).percentile(0.95)
+    acc: Dict[str, float] = {}
+    cohort_total = 0.0
+    for span in spans:
+        if span.latency < threshold:
+            continue
+        cohort_total += span.latency
+        for stage, wait, service, blocked in hop_segments(span.raw_hops):
+            acc[stage] = acc.get(stage, 0.0) + (wait + service + blocked)
+        p = span.phases()
+        acc["gmem"] = acc.get("gmem", 0.0) + (
+            p["memory_wait"] + p["memory_service"] + p["memory_block"]
+        )
+    cohort_total = cohort_total or 1.0
+    ranked = [{"stage": s, "cycles": c, "share": c / cohort_total}
+              for s, c in acc.items()]
+    ranked.sort(key=lambda row: row["share"], reverse=True)
+    worst = 0.0
+    for span in spans:
+        worst = max(worst, abs(sum(span.phases().values()) - span.latency))
+    return {
+        "requests": len(spans),
+        "dropped": dropped,
+        "end_to_end": end_to_end,
+        "phases": phases,
+        "bottleneck": ranked[0] if ranked else None,
+        "reconciliation_error": worst,
+    }

@@ -1,0 +1,383 @@
+"""The flat-record span collectors against the tuple-buffer oracle.
+
+``tests/span_oracle.py`` keeps the stitching the collectors used before
+they read spans straight from one flat record stream: a tagged tuple
+per signal, one :class:`RequestSpan` per request, the streaming fold
+run span by span.  Hypothesis drives both with the same synthetic
+signal programs — unknown request ids, hops after completion, duplicate
+delivers, stores completing at the memory module, sync timeouts,
+faults, small request caps (buffered cap-drop and streaming eviction),
+sampling, drains at arbitrary points — and requires byte-identical
+summaries and documents.  One machine-level case runs CG under faults.
+"""
+
+import itertools
+import json
+import random
+
+from hypothesis import given, settings, strategies as st
+
+from repro.monitor.sampling import SampledSpanCollector
+from repro.monitor.signals import SignalBus
+from repro.monitor.spans import LatencyAnalysis, RequestSpan, SpanCollector
+from repro.monitor.streamstore import (
+    SampledStreamingSpanStore,
+    StreamingLatencyAnalysis,
+    StreamingSpanStore,
+)
+from repro.network.packet import PacketKind
+from tests.span_oracle import (
+    OracleSampledSpanCollector,
+    OracleSampledStreamingSpanStore,
+    OracleSpanCollector,
+    OracleStreamingSpanStore,
+    oracle_summary,
+)
+
+ORIGINS = ("prefetch", "demand", "store", "block", "sync")
+KINDS = {
+    "prefetch": PacketKind.READ_REQ, "demand": PacketKind.READ_REQ,
+    "store": PacketKind.WRITE_REQ, "block": PacketKind.BLOCK_REQ,
+    "sync": PacketKind.SYNC_REQ,
+}
+RESOURCES = ("fwd.inject[0]", "fwd.s0[1]", "fwd.s1[2]", "rev.s0[3]", "rev.s1[0]")
+
+
+class _Packet:
+    """The packet fields the span signals read."""
+
+    def __init__(self, rid: int) -> None:
+        self.request_id = rid
+        self.src = rid % 4
+        self.address = rid % 3
+        self.kind = PacketKind.READ_REQ
+        self.words = 1
+        self.meta = {"sync": None}
+        self.trace = True
+
+
+class _Resource:
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+
+_rid = st.integers(0, 9)
+_cycles = st.sampled_from((0.0, 0.1, 0.5, 0.7, 1.0, 3.0))
+_hop = st.tuples(st.sampled_from(RESOURCES), st.booleans(), _cycles, _cycles,
+                 _cycles)
+_advance = st.tuples(st.just("advance"), st.sampled_from((0.3, 1.0, 2.0, 5.0)))
+#: stray signals: any kind, for ids that may be unborn, in flight or done
+_noise = st.one_of(
+    st.tuples(st.just("birth"), _rid, st.sampled_from(ORIGINS)),
+    st.tuples(st.just("hop"), _rid, st.sampled_from(RESOURCES), st.booleans(),
+              _cycles, _cycles, _cycles),
+    st.tuples(st.just("gm"), _rid, st.integers(0, 2), st.booleans(), _cycles,
+              _cycles, _cycles),
+    st.tuples(st.just("gsvc"), _rid, st.integers(0, 2), _cycles),
+    st.tuples(st.just("deliver"), _rid),
+    st.tuples(st.just("sync"), _rid, st.booleans()),
+    st.tuples(st.just("transient"), _rid, _cycles),
+    st.tuples(st.just("ecc"), _rid, _cycles),
+    st.tuples(st.just("reroute"), _rid),
+    st.tuples(st.just("timeout"), st.integers(0, 2), _cycles),
+    _advance,
+    st.tuples(st.just("drain")),
+)
+
+
+@st.composite
+def _lifecycle(draw, rid):
+    """One request's signals in order: birth, forward hops, the memory
+    module (``gm[`` record and service, either first, either possibly
+    missing), sync timeouts and outcome, reverse hops, the deliver (or
+    none: a lost reply, or a store completing at ``gm[``), then stray
+    repeats."""
+    origin = draw(st.sampled_from(ORIGINS))
+    script = [("birth", rid, origin)]
+    for hop in draw(st.lists(_hop, max_size=3)):
+        script += [("hop", rid, *hop), draw(_advance)]
+    module = draw(st.integers(0, 2))
+    memory = []
+    if draw(st.integers(0, 9)):
+        memory.append(("gm", rid, module, origin == "store", draw(_cycles),
+                       draw(_cycles), draw(_cycles)))
+    if draw(st.integers(0, 9)):
+        memory.append(("gsvc", rid, module, draw(_cycles)))
+    if draw(st.booleans()):
+        memory.reverse()
+    script += memory
+    if origin == "sync":
+        # a retried sync: the timeout names the address, not the request
+        for _ in range(draw(st.integers(0, 2))):
+            script.append(("timeout", rid % 3, draw(_cycles)))
+        script.append(("sync", rid, draw(st.booleans())))
+    for hop in draw(st.lists(_hop, max_size=2)):
+        script += [draw(_advance), ("hop", rid, *hop)]
+    if origin != "store" and draw(st.integers(0, 9)):
+        script.append(("deliver", rid))
+    script += draw(st.lists(st.one_of(
+        st.just(("deliver", rid)),
+        st.tuples(st.just("hop"), st.just(rid), st.sampled_from(RESOURCES),
+                  st.booleans(), _cycles, _cycles, _cycles),
+        st.tuples(st.just("transient"), st.just(rid), _cycles),
+        st.tuples(st.just("ecc"), st.just(rid), _cycles),
+        st.tuples(st.just("reroute"), st.just(rid)),
+    ), max_size=2))
+    return script
+
+
+@st.composite
+def _programs(draw):
+    """Interleaved request lifecycles plus stray signals."""
+    queues = [draw(_lifecycle(rid)) for rid in range(draw(st.integers(0, 9)))]
+    queues += [[op] for op in draw(st.lists(_noise, max_size=15))]
+    program = []
+    while queues:
+        k = draw(st.integers(0, len(queues) - 1))
+        program.append(queues[k].pop(0))
+        if not queues[k]:
+            queues.pop(k)
+    return program
+
+
+def _play(program, collectors) -> None:
+    """Emit ``program`` on a fresh bus the ``collectors`` listen to.
+    Request ids are born once each (as the process-wide counter
+    guarantees); ``net.span`` records honour the packets' trace mark."""
+    bus = SignalBus()
+    for collector in collectors:
+        collector.attach(bus)
+    packets = {}
+    born = set()
+    now = 0.0
+
+    def packet(rid):
+        if rid not in packets:
+            packets[rid] = _Packet(rid)
+        return packets[rid]
+
+    def span(pkt, name, is_reply, is_write, svc, wait, blocked):
+        if pkt.trace:
+            end = now + wait + svc
+            bus.signal("net.span").emit(
+                (name, pkt.request_id, is_reply, is_write, svc, now, end,
+                 end + blocked)
+            )
+
+    for op in program:
+        kind = op[0]
+        if kind == "birth":
+            _, rid, origin = op
+            if rid in born:
+                continue
+            born.add(rid)
+            pkt = packet(rid)
+            pkt.kind = KINDS[origin]
+            pkt.words = 2 if origin in ("store", "sync") else 1
+            bus.signal("req.birth", key=pkt.src).emit(pkt, origin, now)
+        elif kind == "hop":
+            _, rid, name, is_reply, svc, wait, blocked = op
+            span(packet(rid), name, is_reply, False, svc, wait, blocked)
+        elif kind == "gm":
+            _, rid, module, is_write, svc, wait, blocked = op
+            span(packet(rid), f"gm[{module}]", False, is_write, svc, wait,
+                 blocked)
+        elif kind == "gsvc":
+            _, rid, module, cycles = op
+            bus.signal("gmem.service", key=module).emit(
+                module, packet(rid), now, cycles
+            )
+        elif kind == "deliver":
+            pkt = packet(op[1])
+            bus.signal("req.deliver", key=pkt.src).emit(pkt, now)
+        elif kind == "sync":
+            _, rid, success = op
+            pkt = packet(rid)
+            bus.signal("sync.op", key=0).emit(0, pkt.address, now, pkt, success)
+        elif kind == "transient":
+            _, rid, cycles = op
+            bus.signal("fault.transient").emit(
+                _Resource("fwd.s0[1]"), packet(rid), now, cycles
+            )
+        elif kind == "ecc":
+            _, rid, cycles = op
+            bus.signal("fault.ecc").emit(1, packet(rid), now, cycles)
+        elif kind == "reroute":
+            bus.signal("fault.reroute").emit("forward", packet(op[1]), now)
+        elif kind == "timeout":
+            _, address, cycles = op
+            bus.signal("fault.sync_timeout").emit(2, address, now, cycles)
+        elif kind == "advance":
+            now += op[1]
+        else:
+            for collector in collectors:
+                collector._drain()
+    for collector in collectors:
+        collector.detach()
+
+
+def _same(a, b) -> None:
+    assert json.dumps(a) == json.dumps(b)
+
+
+def _check_buffered(program, mine, oracle) -> None:
+    _play(program, [mine])
+    _play(program, [oracle])
+    _same(mine.spans(), oracle.spans())
+    expected = oracle_summary(oracle.complete_spans(), oracle.dropped)
+    _same(LatencyAnalysis.from_collector(mine).summary(), expected)
+    _same(LatencyAnalysis(mine.complete_spans(), dropped=mine.dropped).summary(),
+          expected)
+
+
+def _check_streaming(program, mine, oracle) -> None:
+    mine.DRAIN_THRESHOLD = 5 * 8  # many drains, each compacting
+    _play(program, [mine])
+    _play(program, [oracle])
+    _same(mine.spans(), oracle.spans())
+    _same(StreamingLatencyAnalysis.from_store(mine).summary(),
+          StreamingLatencyAnalysis.from_store(oracle).summary())
+
+
+@settings(max_examples=150, deadline=None)
+@given(program=_programs(), cap=st.sampled_from((1, 2, 4, 1000)))
+def test_buffered_collector_matches_oracle(program, cap):
+    _check_buffered(program, SpanCollector(max_requests=cap),
+                    OracleSpanCollector(max_requests=cap))
+
+
+@settings(max_examples=100, deadline=None)
+@given(program=_programs(), cap=st.sampled_from((2, 1000)))
+def test_sampled_collector_matches_oracle(program, cap):
+    _check_buffered(program, SampledSpanCollector(every=3, max_requests=cap),
+                    OracleSampledSpanCollector(every=3, max_requests=cap))
+
+
+@settings(max_examples=150, deadline=None)
+@given(program=_programs(), cap=st.sampled_from((1, 2, 4, 1000)),
+       exemplars=st.sampled_from((1, 2, 64)), seed=st.integers(0, 3))
+def test_streaming_store_matches_oracle(program, cap, exemplars, seed):
+    _check_streaming(
+        program,
+        StreamingSpanStore(max_requests=cap, exemplars=exemplars, seed=seed),
+        OracleStreamingSpanStore(max_requests=cap, exemplars=exemplars,
+                                 seed=seed),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(program=_programs(), cap=st.sampled_from((2, 1000)))
+def test_sampled_streaming_store_matches_oracle(program, cap):
+    _check_streaming(
+        program,
+        SampledStreamingSpanStore(every=3, max_requests=cap, exemplars=2),
+        OracleSampledStreamingSpanStore(every=3, max_requests=cap,
+                                        exemplars=2),
+    )
+
+
+def test_streaming_fold_across_many_drains():
+    """Hundreds of overlapping requests with non-dyadic timings, drained
+    every few records: the running stage sums (sequential across
+    drains), sketches, reservoir and in-flight carry-over match the
+    span-by-span fold."""
+    rng = random.Random(5)
+    values = (0.1, 0.3, 0.7, 1.1, 2.9)
+    scripts = []
+    for rid in range(400):
+        origin = rng.choice(ORIGINS)
+        hops = [("hop", rid, rng.choice(RESOURCES), False,
+                 *rng.choices(values, k=3)) for _ in range(rng.randint(1, 3))]
+        script = [("birth", rid, origin), *hops,
+                  ("gsvc", rid, rid % 3, rng.choice(values)),
+                  ("gm", rid, rid % 3, origin == "store",
+                   *rng.choices(values, k=3))]
+        if origin != "store":
+            script += [("hop", rid, rng.choice(RESOURCES), True,
+                        *rng.choices(values, k=3)), ("deliver", rid)]
+        scripts.append(script)
+    program = []
+    active = []
+    while scripts or active:
+        if scripts and len(active) < 40:
+            active.append(scripts.pop(0))
+        script = rng.choice(active)
+        program += [script.pop(0), ("advance", rng.choice(values))]
+        if not script:
+            active.remove(script)
+    mine = StreamingSpanStore(exemplars=8, seed=1)
+    oracle = OracleStreamingSpanStore(exemplars=8, seed=1)
+    _check_streaming(program, mine, oracle)
+    assert oracle.spans()["complete"] == 400
+
+
+def test_cg_under_faults_matches_oracle(monkeypatch):
+    """A machine run with transient, ECC and sync faults: all four
+    collectors hear the same bus."""
+    from repro.core.config import CedarConfig
+    from repro.core.context import add_context_observer, remove_context_observer
+    from repro.experiments.kernels_sim import _run
+    from repro.faults import FaultPlan
+    from repro.network import packet
+
+    monkeypatch.setattr(packet, "_packet_ids", itertools.count())
+    attached = []
+
+    def observe(ctx):
+        attached.append([
+            collector.attach(ctx.bus) for collector in (
+                SpanCollector(), OracleSpanCollector(),
+                StreamingSpanStore(), OracleStreamingSpanStore(),
+            )
+        ])
+
+    observer = add_context_observer(observe)
+    try:
+        _run(CedarConfig(faults=FaultPlan.uniform(0.05, seed=13)), "CG", 8,
+             True, 1)
+    finally:
+        remove_context_observer(observer)
+    (collectors,) = attached
+    for collector in collectors:
+        collector.detach()
+    mine, oracle, stream, stream_oracle = collectors
+    doc = mine.spans()
+    assert doc["complete"] > 0
+    assert any("faults" in r for r in doc["requests"])
+    _same(doc, oracle.spans())
+    _same(LatencyAnalysis.from_collector(mine).summary(),
+          oracle_summary(oracle.complete_spans(), oracle.dropped))
+    _same(stream.spans(), stream_oracle.spans())
+    _same(StreamingLatencyAnalysis.from_store(stream).summary(),
+          StreamingLatencyAnalysis.from_store(stream_oracle).summary())
+
+
+def test_report_path_builds_no_request_spans(monkeypatch):
+    """run-all's default reports fold the record stream directly: no
+    RequestSpan is constructed for the latency summary."""
+    from repro.cluster.ce import AwaitStream, GlobalLoad, StartPrefetch
+    from repro.core.config import CedarConfig
+    from repro.core.machine import CedarMachine
+    from repro.monitor.report import ReportCollector
+
+    built = []
+    init = RequestSpan.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    def program(port):
+        stream = yield StartPrefetch(length=8, stride=1, address=64 * port)
+        yield AwaitStream(stream)
+        yield GlobalLoad(length=4, stride=1, address=4096 + 64 * port)
+
+    monkeypatch.setattr(RequestSpan, "__init__", counting_init)
+    with ReportCollector() as collector:
+        CedarMachine(CedarConfig()).run_programs(
+            {port: program(port) for port in range(8)}
+        )
+        (record,) = collector.machine_dicts()
+    assert record["latency"]["requests"] > 0
+    assert record["latency"]["bottleneck"] is not None
+    assert built == []
