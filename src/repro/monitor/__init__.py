@@ -78,10 +78,8 @@ _EXPORTS = {
     "SpanCollector": "repro.monitor.spans",
     "validate_spans": "repro.monitor.spans",
     "validate_spans_file": "repro.monitor.spans",
-    "SampledSpanCollector": "repro.monitor.sampling",
     "ExemplarReservoir": "repro.monitor.sketch",
     "QuantileSketch": "repro.monitor.sketch",
-    "SampledStreamingSpanStore": "repro.monitor.streamstore",
     "StreamingLatencyAnalysis": "repro.monitor.streamstore",
     "StreamingSpanStore": "repro.monitor.streamstore",
     "DEFAULT_TELEMETRY_DIR": "repro.monitor.telemetry",
@@ -164,8 +162,6 @@ __all__ = [
     "render_compare",
     "validate_telemetry",
     "validate_telemetry_file",
-    "SampledSpanCollector",
-    "SampledStreamingSpanStore",
     "StreamingLatencyAnalysis",
     "StreamingSpanStore",
     "ExemplarReservoir",

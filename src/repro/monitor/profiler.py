@@ -1,10 +1,9 @@
 """Host-time hotspot attribution: where the *wall-clock* goes.
 
 Everything else in the monitor package measures simulated time; this
-module measures the simulator itself.  The sim trajectory in
-``BENCH_sim.json`` shows the engine plateauing around a few hundred
-thousand events per second, and any rework of the hot path needs to
-know *which frames* hold the plateau before anything is worth
+module measures the simulator itself.  ``python -m bench`` says how
+fast the simulator is end to end; any rework of the hot path also needs
+to know *which frames* hold the time before anything is worth
 rewriting.
 
 :func:`profile_call` runs a callable under :mod:`cProfile` and folds

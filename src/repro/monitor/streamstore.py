@@ -64,15 +64,14 @@ from repro.monitor.spans import (
     _phase_columns,
     hop_segments,
 )
-from repro.monitor.sampling import SampledSpanCollector
 
 
-class _StreamingMixin:
-    """The fold-and-release behaviour, factored so it layers over either
-    the full collector or the sampling collector (sample, then stream).
-
-    Classes mixing this in call :meth:`_stream_init` at the end of their
-    ``__init__`` and must precede a :class:`SpanCollector` in the MRO.
+class StreamingSpanStore(SpanCollector):
+    """Full tracing with streaming folds: every request is traced, none
+    is retained past completion.  ``max_requests`` bounds the *in-flight*
+    set only (completed spans are released immediately); at the cap the
+    oldest in-flight span is evicted into the exemplar reservoir rather
+    than dropping the new birth.
 
     A completion releases the request's stitching state at once (later
     records for it are ignored, and it no longer counts against the
@@ -91,8 +90,11 @@ class _StreamingMixin:
     #: default exemplar reservoir size (slowest K + most recent K).
     DEFAULT_EXEMPLARS = 64
 
-    def _stream_init(self, relative_error: float, exemplars: int,
-                     seed: int) -> None:
+    def __init__(self, relative_error: float = DEFAULT_RELATIVE_ERROR,
+                 exemplars: int = DEFAULT_EXEMPLARS,
+                 seed: int = 0,
+                 max_requests: int = SpanCollector.DEFAULT_MAX_REQUESTS) -> None:
+        super().__init__(max_requests=max_requests)
         self.relative_error = relative_error
         #: end-to-end latency sketches: ``"all"`` plus one per origin.
         self.latency_sketches: Dict[str, QuantileSketch] = {
@@ -167,9 +169,6 @@ class _StreamingMixin:
             self._svc.pop(rid, None), self._sync.pop(rid, None),
             self._faults.pop(rid, None),
         )
-        traced = getattr(self, "_traced", None)
-        if traced is not None:
-            traced.discard(rid)
 
     def _fold(self) -> None:
         """Fold this drain's completions, in completion order, into the
@@ -294,8 +293,7 @@ class _StreamingMixin:
         """The K most recent incomplete spans: cap-evicted ones held in
         the reservoir merged with the current in-flight tail.  A
         non-mutating snapshot — an in-flight span that completes after
-        this call folds normally."""
-        self._drain()
+        this call folds normally.  The caller drains first."""
         buf = self._events
         requests = self._requests
         k = self.exemplars.k
@@ -361,47 +359,6 @@ class _StreamingMixin:
                 ],
             },
         }
-        return doc
-
-    def write(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.spans(), fh)
-
-
-class StreamingSpanStore(_StreamingMixin, SpanCollector):
-    """Full tracing with streaming folds: every request is traced, none
-    is retained past completion.  ``max_requests`` bounds the *in-flight*
-    set only (completed spans are released immediately); at the cap the
-    oldest in-flight span is evicted into the exemplar reservoir rather
-    than dropping the new birth.
-    """
-
-    def __init__(self, relative_error: float = DEFAULT_RELATIVE_ERROR,
-                 exemplars: int = _StreamingMixin.DEFAULT_EXEMPLARS,
-                 seed: int = 0,
-                 max_requests: int = SpanCollector.DEFAULT_MAX_REQUESTS) -> None:
-        super().__init__(max_requests=max_requests)
-        self._stream_init(relative_error, exemplars, seed)
-
-
-class SampledStreamingSpanStore(_StreamingMixin, SampledSpanCollector):
-    """Sample, then stream: every ``every``-th request is traced end to
-    end (deterministic birth-counter selection, exactly as
-    :class:`~repro.monitor.sampling.SampledSpanCollector`) and folded
-    into the bounded sketch state on completion."""
-
-    def __init__(self, every: int = 16,
-                 relative_error: float = DEFAULT_RELATIVE_ERROR,
-                 exemplars: int = _StreamingMixin.DEFAULT_EXEMPLARS,
-                 seed: int = 0,
-                 max_requests: int = SpanCollector.DEFAULT_MAX_REQUESTS) -> None:
-        super().__init__(every=every, max_requests=max_requests)
-        self._stream_init(relative_error, exemplars, seed)
-
-    def spans(self) -> dict:
-        doc = super().spans()
-        doc["sampled_every"] = self.every
-        doc["sampled_out"] = self.sampled_out
         return doc
 
 
@@ -486,7 +443,6 @@ class StreamingLatencyAnalysis:
                  stage_totals: Dict[str, Sequence[float]],
                  stage_sketches: Dict[str, QuantileSketch],
                  exemplar_spans: Sequence[RequestSpan],
-                 incomplete_exemplars: Sequence[RequestSpan] = (),
                  dropped: int = 0, evicted: int = 0,
                  reconciliation_worst: float = 0.0,
                  reconciliation_violations: int = 0) -> None:
@@ -498,7 +454,6 @@ class StreamingLatencyAnalysis:
         self.spans = [
             s for s in exemplar_spans if s.complete and s.phases() is not None
         ]
-        self.incomplete_exemplars = list(incomplete_exemplars)
         self.dropped = dropped
         self.evicted = evicted
         self._reconciliation_worst = reconciliation_worst
@@ -513,7 +468,6 @@ class StreamingLatencyAnalysis:
             stage_totals=store.stage_totals,
             stage_sketches=store.stage_sketches,
             exemplar_spans=store.exemplars.slowest(),
-            incomplete_exemplars=store._incomplete_exemplars(),
             dropped=store.dropped,
             evicted=store.evicted,
             reconciliation_worst=store.reconciliation_worst,
@@ -534,7 +488,6 @@ class StreamingLatencyAnalysis:
         stages = {k: s.copy() for k, s in first.stage_sketches.items()}
         totals = {k: list(v) for k, v in first.stage_totals.items()}
         exemplar_spans = list(first.spans)
-        incompletes = list(first.incomplete_exemplars)
         dropped, evicted = first.dropped, first.evicted
         worst = first._reconciliation_worst
         violations = first._reconciliation_violations
@@ -555,7 +508,6 @@ class StreamingLatencyAnalysis:
                 for i in range(4):
                     mine[i] += entry[i]
             exemplar_spans.extend(other.spans)
-            incompletes.extend(other.incomplete_exemplars)
             dropped += other.dropped
             evicted += other.evicted
             worst = max(worst, other._reconciliation_worst)
@@ -565,7 +517,6 @@ class StreamingLatencyAnalysis:
             latency_sketches=latency, phase_sketches=phases,
             stage_totals=totals, stage_sketches=stages,
             exemplar_spans=exemplar_spans,
-            incomplete_exemplars=incompletes,
             dropped=dropped, evicted=evicted,
             reconciliation_worst=worst,
             reconciliation_violations=violations,

@@ -91,21 +91,12 @@ class Packet:
     by a request packet and its reply — the span id the request-tracing
     layer (:mod:`repro.monitor.spans`) stitches on.  Assigned at the
     birth site unconditionally; it never feeds back into timing, so
-    untraced runs stay bit-identical, and packets carry no *other*
-    tracing state when no collector subscribes.
+    untraced runs stay bit-identical, and packets carry no other
+    tracing state.
 
     ``is_reply`` is precomputed from ``kind`` (and kept in sync by
     :meth:`become_reply`) so hot monitors read an attribute, not a
     property.
-
-    ``trace`` is the sampling mark: ``net.span`` occupancy records are
-    emitted only for packets whose mark is set.  It defaults True (full
-    tracing sees everything) and survives :meth:`become_reply`; a
-    sampling collector clears it at birth for the references it skips,
-    so an unsampled reference costs two attribute loads per hop instead
-    of a record build.  The mark is observational metadata — nothing in
-    the machine model reads it, so cycles stay bit-identical whatever
-    its value.
     """
 
     __slots__ = (
@@ -118,7 +109,6 @@ class Packet:
         "meta",
         "injected_at",
         "is_reply",
-        "trace",
         "_pooled",
     )
 
@@ -146,7 +136,6 @@ class Packet:
         self.meta: Dict[str, Any] = {} if meta is None else meta
         self.injected_at = injected_at
         self.is_reply = kind in _REPLY_KINDS
-        self.trace = True
         self._pooled = False
 
     # -- recycling ---------------------------------------------------------
@@ -176,7 +165,6 @@ class Packet:
             packet.meta.clear()
             packet.injected_at = None
             packet.is_reply = kind in _REPLY_KINDS
-            packet.trace = True
             packet._pooled = False
             return packet
         return cls(kind, src, dst, address, words=words)

@@ -326,17 +326,14 @@ class Resource:
             # is ``list.extend`` itself, so the record tuple dies the
             # moment the inlined callback loop returns — no Python
             # frame per emission, and no surviving GC-tracked object to
-            # swell collection pauses on long traced runs.  The packet's
-            # ``trace`` mark gates the build: a sampled-out reference
-            # costs exactly these two attribute loads per hop.
+            # swell collection pauses on long traced runs.
             pkt = transit.packet
-            if pkt.trace:
-                rec = (self.name, pkt.request_id, pkt.is_reply,
-                       pkt.kind is _WRITE_REQ,
-                       self.fixed_cycles + pkt.words / self.words_per_cycle,
-                       transit.enq_t, transit.svc_t, now)
-                for cb in cbs:
-                    cb(rec)
+            rec = (self.name, pkt.request_id, pkt.is_reply,
+                   pkt.kind is _WRITE_REQ,
+                   self.fixed_cycles + pkt.words / self.words_per_cycle,
+                   transit.enq_t, transit.svc_t, now)
+            for cb in cbs:
+                cb(rec)
 
     def _advance(self) -> None:
         """After a departure: wake upstream waiters, start next service."""
@@ -517,7 +514,7 @@ def _finish_batch(eng: Engine, batch: List[list], i: int, n: int):
                     res.fixed_cycles + words / res.words_per_cycle,
                     now,
                 )
-            if span_cbs and packet.trace:
+            if span_cbs:
                 span = (res.name, packet.request_id, packet.is_reply,
                         packet.kind is _WRITE_REQ,
                         res.fixed_cycles + words / res.words_per_cycle,

@@ -215,61 +215,12 @@ class OracleSpanCollector:
         }
 
 
-class OracleSampledSpanCollector(OracleSpanCollector):
-    """Every ``every``-th birth traced end to end."""
-
-    def __init__(self, every: int = 16, max_requests: int = 200_000) -> None:
-        super().__init__(max_requests=max_requests)
-        self.every = every
-        self.births_seen = 0
-        self.sampled_out = 0
-        self._traced = set()
-
-    def _on_req_birth(self, packet, origin, time) -> None:
-        k = self.births_seen
-        self.births_seen = k + 1
-        if k % self.every:
-            self.sampled_out += 1
-            packet.trace = False
-            return
-        self._traced.add(packet.request_id)
-        super()._on_req_birth(packet, origin, time)
-
-    def _on_req_deliver(self, packet, time) -> None:
-        if packet.request_id in self._traced:
-            super()._on_req_deliver(packet, time)
-
-    def _on_gmem_service(self, module, packet, time, cycles) -> None:
-        if packet.request_id in self._traced:
-            super()._on_gmem_service(module, packet, time, cycles)
-
-    def _on_sync_op(self, module, address, time, packet, success) -> None:
-        if packet.request_id in self._traced:
-            super()._on_sync_op(module, address, time, packet, success)
-
-    def _on_fault_transient(self, resource, packet, time, backoff_cycles) -> None:
-        if packet.request_id in self._traced:
-            super()._on_fault_transient(resource, packet, time, backoff_cycles)
-
-    def _on_fault_ecc(self, module, packet, time, stall_cycles) -> None:
-        if packet.request_id in self._traced:
-            super()._on_fault_ecc(module, packet, time, stall_cycles)
-
-    def _on_fault_reroute(self, network, packet, time) -> None:
-        if packet.request_id in self._traced:
-            super()._on_fault_reroute(network, packet, time)
-
-    def spans(self) -> dict:
-        doc = super().spans()
-        doc["sampled_every"] = self.every
-        doc["sampled_out"] = self.sampled_out
-        return doc
-
-
-class _OracleStreaming:
+class OracleStreamingSpanStore(OracleSpanCollector):
     """Fold each span into the sketches the moment it completes."""
 
-    def _stream_init(self, relative_error, exemplars, seed) -> None:
+    def __init__(self, relative_error=DEFAULT_RELATIVE_ERROR, exemplars=64,
+                 seed=0, max_requests=200_000) -> None:
+        super().__init__(max_requests=max_requests)
         self.relative_error = relative_error
         self.latency_sketches = {"all": QuantileSketch(relative_error)}
         self.phase_sketches = {p: QuantileSketch(relative_error) for p in PHASES}
@@ -294,9 +245,6 @@ class _OracleStreaming:
         super()._finish(span, time)
         self._fold(span)
         del self._requests[span.request_id]
-        traced = getattr(self, "_traced", None)
-        if traced is not None:
-            traced.discard(span.request_id)
 
     def _fold(self, span) -> None:
         phases = span.phases()
@@ -354,7 +302,7 @@ class _OracleStreaming:
     def spans(self) -> dict:
         self._drain()
         incomplete = [s for s in self._requests.values() if not s.complete]
-        doc = {
+        return {
             "version": STREAM_SPANS_VERSION,
             "mode": "streaming",
             "complete": self._completed,
@@ -385,26 +333,6 @@ class _OracleStreaming:
                 "incomplete": [s.to_dict() for s in self._incomplete_exemplars()],
             },
         }
-        sampled = getattr(self, "every", None)
-        if sampled is not None:
-            doc["sampled_every"] = sampled
-            doc["sampled_out"] = self.sampled_out
-        return doc
-
-
-class OracleStreamingSpanStore(_OracleStreaming, OracleSpanCollector):
-    def __init__(self, relative_error=DEFAULT_RELATIVE_ERROR, exemplars=64,
-                 seed=0, max_requests=200_000) -> None:
-        super().__init__(max_requests=max_requests)
-        self._stream_init(relative_error, exemplars, seed)
-
-
-class OracleSampledStreamingSpanStore(_OracleStreaming,
-                                      OracleSampledSpanCollector):
-    def __init__(self, every=16, relative_error=DEFAULT_RELATIVE_ERROR,
-                 exemplars=64, seed=0, max_requests=200_000) -> None:
-        super().__init__(every=every, max_requests=max_requests)
-        self._stream_init(relative_error, exemplars, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -80,7 +80,6 @@ class TestNoStaleState:
         packet.meta["pfu_stream"] = 7
         packet.meta["faults"] = ["transient@fwd.s0"]
         packet.injected_at = 123.0
-        packet.trace = False  # a sampling collector skipped it
         packet.become_reply(PacketKind.READ_REPLY, words=1)
         assert packet.is_reply
         packet.release()
@@ -90,7 +89,6 @@ class TestNoStaleState:
         assert recycled.request_id > old_id  # a *new* reference identity
         assert recycled.meta == {}  # no fault annotations, no stream tags
         assert recycled.injected_at is None
-        assert recycled.trace is True  # sampling marks never leak
         assert recycled.is_reply is False
         assert (recycled.kind, recycled.src, recycled.dst) == (
             PacketKind.READ_REQ, 4, 5)
@@ -106,7 +104,6 @@ class TestNoStaleState:
         assert (reply.src, reply.dst) == (9, 2)  # direction reversed
         assert reply.is_reply
         assert reply.meta["pfu_stream"] == 3  # handler metadata survives
-        assert reply.trace is True  # the mark rides through the turnaround
 
 
 class TestBitIdentity:

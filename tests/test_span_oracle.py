@@ -7,7 +7,7 @@ run span by span.  Hypothesis drives both with the same synthetic
 signal programs — unknown request ids, hops after completion, duplicate
 delivers, stores completing at the memory module, sync timeouts,
 faults, small request caps (buffered cap-drop and streaming eviction),
-sampling, drains at arbitrary points — and requires byte-identical
+drains at arbitrary points — and requires byte-identical
 summaries and documents.  One machine-level case runs CG under faults.
 """
 
@@ -17,18 +17,11 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.monitor.sampling import SampledSpanCollector
 from repro.monitor.signals import SignalBus
 from repro.monitor.spans import LatencyAnalysis, RequestSpan, SpanCollector
-from repro.monitor.streamstore import (
-    SampledStreamingSpanStore,
-    StreamingLatencyAnalysis,
-    StreamingSpanStore,
-)
+from repro.monitor.streamstore import StreamingLatencyAnalysis, StreamingSpanStore
 from repro.network.packet import PacketKind
 from tests.span_oracle import (
-    OracleSampledSpanCollector,
-    OracleSampledStreamingSpanStore,
     OracleSpanCollector,
     OracleStreamingSpanStore,
     oracle_summary,
@@ -53,7 +46,6 @@ class _Packet:
         self.kind = PacketKind.READ_REQ
         self.words = 1
         self.meta = {"sync": None}
-        self.trace = True
 
 
 class _Resource:
@@ -143,7 +135,7 @@ def _programs(draw):
 def _play(program, collectors) -> None:
     """Emit ``program`` on a fresh bus the ``collectors`` listen to.
     Request ids are born once each (as the process-wide counter
-    guarantees); ``net.span`` records honour the packets' trace mark."""
+    guarantees)."""
     bus = SignalBus()
     for collector in collectors:
         collector.attach(bus)
@@ -157,12 +149,11 @@ def _play(program, collectors) -> None:
         return packets[rid]
 
     def span(pkt, name, is_reply, is_write, svc, wait, blocked):
-        if pkt.trace:
-            end = now + wait + svc
-            bus.signal("net.span").emit(
-                (name, pkt.request_id, is_reply, is_write, svc, now, end,
-                 end + blocked)
-            )
+        end = now + wait + svc
+        bus.signal("net.span").emit(
+            (name, pkt.request_id, is_reply, is_write, svc, now, end,
+             end + blocked)
+        )
 
     for op in program:
         kind = op[0]
@@ -246,13 +237,6 @@ def test_buffered_collector_matches_oracle(program, cap):
                     OracleSpanCollector(max_requests=cap))
 
 
-@settings(max_examples=100, deadline=None)
-@given(program=_programs(), cap=st.sampled_from((2, 1000)))
-def test_sampled_collector_matches_oracle(program, cap):
-    _check_buffered(program, SampledSpanCollector(every=3, max_requests=cap),
-                    OracleSampledSpanCollector(every=3, max_requests=cap))
-
-
 @settings(max_examples=150, deadline=None)
 @given(program=_programs(), cap=st.sampled_from((1, 2, 4, 1000)),
        exemplars=st.sampled_from((1, 2, 64)), seed=st.integers(0, 3))
@@ -262,17 +246,6 @@ def test_streaming_store_matches_oracle(program, cap, exemplars, seed):
         StreamingSpanStore(max_requests=cap, exemplars=exemplars, seed=seed),
         OracleStreamingSpanStore(max_requests=cap, exemplars=exemplars,
                                  seed=seed),
-    )
-
-
-@settings(max_examples=100, deadline=None)
-@given(program=_programs(), cap=st.sampled_from((2, 1000)))
-def test_sampled_streaming_store_matches_oracle(program, cap):
-    _check_streaming(
-        program,
-        SampledStreamingSpanStore(every=3, max_requests=cap, exemplars=2),
-        OracleSampledStreamingSpanStore(every=3, max_requests=cap,
-                                        exemplars=2),
     )
 
 

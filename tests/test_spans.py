@@ -17,7 +17,6 @@ from repro.cluster.ce import (
     SyncInstruction,
 )
 from repro.monitor.histogram import Histogrammer
-from repro.monitor.sampling import SampledSpanCollector
 from repro.monitor.spans import (
     HopSpan,
     LatencyAnalysis,
@@ -171,17 +170,6 @@ class TestHopView:
         hops[0].depart = -1.0
         hops.clear()
         assert [hop.to_dict() for hop in span.hops] == before
-
-    def test_sampled_spans_carry_hops(self):
-        collector, records = self._recorded_run(SampledSpanCollector(every=2))
-        spans = collector.complete_spans()
-        assert spans
-        for span in spans:
-            assert span.hops
-            assert len(span.hops) == sum(
-                1 for r in records
-                if r[1] == span.request_id and not r[0].startswith("gm[")
-            )
 
 
 class TestOrphans:

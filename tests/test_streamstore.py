@@ -19,7 +19,6 @@ from repro.monitor.spans import (
     validate_spans_file,
 )
 from repro.monitor.streamstore import (
-    SampledStreamingSpanStore,
     StreamingLatencyAnalysis,
     StreamingSpanStore,
     merge_streaming_docs,
@@ -213,19 +212,6 @@ class TestStreamingSchema:
             s.latency_sketches["all"].count for s in stores
         )
         assert merged.end_to_end()["all"]["count"] == merged.requests
-
-
-class TestSampledStreaming:
-    def test_sample_then_stream(self):
-        machine = CedarMachine(CedarConfig())
-        store = SampledStreamingSpanStore(every=4).attach(machine.bus)
-        machine.run_programs(_programs())
-        doc = store.spans()
-        assert doc["sampled_every"] == 4
-        assert doc["sampled_out"] > 0
-        assert doc["complete"] > 0
-        validate_spans(doc)
-        assert store._requests == {}
 
 
 class TestStreamingRenderers:

@@ -70,29 +70,6 @@ class TestZeroCost:
         assert sum(c.completed for c in collectors) > 0  # spans were stitched
         assert traced == baseline
 
-    def test_sampled_span_collector_does_not_change_cycles(self):
-        """Sampling observes through the same cached net.span channels
-        and additionally writes the packets' ``trace`` marks — pure
-        observational metadata that must leave cycles bit-identical."""
-        from repro.monitor.sampling import SampledSpanCollector
-
-        baseline = measure()
-        collectors = []
-        observer = add_context_observer(
-            lambda ctx: collectors.append(
-                SampledSpanCollector(every=4).attach(ctx.bus)
-            )
-        )
-        try:
-            sampled = measure()
-        finally:
-            remove_context_observer(observer)
-            for collector in collectors:
-                collector.detach()
-        assert sum(c.completed for c in collectors) > 0
-        assert sum(c.sampled_out for c in collectors) > 0  # really thinned
-        assert sampled == baseline
-
     def test_timeline_recorder_does_not_change_cycles(self):
         """Interval sampling rides the engine pulse, which only *reads*
         machine state: a timeline-enabled run must be cycle-bit-identical
