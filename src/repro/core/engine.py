@@ -14,7 +14,7 @@ cancellation is O(1) and cancelled slots are skipped (and reclaimed)
 when their turn comes.
 
 Executed records are recycled through a bounded **free list** instead
-of being re-allocated per event: the run loops push each drained
+of being re-allocated per event: the drain pushes each dispatched
 record (blanked of its callback and args) onto the free list and
 ``schedule`` / ``schedule_after`` refill from it, so steady-state
 scheduling allocates nothing.  The cancellation contract is therefore
@@ -42,19 +42,17 @@ engine is built around that:
   cycles instead of the number of events), and a bucket's append order
   *is* scheduling order, so a popped bucket IS the dispatch order with
   no sort and no sequence stamp;
-* the unbounded drain pops one whole timestamp bucket per transaction,
-  stores the clock once per batch, and hands consecutive events bound
-  to the same underlying function to a registered **group handler**
-  (:func:`register_batch_handler`) in one Python call instead of one
-  frame per event.  Group handlers inline hot callback chains (see
+* the drain (:meth:`Engine.run`) pops one whole timestamp bucket per
+  transaction, stores the clock once per batch, and hands consecutive
+  events bound to the same underlying function to a registered **group
+  handler** (:func:`register_batch_handler`) in one Python call instead
+  of one frame per event.  Group handlers inline hot callback chains (see
   ``repro.network.resource``) while performing the identical state
   mutations in the identical order as calling each record in turn;
 * an armed :class:`Watchdog` rides the drain: it is checked at the
   first batch boundary after every ``check_every`` events, so a check
-  can come up to one timestamp bucket late;
-* bounded runs (``until`` / ``max_events`` / ``stop_when``) take a
-  **checked loop** over the same buckets: one callback per Python
-  call, with per-event bound, predicate and watchdog checks.
+  can come up to one timestamp bucket late.  Its budgets are how a run
+  is bounded; the drain itself takes no bound.
 
 The reference semantics — a plain next-event heap with FIFO ties — live
 outside the package, in the test oracle ``tests/engine_oracle.py``;
@@ -97,8 +95,7 @@ class SimulationError(RuntimeError):
 # whose record's callback is a bound method of its registered function
 # (e.g. a ``Resource._finish`` due this cycle) and dispatches the
 # maximal run of such records in one Python call.  The registry is
-# keyed on the unbound function object; only the engine's unbounded
-# drain consults it.
+# keyed on the unbound function object; the engine's drain consults it.
 
 #: unbound function -> ``handler(engine, batch, i, n) -> (next_i, executed)``.
 #: The handler must consume records from ``batch[i]`` forward, in
@@ -149,9 +146,9 @@ class Watchdog:
     """Run supervisor: budgets and no-progress (livelock) detection.
 
     Attach to an engine with :meth:`Engine.attach_watchdog`; every
-    ``check_every`` processed events the watchdog verifies (unbounded
-    drains check at the next timestamp-bucket boundary, so a check can
-    come up to one bucket late; bounded runs check on the exact event):
+    ``check_every`` processed events the watchdog verifies (the drain
+    checks at the next timestamp-bucket boundary, so a check can come
+    up to one bucket late):
 
     * **cycle budget** — simulated cycles consumed since arming stay
       within ``max_cycles``;
@@ -268,17 +265,14 @@ class Engine:
     >>> hits
     [5]
 
-    **Resume contract**: ``run(until=T)`` dispatches every event due at
-    or before ``T`` and leaves every event scheduled after ``T`` on the
-    queue.  While anything is still queued after ``T`` (a cancelled
-    slot counts until it is reclaimed), ``now`` advances to exactly
-    ``T``; when the queue drains first, ``now`` stays at the last
-    timestamp drained (``schedule(3); run(until=10)`` leaves
-    ``now == 3``).  A subsequent ``run()`` (or ``run(until=T2)``)
-    continues from the preserved queue with no events lost, duplicated,
-    or reordered — bounded runs compose: ``run(until=a); run()``
-    processes the same events at the same times as a single unbounded
-    ``run()``.
+    **Resume contract**: a run stops early after the event that calls
+    :meth:`request_stop`, or when an exception (a raising callback, a
+    :class:`WatchdogError`) escapes it.  Either way ``now`` stays at
+    the timestamp being drained, and the unconsumed rest of that
+    timestamp stays queued *ahead of* anything scheduled at it since.
+    A subsequent ``run()`` continues from the preserved queue with no
+    events lost, duplicated, or reordered — runs cut by
+    ``request_stop`` compose like one uninterrupted ``run()``.
     """
 
     __slots__ = (
@@ -317,7 +311,7 @@ class Engine:
         self._events_processed = 0
         self._cancelled = 0
         self._stop_requested = False
-        #: wall-clock seconds spent inside run loops (self-metrics).
+        #: wall-clock seconds spent inside runs (self-metrics).
         self._run_wall_s = 0.0
         self._runs = 0
         #: armed run supervisor; None runs unchecked.
@@ -406,11 +400,10 @@ class Engine:
         return True
 
     def request_stop(self) -> None:
-        """Ask the running loop to stop after the current event.
+        """Ask the running drain to stop after the current event.
 
-        Cheaper than a ``stop_when`` predicate (a flag check instead of
-        a callback per event); used by completion-counting drivers like
-        :meth:`~repro.core.machine.CedarMachine.run_programs`.
+        A flag checked after every dispatch; completion-counting drivers
+        like :meth:`~repro.core.machine.CedarMachine.run_programs` use it.
         """
         self._stop_requested = True
 
@@ -430,118 +423,15 @@ class Engine:
             rest.extend(existing)
             buckets[when] = rest
 
-    # -- run loops ----------------------------------------------------------
+    # -- the drain ----------------------------------------------------------
 
-    def run_until_idle(self) -> float:
-        """Drain the queue with no bound or predicate; returns the final
-        time.
+    def run(self) -> float:
+        """Drain the queue; return the final time.
 
-        Honors :meth:`request_stop` and skips cancelled slots.  This is
-        always the batched drain; an armed watchdog (a caller's or the
-        pulse-only supervisor) is checked at batch boundaries.
-        """
-        return self._drain_batched(self._watchdog)
-
-    def run(
-        self,
-        until: Optional[float] = None,
-        max_events: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
-    ) -> float:
-        """Run until the queue drains (or a bound is hit); return final time.
-
-        ``until`` bounds simulated time, ``max_events`` bounds work, and
-        ``stop_when`` is polled after every event for early termination.
-        With no bounds this is the batched drain (:meth:`run_until_idle`),
-        supervised or not; any bound takes the checked loop.
-
-        After an ``until``-bounded return the queue is intact and
-        ``now == until`` if anything is still queued after ``until``
-        (the last timestamp drained if the queue emptied first);
-        calling ``run()`` again *continues correctly* (see the class
-        docstring's resume contract).
-        """
-        if until is None and max_events is None and stop_when is None:
-            return self._drain_batched(self._watchdog)
-        self._stop_requested = False
-        started = _perf_counter()
-        try:
-            self._run_bounded(until, max_events, stop_when)
-        finally:
-            self._run_wall_s += _perf_counter() - started
-            self._runs += 1
-        return self._now
-
-    def _run_bounded(self, until, max_events, stop_when) -> None:
-        """The checked loop: one callback per Python call (no group
-        handlers) with per-event watchdog, bound and predicate checks."""
-        processed = 0
-        wd = self._watchdog
-        free = self._free
-        buckets = self._buckets
-        ts_heap = self._ts_heap
-        while ts_heap:
-            when = ts_heap[0]
-            if until is not None and when > until:
-                self._now = until
-                return
-            _heappop(ts_heap)
-            batch = buckets.pop(when)
-            self._now = when
-            n = len(batch)
-            i = 0
-            try:
-                while i < n:
-                    record = batch[i]
-                    i += 1
-                    callback = record[2]
-                    if callback is None:
-                        self._cancelled -= 1
-                        if len(free) < _FREE_LIST_MAX:
-                            free.append(record)
-                        continue
-                    args = record[3]
-                    # blank the slot first: cancel() on an executed
-                    # handle is then a no-op returning False, and the
-                    # record drops its callback/args references at once.
-                    record[2] = None
-                    record[3] = ()
-                    if args:
-                        callback(*args)
-                    else:
-                        callback()
-                    # recycle after the callback: any events it scheduled
-                    # took records from the free list, never this one.
-                    if len(free) < _FREE_LIST_MAX:
-                        free.append(record)
-                    self._events_processed += 1
-                    processed += 1
-                    if wd is not None:
-                        wd._since_check += 1
-                        if wd._since_check >= wd.check_every:
-                            wd._since_check = 0
-                            wd._check(self)
-                    if self._stop_requested:
-                        return
-                    if stop_when is not None and stop_when():
-                        return
-                    if max_events is not None and processed >= max_events:
-                        raise SimulationError(
-                            f"exceeded max_events={max_events}; likely livelock"
-                        )
-            finally:
-                # early return, watchdog abort, or a raising callback:
-                # the unconsumed remainder goes back on the queue so
-                # resumed runs see it untouched.
-                if i < n:
-                    self._requeue(when, batch, i)
-
-    def _drain_batched(self, wd: Optional[Watchdog]) -> float:
-        """Pop one whole timestamp bucket per transaction, then
-        dispatch it in scheduling order with group-handler coalescing.
-
-        Semantics identical to one-callback-per-event dispatch in
-        scheduling order:
+        Pops one whole timestamp bucket per transaction, then dispatches
+        it in scheduling order with group-handler coalescing.  Semantics
+        identical to one-callback-per-event dispatch in scheduling
+        order:
 
         * cancellation — a slot blanked by an *earlier* event in the
           same batch is skipped when its turn comes;
@@ -549,7 +439,7 @@ class Engine:
           event and the unconsumed remainder of the batch is
           reinstated, so a subsequent run resumes with no events lost,
           duplicated, or reordered;
-        * supervision — the watchdog ``wd`` (a caller's, or the
+        * supervision — the armed watchdog (a caller's, or the
           pulse-only one carrying heartbeats and metric timelines) is
           checked at the first batch boundary after every
           ``check_every`` events, with ``events_processed`` flushed
@@ -558,6 +448,7 @@ class Engine:
           the cadence spans consecutive drains.
         """
         self._stop_requested = False
+        wd = self._watchdog
         buckets = self._buckets
         ts_heap = self._ts_heap
         pop_ts = _heappop
@@ -646,8 +537,8 @@ class Engine:
 
     def attach_watchdog(self, watchdog: Watchdog) -> Watchdog:
         """Arm ``watchdog`` over subsequent runs (budgets and progress
-        count from this moment) until :meth:`detach_watchdog`; unbounded
-        drains check it at batch boundaries.  An armed pulse survives: it
+        count from this moment) until :meth:`detach_watchdog`; the drain
+        checks it at batch boundaries.  An armed pulse survives: it
         rides the new watchdog's check cadence (via ``on_check``) while
         the watchdog is armed and re-arms on its own when it detaches.
         """
@@ -751,7 +642,7 @@ class Engine:
 
     @property
     def run_wall_s(self) -> float:
-        """Wall-clock seconds spent inside run loops since reset."""
+        """Wall-clock seconds spent inside runs since reset."""
         return self._run_wall_s
 
     def self_metrics(self) -> Dict[str, object]:
@@ -792,7 +683,7 @@ class Engine:
 
 
 class BatchedEngine(Engine):
-    """Kept as a subclass (not an alias) so tooling that wraps the drains
-    found in each class's own ``vars()`` wraps them once."""
+    """Kept as a subclass (not an alias) so tooling that wraps the drain
+    found in each class's own ``vars()`` wraps it once."""
 
     __slots__ = ()

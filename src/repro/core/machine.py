@@ -187,7 +187,6 @@ class CedarMachine:
     def run_programs(
         self,
         programs: Dict[int, Generator],
-        max_events: Optional[int] = None,
         watchdog: Optional[Watchdog] = None,
     ) -> float:
         """Run one generator program per CE port; returns completion time
@@ -222,10 +221,7 @@ class CedarMachine:
                 )
             engine.attach_watchdog(watchdog)
         try:
-            if max_events is None:
-                engine.run_until_idle()
-            else:
-                engine.run(max_events=max_events)
+            engine.run()
             if remaining:
                 stuck = [ce.port for ce in participants if not ce.done]
                 raise SimulationError(f"CEs never finished: {stuck}")
@@ -233,10 +229,7 @@ class CedarMachine:
             # drain in-flight traffic (e.g. writes the CEs never waited
             # for) so memory/network counters are complete; `finish` is
             # unaffected.
-            if max_events is None:
-                engine.run_until_idle()
-            else:
-                engine.run(max_events=max_events)
+            engine.run()
         finally:
             if watchdog is not None:
                 engine.detach_watchdog()

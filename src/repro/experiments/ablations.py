@@ -115,7 +115,7 @@ def ablate_shared_network(kernel: str = "RK", n_ces: int = 32) -> Tuple[Ablation
     conclusion, is Cedar's two physically separate networks).  The
     ablation runs each configuration under a livelock guard and
     reports DEADLOCK when it trips."""
-    from repro.core.engine import SimulationError
+    from repro.core.engine import SimulationError, Watchdog
 
     variants = (
         ("two networks (Cedar)", False, False),
@@ -142,7 +142,9 @@ def ablate_shared_network(kernel: str = "RK", n_ces: int = 32) -> Tuple[Ablation
         try:
             # a healthy run of this size needs ~300k events; a livelocked
             # one burns events on PFU retries without progress
-            cycles = machine.run_programs(programs, max_events=1_200_000)
+            cycles = machine.run_programs(
+                programs, watchdog=Watchdog(max_events=1_200_000)
+            )
         except SimulationError:
             out.append(AblationPoint(f"{label} [DEADLOCK]", None, None, 0.0))
             continue

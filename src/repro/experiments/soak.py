@@ -193,7 +193,7 @@ def run_soak(
     engine.attach_watchdog(watchdog)
     aborted = False
     try:
-        engine.run_until_idle()
+        engine.run()
     except SimulationError:
         aborted = True
     finally:

@@ -66,10 +66,6 @@ SIGNAL_CATALOG: Dict[str, Tuple[str, ...]] = {
     # component wires up, including memory modules and cluster banks)
     "net.enqueue": ("resource", "packet", "time"),
     "net.dequeue": ("resource", "packet", "time"),
-    # a link's service completing (before any head-of-line blocking on
-    # the next hop); with ``net.enqueue``/``net.hop`` this splits a hop
-    # into queue-wait / service / blocked segments (keyed like net.hop)
-    "net.service": ("resource", "packet", "time"),
     # one consolidated record per queue occupancy, emitted at departure
     # with all three edge times.  Unlike every other signal, the payload
     # is ONE pre-packed eight-slot tuple —
@@ -83,8 +79,8 @@ SIGNAL_CATALOG: Dict[str, Tuple[str, ...]] = {
     # the record tuple dies immediately, tracing adds no net GC-tracked
     # allocations (surviving per-event tuples would otherwise drag
     # collection pauses into the measured loop).  The request-tracing
-    # layer subscribes to this instead of the enqueue/service/hop
-    # point-signal triple (keyed like net.hop)
+    # layer subscribes to this instead of point signals (keyed like
+    # net.hop)
     "net.span": ("record",),
     # global memory (per-module channels); ``cycles`` is the service time
     "gmem.service": ("module", "packet", "time", "cycles"),

@@ -90,14 +90,12 @@ class OmegaNetwork:
         signal = ctx.bus.signal("net.hop", key=self.name)
         enqueue = ctx.bus.signal("net.enqueue", key=self.name)
         dequeue = ctx.bus.signal("net.dequeue", key=self.name)
-        service = ctx.bus.signal("net.service", key=self.name)
         span = ctx.bus.signal("net.span", key=self.name)
         for port in self.injection_ports:
             if port.depart_signal is NULL_SIGNAL:
                 port.depart_signal = signal
                 port.enqueue_signal = enqueue
                 port.dequeue_signal = dequeue
-                port.service_end_signal = service
                 port.span_signal = span
         for stage in self.stages:
             for link in stage:
@@ -105,7 +103,6 @@ class OmegaNetwork:
                     link.depart_signal = signal
                     link.enqueue_signal = enqueue
                     link.dequeue_signal = dequeue
-                    link.service_end_signal = service
                     link.span_signal = span
 
     def reset(self) -> None:

@@ -97,7 +97,6 @@ class Resource:
         "depart_signal",
         "enqueue_signal",
         "dequeue_signal",
-        "service_end_signal",
         "span_signal",
         "fault_hook",
         "occupancy",
@@ -144,18 +143,13 @@ class Resource:
         #: pre-check.
         #: ``depart_signal`` -> ``net.hop`` (a packet leaving the server),
         #: ``enqueue_signal`` / ``dequeue_signal`` -> ``net.enqueue`` /
-        #: ``net.dequeue`` (queue-occupancy edges for the tracer),
-        #: ``service_end_signal`` -> ``net.service`` (service finishing
-        #: *before* any head-of-line blocking on the next hop — the
-        #: timestamp the span layer needs to split a hop into
-        #: queue-wait / service / blocked segments).
+        #: ``net.dequeue`` (queue-occupancy edges for the tracer).
         #: ``span_signal`` -> ``net.span``: ONE consolidated record per
         #: occupancy, emitted at departure with all three edge times, so
         #: a request tracer costs one callback per hop instead of three.
         self.depart_signal = NULL_SIGNAL
         self.enqueue_signal = NULL_SIGNAL
         self.dequeue_signal = NULL_SIGNAL
-        self.service_end_signal = NULL_SIGNAL
         self.span_signal = NULL_SIGNAL
         #: optional fault-injection site (see ``repro.faults``), set at
         #: injector attach time.  Same ``is not None`` fast path as the
@@ -255,9 +249,6 @@ class Resource:
         self._serving = False
         if self.span_signal.callbacks:
             transit.svc_t = self.engine._now
-        sig = self.service_end_signal
-        if sig.callbacks:
-            sig.emit(self, transit.packet, self.engine._now)
         if self._has_complete_hook and not self.on_service_complete(transit):
             self._pop_head(transit)
             self._advance()
@@ -398,7 +389,7 @@ class Resource:
 # scalar dispatch fans out across six to ten Python frames per event
 # (_finish -> _try_handoff -> _pop_head -> offer -> _maybe_start ->
 # _start_service -> schedule_after -> _advance -> ...).  The engine's
-# unbounded drain hands every same-cycle run of finishes to `_finish_batch`,
+# drain hands every same-cycle run of finishes to `_finish_batch`,
 # which services them in ONE Python call with the whole chain inlined
 # for the dominant case: a FIFO link without service / completion hooks
 # or a recovery window handing off to another link.
@@ -411,14 +402,14 @@ class Resource:
 #
 # Anything else falls back to the scalar methods *per record*: memory
 # modules (completion hook + recovery), blocked heads, and links whose
-# point signals (``net.service`` / ``net.dequeue`` / ``net.hop`` /
-# ``net.enqueue``) have subscribers, such as the tracer's.  A fault site
-# or service hook on the next service start goes through
-# ``_maybe_start``.  The two paths are one semantics with two dispatch
-# costs: every inlined mutation below mirrors the scalar method it
-# replaces line for line (the scalar code is the reference; change both
-# together), which is what the engine-oracle identity tests and the
-# adversarial ordering tests enforce.
+# point signals (``net.dequeue`` / ``net.hop`` / ``net.enqueue``) have
+# subscribers, such as the tracer's.  A fault site or service hook on
+# the next service start goes through ``_maybe_start``.  The two paths
+# are one semantics with two dispatch costs: every inlined mutation
+# below mirrors the scalar method it replaces line for line (the scalar
+# code is the reference; change both together), which is what the
+# engine-oracle identity tests and the adversarial ordering tests
+# enforce.
 
 def _finish_batch(eng: Engine, batch: List[list], i: int, n: int):
     """Group handler for a same-timestamp run of ``Resource._finish``
@@ -464,7 +455,6 @@ def _finish_batch(eng: Engine, batch: List[list], i: int, n: int):
                 res._has_complete_hook
                 or res.recovery_cycles
                 or res._blocked_head is not None
-                or res.service_end_signal.callbacks
                 or res.dequeue_signal.callbacks
                 or res.depart_signal.callbacks
             ):

@@ -51,15 +51,9 @@ class HeapOracle:
     def pending(self):
         return len(self._heap) - self._cancelled
 
-    def run(self, until=None, max_events=None, stop_when=None):
+    def run(self):
         self._stop = False
-        start = self.events_processed
         while self._heap:
-            # bound first: a slot queued past ``until``, even a cancelled
-            # one, pins ``now`` at ``until``.
-            if until is not None and self._heap[0][0] > until:
-                self._now = until
-                break
             record = heapq.heappop(self._heap)
             self._now = record[0]
             callback, args = record[2], record[3]
@@ -69,12 +63,6 @@ class HeapOracle:
             record[2] = None  # spent: a raising callback is not retried
             callback(*args)
             self.events_processed += 1
-            if self._stop or (stop_when is not None and stop_when()):
+            if self._stop:
                 break
-            if max_events is not None and self.events_processed - start >= max_events:
-                raise SimulationError(
-                    f"exceeded max_events={max_events}; likely livelock"
-                )
         return self._now
-
-    run_until_idle = run

@@ -7,15 +7,14 @@ the :class:`~tests.engine_oracle.HeapOracle` — with the same dispatch
 order, final state and counters.  These tests drive both through the
 intra-timestamp cases the bucket queue must get right: cancels landing
 inside an already-popped batch, zero-delay re-schedules extending the
-current timestamp, ``request_stop`` mid-batch with a resumed run,
-bounded-run resume over buckets, and exceptions escaping mid-batch —
-then whole machines, bare and observed, with the oracle swapped in as
-the machine's engine.
+current timestamp, ``request_stop`` mid-batch with a resumed run, and
+exceptions escaping mid-batch — then whole machines, bare and observed,
+with the oracle swapped in as the machine's engine.
 """
 
 import pytest
 
-from repro.core.engine import Engine, SimulationError
+from repro.core.engine import Engine
 from tests.engine_oracle import HeapOracle
 
 ENGINES = [Engine, HeapOracle]
@@ -40,7 +39,7 @@ def test_same_timestamp_fifo_order_matches_scalar():
         seen = []
         for tag in range(8):
             eng.schedule(3.0, lambda t=tag: seen.append(t))
-        eng.run_until_idle()
+        eng.run()
         return seen
 
     assert both(scenario) == list(range(8))
@@ -62,7 +61,7 @@ def test_cancel_within_active_batch():
         eng.schedule(2.0, killer)
         handles["victim"] = eng.schedule(2.0, lambda: seen.append("victim"))
         eng.schedule(2.0, lambda: seen.append("survivor"))
-        eng.run_until_idle()
+        eng.run()
         return (seen, eng.pending(), eng.events_processed)
 
     seen, pending, processed = both(scenario)
@@ -86,7 +85,7 @@ def test_zero_delay_reschedule_extends_current_timestamp():
         eng.schedule(1.0, first)
         eng.schedule(1.0, lambda: seen.append(("second", eng.now)))
         eng.schedule(2.0, lambda: seen.append(("later", eng.now)))
-        eng.run_until_idle()
+        eng.run()
         return seen
 
     assert both(scenario) == [
@@ -105,7 +104,7 @@ def test_zero_delay_reschedule_chain_drains_before_advancing():
 
         eng.schedule(1.0, chain, 3)
         eng.schedule(1.5, lambda: seen.append((eng.now, "tick")))
-        eng.run_until_idle()
+        eng.run()
         return seen
 
     assert both(scenario) == [
@@ -137,7 +136,7 @@ def test_mixed_cancel_reschedule_storm_is_identical():
 
         for tag in range(12):
             handles.append(eng.schedule(float(tag % 3), act, tag, 0))
-        eng.run_until_idle()
+        eng.run()
         return seen
 
     trace = both(scenario)
@@ -160,9 +159,9 @@ def test_request_stop_mid_batch_preserves_remainder():
         eng.schedule(1.0, stopper)
         eng.schedule(1.0, lambda: seen.append("b"))
         eng.schedule(2.0, lambda: seen.append("c"))
-        eng.run_until_idle()
+        eng.run()
         stopped = (list(seen), eng.pending(), eng.now)
-        eng.run_until_idle()  # resume: no events lost or duplicated
+        eng.run()  # resume: no events lost or duplicated
         return (stopped, seen, eng.pending())
 
     stopped, seen, pending = both(scenario)
@@ -184,55 +183,11 @@ def test_request_stop_then_new_same_time_events_keep_order():
 
         eng.schedule(1.0, stopper)
         eng.schedule(1.0, lambda: seen.append("pending-tail"))
-        eng.run_until_idle()
-        eng.run_until_idle()
+        eng.run()
+        eng.run()
         return seen
 
     assert both(scenario) == ["stopper", "pending-tail", "late-add"]
-
-
-# ---------------------------------------------------------------------------
-# bounded runs and supervision over buckets
-
-
-def test_until_bound_stops_between_buckets():
-    def scenario(eng):
-        seen = []
-        for when in (1.0, 2.0, 2.0, 3.0):
-            eng.schedule(when, lambda w=when: seen.append(w))
-        eng.run(until=2.0)
-        mid = (list(seen), eng.now, eng.pending())
-        eng.run_until_idle()
-        return (mid, seen, eng.now)
-
-    mid, seen, now = both(scenario)
-    assert mid == ([1.0, 2.0, 2.0], 2.0, 1)
-    assert seen == [1.0, 2.0, 2.0, 3.0]
-    assert now == 3.0
-
-
-def test_max_events_livelock_guard_matches():
-    def scenario(eng):
-        def forever():
-            eng.schedule_after(1.0, forever)
-
-        eng.schedule(0.0, forever)
-        with pytest.raises(SimulationError):
-            eng.run(max_events=100)
-        return eng.events_processed
-
-    assert both(scenario) == 100
-
-
-def test_stop_when_predicate_matches():
-    def scenario(eng):
-        seen = []
-        for tick in range(10):
-            eng.schedule(float(tick), lambda t=tick: seen.append(t))
-        eng.run(stop_when=lambda: len(seen) >= 4)
-        return (list(seen), eng.pending())
-
-    assert both(scenario) == ([0, 1, 2, 3], 6)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +203,7 @@ def test_pulse_sees_flushed_counters_at_batch_boundaries():
         eng.attach_pulse(
             lambda e: visits.append((e.now, e.events_processed)), every=8
         )
-        eng.run_until_idle()
+        eng.run()
         eng.detach_pulse()
         return visits
 
@@ -267,7 +222,7 @@ def test_unpulsed_run_is_identical_to_pulsed():
         seen = []
         for when in range(1, 20):
             eng.schedule(float(when), lambda w=when: seen.append(w))
-        eng.run_until_idle()
+        eng.run()
         return seen
 
     def pulsed(eng):
@@ -275,7 +230,7 @@ def test_unpulsed_run_is_identical_to_pulsed():
         for when in range(1, 20):
             eng.schedule(float(when), lambda w=when: seen.append(w))
         eng.attach_pulse(lambda e: None, every=4)
-        eng.run_until_idle()
+        eng.run()
         eng.detach_pulse()
         return seen
 
@@ -300,12 +255,12 @@ def test_raising_callback_consumes_itself_and_preserves_rest(engine_cls):
     eng.schedule(1.0, lambda: seen.append("b"))
     eng.schedule(2.0, lambda: seen.append("c"))
     with pytest.raises(RuntimeError):
-        eng.run_until_idle()
+        eng.run()
     assert seen == ["a", "boom"]
     # the raising event is spent; the untouched remainder is intact and
     # a resumed drain dispatches it exactly once, in order.
     assert eng.pending() == 2
-    eng.run_until_idle()
+    eng.run()
     assert seen == ["a", "boom", "b", "c"]
     assert eng.pending() == 0
 

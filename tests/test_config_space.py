@@ -12,6 +12,7 @@ from repro.core.config import (
     GlobalMemoryConfig,
     NetworkConfig,
 )
+from repro.core.engine import Watchdog
 from repro.core.machine import CedarMachine
 
 config_strategy = st.builds(
@@ -45,7 +46,8 @@ class TestConfigurationSpace:
             yield AwaitStream(stream)
 
         machine.run_programs(
-            {p: prog(p) for p in range(n_ces)}, max_events=500_000
+            {p: prog(p) for p in range(n_ces)},
+            watchdog=Watchdog(max_events=500_000),
         )
         assert machine.gmem.total_reads == 24 * n_ces
         summary = machine.probe.summary()

@@ -53,56 +53,6 @@ def test_negative_delay_rejected():
         eng.schedule_after(-1, lambda: None)
 
 
-def test_run_until_bound():
-    eng = Engine()
-    seen = []
-    eng.schedule(1, lambda: seen.append(1))
-    eng.schedule(100, lambda: seen.append(100))
-    eng.run(until=50)
-    assert seen == [1]
-    assert eng.now == 50
-    assert eng.pending() == 1
-
-
-def test_until_past_the_last_event_leaves_now_at_that_event():
-    # the queue drains before the bound: ``now`` is the last dispatched
-    # event's time, not ``until``.
-    eng = Engine()
-    eng.schedule(3, lambda: None)
-    assert eng.run(until=10) == 3
-    assert eng.now == 3
-    assert eng.pending() == 0
-
-
-def test_run_resumes_after_until():
-    eng = Engine()
-    seen = []
-    eng.schedule(100, lambda: seen.append(100))
-    eng.run(until=50)
-    eng.run()
-    assert seen == [100]
-
-
-def test_max_events_guards_against_livelock():
-    eng = Engine()
-
-    def forever():
-        eng.schedule_after(1, forever)
-
-    eng.schedule(0, forever)
-    with pytest.raises(SimulationError, match="max_events"):
-        eng.run(max_events=100)
-
-
-def test_stop_when_predicate():
-    eng = Engine()
-    seen = []
-    for t in range(10):
-        eng.schedule(t, lambda t=t: seen.append(t))
-    eng.run(stop_when=lambda: len(seen) >= 3)
-    assert seen == [0, 1, 2]
-
-
 def test_events_processed_counter():
     eng = Engine()
     for t in range(4):
@@ -230,18 +180,18 @@ def test_request_stop_halts_after_current_event():
     assert seen == [1, 2, 3]
 
 
-def test_run_until_idle_drains_everything():
+def test_run_drains_everything():
     eng = Engine()
     seen = []
     for t in (4, 2, 8):
         eng.schedule(t, lambda t=t: seen.append(t))
-    final = eng.run_until_idle()
+    final = eng.run()
     assert seen == [2, 4, 8]
     assert final == 8
     assert eng.pending() == 0
 
 
-def test_bounded_runs_compose_like_one_run():
+def test_runs_cut_by_request_stop_compose_like_one_run():
     def build():
         eng = Engine()
         seen = []
@@ -259,19 +209,26 @@ def test_bounded_runs_compose_like_one_run():
     eng1.run()
 
     eng2, seen2 = build()
-    eng2.run(until=6)
-    assert eng2.now == 6
-    eng2.run(until=11)
+    # the stop at 7 is queued after ``mid`` and before the chain event
+    # scheduled at 7 during the run: that cut leaves the chain queued.
+    eng2.schedule(4, eng2.request_stop)
+    eng2.schedule(7, eng2.request_stop)
+    assert eng2.run() == 4
+    assert eng2.run() == 7
+    assert seen2[-1] == "mid"
+    assert eng2.pending() == 1
     eng2.run()
     assert seen2 == seen1
     assert eng2.now == eng1.now
+    assert eng2.events_processed == eng1.events_processed + 2
 
 
 def test_reset_clears_queue_in_place():
     eng = Engine()
     eng.schedule(5, lambda: None)
-    eng.schedule(1, lambda: None)
-    eng.run(until=0)
+    eng.schedule(1, eng.request_stop)
+    eng.run()
+    assert eng.pending() == 1
     eng.reset()
     assert eng.pending() == 0
     assert eng.now == 0.0

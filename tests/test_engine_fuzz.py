@@ -5,9 +5,10 @@ the norm, and gives every event a short script to run when dispatched:
 absolute or zero-delay re-schedules, cancels of still-pending handles
 (often in the same timestamp), a second cancel of an already-cancelled
 handle, ``request_stop`` and a raising callback.  A driver then
-alternates unbounded, ``until``-bounded, ``max_events`` and
-``stop_when`` runs with top-level schedules and cancels, catching every
-raise and resuming.  :class:`~repro.core.engine.Engine` and the
+alternates plain runs, runs cut by a ``request_stop`` event scheduled
+ahead, and runs cut by a raising event scheduled ahead with top-level
+schedules and cancels, catching every raise and resuming.
+:class:`~repro.core.engine.Engine` and the
 :class:`~tests.engine_oracle.HeapOracle` must produce the same trace:
 dispatch order, ``cancel`` results, raised errors, and ``now``,
 ``events_processed`` and ``pending()`` after every driver step.
@@ -40,12 +41,12 @@ ACTION = st.one_of(
     st.tuples(st.just("raise")),
 )
 
+AHEAD = st.sampled_from([0.0, 1.0, 2.0, 3.0])
+
 STEP = st.one_of(
     st.tuples(st.just("run")),
-    st.tuples(st.just("idle")),
-    st.tuples(st.just("until"), st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])),
-    st.tuples(st.just("max_events"), st.integers(1, 6)),
-    st.tuples(st.just("stop_when"), st.integers(1, 6)),
+    st.tuples(st.just("stop_at"), AHEAD),
+    st.tuples(st.just("raise"), AHEAD),
     st.tuples(st.just("schedule"), DELAYS),
     st.tuples(st.just("cancel"), PICK),
 )
@@ -58,7 +59,11 @@ PROGRAMS = st.fixed_dictionaries({
 
 
 class Boom(Exception):
-    """The deliberate failure a ``raise`` action throws."""
+    """The deliberate failure a ``raise`` action or step throws."""
+
+
+def boom():
+    raise Boom("step")
 
 
 def execute(eng, program):
@@ -110,15 +115,12 @@ def execute(eng, program):
         try:
             if op == "run":
                 eng.run()
-            elif op == "idle":
-                eng.run_until_idle()
-            elif op == "until":
-                eng.run(until=eng.now + arg[0])
-            elif op == "max_events":
-                eng.run(max_events=arg[0])
-            elif op == "stop_when":
-                goal = len(trace) + arg[0]
-                eng.run(stop_when=lambda: len(trace) >= goal)
+            elif op == "stop_at":
+                eng.schedule(eng.now + arg[0], eng.request_stop)
+                eng.run()
+            elif op == "raise":
+                eng.schedule(eng.now + arg[0], boom)
+                eng.run()
             elif op == "schedule":
                 add(eng.schedule_after, arg[0])
             else:
@@ -149,9 +151,9 @@ def test_engine_matches_oracle_on_generated_programs(program):
 
 
 def test_fuzz_programs_reach_the_adversarial_cases():
-    # one hand-built program through the interpreter: a cancel, a second
-    # cancel of the same handle, a mid-batch stop with a zero-delay
-    # reschedule, a raise, and a bounded resume all fire.
+    # two hand-built programs through the interpreter.  First: a cancel,
+    # a second cancel of the same handle, a mid-batch stop with a
+    # zero-delay reschedule, and a scripted raise all fire.
     program = {
         "initial": [1.0, 1.0, 1.0, 2.0, 3.0],
         "scripts": [
@@ -161,7 +163,7 @@ def test_fuzz_programs_reach_the_adversarial_cases():
             [],
             [],
         ],
-        "steps": [("run",), ("until", 0.5), ("run",), ("run",)],
+        "steps": [("run",), ("run",), ("run",)],
     }
     expected = execute(HeapOracle(), program)
     assert execute(Engine(), program) == expected
@@ -169,3 +171,26 @@ def test_fuzz_programs_reach_the_adversarial_cases():
     assert ("recancel", 3, False) in expected
     assert ("boom", 2) in expected
     assert expected[4] == ("state", 1.0, 2, 3)  # stopped mid-batch
+
+    # Second, the driver ops: even tags schedule one more event a cycle
+    # later.  ``stop_at`` queues its stop at 2.0 ahead of tag 2, which
+    # tag 0 schedules at 2.0 during the run; ``raise`` queues its raising
+    # event at 3.0 ahead of tag 3 the same way.  Both cut their timestamp
+    # with one record left, requeued and dispatched by the next run.
+    program = {
+        "initial": [1.0, 2.0],
+        "scripts": [[("after", 1.0)], []],
+        "steps": [("stop_at", 2.0), ("raise", 1.0)],
+    }
+    expected = execute(HeapOracle(), program)
+    assert execute(Engine(), program) == expected
+    assert expected == [
+        ("run", 1.0, 0),
+        ("run", 2.0, 1),
+        ("state", 2.0, 3, 1),  # stopped at 2.0, tag 2 still due at 2.0
+        ("run", 2.0, 2),
+        ("boom", "step"),
+        ("state", 3.0, 4, 1),  # raised at 3.0, tag 3 still due at 3.0
+        ("run", 3.0, 3),
+        ("state", 3.0, 5, 0),
+    ]

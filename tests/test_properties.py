@@ -12,6 +12,7 @@ from repro.cluster.ce import (
     StartPrefetch,
 )
 from repro.core.config import CedarConfig
+from repro.core.engine import Watchdog
 from repro.core.machine import CedarMachine
 from repro.restructurer.ir import Loop, Statement, read, write
 from repro.restructurer.pipeline import AUTOMATABLE_PIPELINE, KAP_PIPELINE
@@ -45,7 +46,7 @@ class TestTrafficConservation:
                 yield AwaitStream(stream)
 
         programs = {port: program(specs) for port, specs in per_port.items()}
-        machine.run_programs(programs, max_events=2_000_000)
+        machine.run_programs(programs, watchdog=Watchdog(max_events=2_000_000))
         requested = sum(length for _, _, length in streams)
         assert machine.gmem.total_reads == requested
 
@@ -73,7 +74,7 @@ class TestTrafficConservation:
 
         machine.run_programs(
             {port: program(lengths) for port, lengths in per_port.items()},
-            max_events=2_000_000,
+            watchdog=Watchdog(max_events=2_000_000),
         )
         assert machine.gmem.total_writes == sum(l for _, l in stores)
 
@@ -106,7 +107,7 @@ class TestTrafficConservation:
 
         machine.run_programs(
             {port: program(specs) for port, specs in per_port.items()},
-            max_events=2_000_000,
+            watchdog=Watchdog(max_events=2_000_000),
         )
         assert machine.gmem.total_reads == sum(l for _, l, _ in ops)
 

@@ -52,7 +52,7 @@ def _slow_but_progressing(batches=25, events_per_batch=5000, sleep_s=0.06):
     for _ in range(batches):
         for i in range(events_per_batch):
             engine.schedule_after(float(i + 1), _noop)
-        engine.run_until_idle()
+        engine.run()
         time.sleep(sleep_s)
     return f"progressed {engine.events_processed} events"
 

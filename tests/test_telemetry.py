@@ -213,7 +213,7 @@ class TestHeartbeatEmitter:
             ctx = SimContext()
             for i in range(10_000):
                 ctx.engine.schedule_after(float(i + 1), lambda: None)
-            ctx.engine.run_until_idle()
+            ctx.engine.run()
         # the pulse cadence (every few thousand events) fired mid-run
         assert len(sent) >= 2
         payloads = [p for _, p in sent]

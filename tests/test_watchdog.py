@@ -61,7 +61,7 @@ class TestAborts:
         zero_delay_livelock(engine)
         engine.attach_watchdog(Watchdog(check_every=16, stall_checks=4))
         with pytest.raises(WatchdogError, match="no progress"):
-            engine.run_until_idle()
+            engine.run()
 
     def test_cycle_budget_abort(self):
         engine = Engine()
@@ -93,7 +93,7 @@ class TestAborts:
         zero_delay_livelock(engine)
         engine.attach_watchdog(Watchdog(check_every=16, stall_checks=4))
         with pytest.raises(WatchdogError) as excinfo:
-            engine.run_until_idle()
+            engine.run()
         dump = excinfo.value.dump
         assert dump["events_processed"] > 0
         assert dump["upcoming"], "dump should name the rescheduled events"
@@ -107,7 +107,7 @@ class TestTransparency:
         for when in (5.0, 10.0, 15.0):
             engine.schedule(when, lambda t=when: hits.append(t))
         engine.attach_watchdog(Watchdog(max_events=1000, check_every=1))
-        final = engine.run_until_idle()
+        final = engine.run()
         assert hits == [5.0, 10.0, 15.0] and final == 15.0
 
     def test_machine_run_is_bit_identical_under_a_watchdog(self):
@@ -128,9 +128,13 @@ class TestTransparency:
     def test_budgets_count_from_arming_not_time_zero(self):
         engine = Engine()
         forever_advancing(engine)
-        engine.run(until=400.0)  # unsupervised warm-up
+        engine.schedule(400.0, engine.request_stop)
+        engine.run()  # unsupervised warm-up
+        assert engine.now == 400.0
         engine.attach_watchdog(Watchdog(max_cycles=500, check_every=64))
-        engine.run(until=800.0)  # 400 cycles since arming: within budget
+        engine.schedule(800.0, engine.request_stop)
+        engine.run()  # 400 cycles since arming: within budget
+        assert engine.now == 800.0
         with pytest.raises(WatchdogError, match="cycle budget"):
             engine.run()
 
@@ -184,7 +188,7 @@ def counting_group_handler(calls):
 
 
 class TestSupervisedDrain:
-    def test_supervised_run_until_idle_takes_group_handlers(self):
+    def test_supervised_run_takes_group_handlers(self):
         calls = []
         register_batch_handler(Ticker.tick, counting_group_handler(calls))
         try:
@@ -197,7 +201,7 @@ class TestSupervisedDrain:
                 max_events=1000, check_every=4,
                 on_check=lambda e: checks.append(e.events_processed),
             ))
-            assert engine.run_until_idle() == 9.0
+            assert engine.run() == 9.0
         finally:
             _BATCH_HANDLERS.pop(Ticker.tick)
         assert [t.ticks for t in tickers] == [10, 10, 10]
@@ -213,11 +217,11 @@ class TestSupervisedDrain:
         ))
         for when in (1.0, 2.0, 3.0):
             engine.schedule(when, lambda: None)
-        engine.run_until_idle()
+        engine.run()
         assert checks == []
         for when in (4.0, 5.0, 6.0):
             engine.schedule(when, lambda: None)
-        engine.run_until_idle()
+        engine.run()
         assert checks == [4]
 
 

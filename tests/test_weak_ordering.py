@@ -89,6 +89,26 @@ class TestSharedNetworkAblation:
         assert "DEADLOCK" in one.setting
         assert "DEADLOCK" in escape.setting
 
+    def test_stalled_fabric_is_caught_by_the_stall_window(self):
+        """The deadlocked machine stops at its first stalled watchdog
+        window, well inside the ablation's 1.2M-event budget, instead of
+        running the budget out."""
+        from repro.core.context import (
+            add_context_observer,
+            remove_context_observer,
+        )
+        from repro.experiments.ablations import ablate_shared_network
+
+        engines = []
+        observer = add_context_observer(lambda ctx: engines.append(ctx.engine))
+        try:
+            rows = ablate_shared_network.__wrapped__(kernel="RK", n_ces=8)
+        finally:
+            remove_context_observer(observer)
+        assert rows[1].setting == "one shared network [DEADLOCK]"
+        assert len(engines) == len(rows)
+        assert engines[1].events_processed < 1_200_000
+
     def test_shared_network_machine_still_correct(self):
         from dataclasses import replace
 
