@@ -45,12 +45,14 @@ def measured_soak(requests: int, seed: int = 7):
     :class:`~repro.experiments.soak.SoakResult`, the peak traced
     allocation in bytes, and the timeline document sampled during the
     run (its interval count must stay bounded at any run length)."""
+    from repro.experiments.runner import observe
     from repro.experiments.soak import run_soak
     from repro.monitor.timeline import TimelineRecorder
 
     tracemalloc.start()
     try:
-        with TimelineRecorder() as recorder:
+        recorder = TimelineRecorder()
+        with observe(recorder):
             result = run_soak(requests=requests, seed=seed, stream=True)
         (timeline,) = recorder.documents()
         _current, peak = tracemalloc.get_traced_memory()

@@ -38,8 +38,7 @@ def dual_observed_run(name: str, fast: bool = True):
     """Run one experiment with both backends on every machine; returns
     (sorted exact latencies, merged StreamingLatencyAnalysis) or
     (None, None) when the experiment traces nothing."""
-    from repro.core.context import add_context_observer, remove_context_observer
-    from repro.experiments.runner import clear_memoized_runs, experiment
+    from repro.experiments.runner import experiment, observe
     from repro.monitor.spans import SpanCollector
     from repro.monitor.streamstore import (
         StreamingLatencyAnalysis,
@@ -49,21 +48,19 @@ def dual_observed_run(name: str, fast: bool = True):
     exp = experiment(name)
     pairs = []
 
-    def observe(ctx):
-        pairs.append((
-            SpanCollector().attach(ctx.bus),
-            StreamingSpanStore(relative_error=RELATIVE_ERROR).attach(ctx.bus),
-        ))
+    def attach(ctx):
+        buffered = SpanCollector().attach(ctx.bus)
+        store = StreamingSpanStore(relative_error=RELATIVE_ERROR).attach(ctx.bus)
+        pairs.append((buffered, store))
 
-    clear_memoized_runs()  # memoized runs would build no machines
-    observer = add_context_observer(observe)
-    try:
-        exp.runner(**exp.arguments(fast))
-    finally:
-        remove_context_observer(observer)
-        for buffered, store in pairs:
+        def detach():
             buffered.detach()
             store.detach()
+
+        return detach
+
+    with observe(attach):
+        exp.runner(**exp.arguments(fast))
     latencies = sorted(
         span.latency
         for buffered, _store in pairs

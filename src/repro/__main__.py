@@ -252,7 +252,7 @@ def _run_all(args) -> str:
         for result in results:
             if result.report is not None:
                 (report_dir / f"{result.name}.json").write_text(
-                    json.dumps(result.report, indent=1)
+                    json.dumps(result.report, indent=1, sort_keys=True)
                 )
                 written += 1
         print(f"[run-all] {written} run reports -> {report_dir}/", file=sys.stderr)
@@ -287,34 +287,28 @@ def _run_all(args) -> str:
 
 
 def _trace(args) -> str:
-    from repro.core.context import add_context_observer, remove_context_observer
-    from repro.experiments.runner import clear_memoized_runs, experiment
+    from repro.experiments.runner import experiment, observe
     from repro.monitor.tracer import ChromeTracer, validate_chrome_trace
 
     exp = experiment(args.experiment)
     tracer = ChromeTracer()
     machines = {"n": 0}
 
-    def _observe(ctx) -> None:
+    def _attach(ctx):
         # one scope per machine so several coexist in the same trace
         scope = f"m{machines['n']}:" if machines["n"] else ""
         machines["n"] += 1
-        tracer.attach(ctx.bus, scope=scope)
+        return tracer.attach(ctx.bus, scope=scope).detach
 
+    observers = []
     recorder = None
     if getattr(args, "timeline", None) is not None:
         from repro.monitor.timeline import TimelineRecorder
 
-        recorder = TimelineRecorder(interval_cycles=args.timeline).install()
-    clear_memoized_runs()  # memoized runs would build no machines
-    observer = add_context_observer(_observe)
-    try:
+        recorder = TimelineRecorder(interval_cycles=args.timeline)
+        observers.append(recorder)
+    with observe(*observers, _attach):
         exp.runner(**exp.arguments(args.fast))
-    finally:
-        remove_context_observer(observer)
-        tracer.detach()
-        if recorder is not None:
-            recorder.uninstall()
     counter_note = ""
     if recorder is not None:
         docs = recorder.documents()
@@ -334,13 +328,13 @@ def _trace(args) -> str:
 def _timeline(args) -> str:
     import json
 
-    from repro.experiments.runner import clear_memoized_runs, experiment
+    from repro.experiments.runner import experiment, observe
     from repro.monitor.analysis import timeline_report
     from repro.monitor.timeline import TimelineRecorder, validate_timeline
 
     exp = experiment(args.experiment)
-    clear_memoized_runs()  # memoized runs would build no machines
-    with TimelineRecorder(interval_cycles=args.interval) as recorder:
+    recorder = TimelineRecorder(interval_cycles=args.interval)
+    with observe(recorder):
         exp.runner(**exp.arguments(args.fast))
     docs = recorder.documents()
     if not docs:
@@ -370,17 +364,17 @@ def _timeline(args) -> str:
 def _profile(args) -> str:
     import json
 
-    from repro.experiments.runner import clear_memoized_runs, experiment
+    from repro.experiments.runner import experiment, observe
     from repro.monitor.profiler import profile_call, render_profile
 
     exp = experiment(args.experiment)
     kwargs = exp.arguments(args.fast)
-    clear_memoized_runs()  # profile the simulation, not a memo replay
-    profile, _output = profile_call(
-        lambda: exp.runner(**kwargs),
-        experiment=args.experiment,
-        top=args.top,
-    )
+    with observe():  # profile the simulation, not a memo replay
+        profile, _output = profile_call(
+            lambda: exp.runner(**kwargs),
+            experiment=args.experiment,
+            top=args.top,
+        )
     sections = [render_profile(profile)]
     document = profile.to_dict()
     if args.out:
@@ -391,33 +385,24 @@ def _profile(args) -> str:
 
 
 def _analyze(args) -> str:
-    from repro.core.context import add_context_observer, remove_context_observer
-    from repro.experiments.runner import clear_memoized_runs, experiment
+    from repro.experiments.runner import experiment, observe
     from repro.monitor.analysis import latency_report
     from repro.monitor.spans import LatencyAnalysis, SpanCollector, validate_spans
 
     exp = experiment(args.experiment)
-    collectors = []
-
+    make_collector = SpanCollector
     if args.stream:
         from repro.monitor.streamstore import StreamingSpanStore
 
-        def _observe(ctx) -> None:
-            collectors.append(StreamingSpanStore().attach(ctx.bus))
+        make_collector = StreamingSpanStore
+    collectors = []
 
-    else:
+    def _attach(ctx):
+        collectors.append(make_collector().attach(ctx.bus))
+        return collectors[-1].detach
 
-        def _observe(ctx) -> None:
-            collectors.append(SpanCollector().attach(ctx.bus))
-
-    clear_memoized_runs()  # memoized runs would build no machines
-    observer = add_context_observer(_observe)
-    try:
+    with observe(_attach):
         exp.runner(**exp.arguments(args.fast))
-    finally:
-        remove_context_observer(observer)
-        for collector in collectors:
-            collector.detach()
     if not collectors:
         raise SystemExit(
             f"experiment {args.experiment!r} built no machines to trace"

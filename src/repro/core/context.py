@@ -55,11 +55,12 @@ from repro.monitor.signals import Signal, SignalBus
 #
 # The paper's monitors clip onto a *running* machine from outside; the
 # software analogue is a process-global list of callables invoked with
-# every newly created SimContext.  The observability layer (ChromeTracer,
-# the run-report collector) registers here so experiment code — which
-# builds machines internally and never exposes them — can be traced and
-# metered without modification.  With no observers registered (the
-# default), context construction pays one empty-tuple iteration.
+# every newly created SimContext.  ``repro.experiments.runner.observe``
+# registers here on behalf of the observability layer (ChromeTracer, the
+# run-report collector, ...) so experiment code — which builds machines
+# internally and never exposes them — can be traced and metered without
+# modification.  With no observers registered (the default), context
+# construction pays one empty-tuple iteration.
 
 _CONTEXT_OBSERVERS: List[Callable[["SimContext"], None]] = []
 

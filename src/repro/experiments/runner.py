@@ -43,10 +43,11 @@ import multiprocessing
 import time
 import warnings
 from collections import deque
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _conn_wait
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.core.config import CedarConfig, DEFAULT_CONFIG
 
@@ -480,10 +481,9 @@ class ExperimentResult:
 def clear_memoized_runs() -> None:
     """Clear every in-process experiment memo — the kernel-simulation
     memo plus each experiment's own ``lru_cache`` — so the next run
-    really builds machines.  Instrumentation (span collection, tracing,
-    report collection) observes nothing on a memo replay; every caller
-    that attaches observers must clear first.  All the caches are pure
-    run memos, so clearing only costs recompute time.
+    really builds machines.  Instrumentation observes nothing on a memo
+    replay, which is why :func:`observe` clears on entry.  All the
+    caches are pure run memos, so clearing only costs recompute time.
     """
     import sys
 
@@ -494,6 +494,46 @@ def clear_memoized_runs() -> None:
             clear = getattr(attr, "cache_clear", None)
             if callable(clear) and getattr(attr, "__module__", None) == name:
                 clear()
+
+
+@contextmanager
+def observe(
+    *observers: Callable[[object], Optional[Callable[[], None]]],
+) -> Iterator[None]:
+    """Run the block with ``observers`` watching every machine it builds.
+
+    The software form of Cedar's clip-on performance monitors.  Each
+    observer is called with every
+    :class:`~repro.core.context.SimContext` built inside the block,
+    before the machine is assembled, and may return an undo callable
+    that detaches what it armed.  Entering clears the run memos (a memo
+    replay builds no machines, so there would be nothing to observe);
+    leaving, normally or by exception, deregisters the hook and runs
+    every undo, newest first::
+
+        collector = ReportCollector()
+        with observe(collector):
+            output = experiment.runner(**kwargs)
+        machines = collector.machine_dicts()
+    """
+    from repro.core.context import add_context_observer, remove_context_observer
+
+    undos: List[Callable[[], None]] = []
+
+    def _each_machine(ctx) -> None:
+        for observer in observers:
+            undo = observer(ctx)
+            if undo is not None:
+                undos.append(undo)
+
+    clear_memoized_runs()
+    add_context_observer(_each_machine)
+    try:
+        yield
+    finally:
+        remove_context_observer(_each_machine)
+        for undo in reversed(undos):
+            undo()
 
 
 def _execute(name: str, kwargs: Dict[str, object]) -> str:
@@ -511,20 +551,19 @@ def _execute_with_report(
 
     Returns ``(output, machine_dicts, elapsed_s)``.  Elapsed time is
     measured here, inside the worker, so a report never charges an
-    experiment for time it spent queued behind other work.  Run
-    memoization is cleared first so every machine the experiment needs
-    is actually built (and therefore monitored) inside the collection
-    window — a worker process may have warm memo entries from an
-    earlier experiment.  ``stream`` selects bounded-memory streaming
-    span collection (sketch-backed latency summaries) instead of the
-    buffered collector; ``timeline`` (an interval in simulated cycles)
-    adds interval-sampled metric timelines to each machine record.
+    experiment for time it spent queued behind other work.  The run goes
+    through :func:`observe`, so a worker's warm memo entries from an
+    earlier experiment cannot hide machines from the collector.
+    ``stream`` selects bounded-memory streaming span collection
+    (sketch-backed latency summaries) instead of the buffered
+    collector; ``timeline`` (an interval in simulated cycles) adds
+    interval-sampled metric timelines to each machine record.
     """
     from repro.monitor.report import ReportCollector
 
-    clear_memoized_runs()
-    start = time.perf_counter()
-    with ReportCollector(stream=stream, timeline=timeline) as collector:
+    collector = ReportCollector(stream=stream, timeline=timeline)
+    with observe(collector):
+        start = time.perf_counter()
         output = REGISTRY[name].runner(**kwargs)
     return output, collector.machine_dicts(), time.perf_counter() - start
 
@@ -606,24 +645,25 @@ def _subprocess_main(
     message; only a hard crash (segfault, kill) leaves the pipe silent,
     which the manager detects as worker death.
 
-    With ``heartbeat_s`` set a :class:`HeartbeatEmitter` is installed
-    first: every engine the experiment builds pulses cumulative
-    self-metrics back as ``("hb", payload)`` messages, interleaved
-    ahead of the final outcome, at most one per ``heartbeat_s`` wall
-    seconds.  A hello beat goes out immediately so the parent can tell
-    "worker alive, simulation not started" from a dead pipe."""
+    With ``heartbeat_s`` set the run is observed by a
+    :class:`HeartbeatEmitter`: every engine the experiment builds
+    pulses cumulative self-metrics back as ``("hb", payload)``
+    messages, interleaved ahead of the final outcome, at most one per
+    ``heartbeat_s`` wall seconds.  A hello beat goes out before the run
+    so the parent can tell "worker alive, simulation not started" from
+    a dead pipe."""
     emitter = None
     if heartbeat_s is not None:
         from repro.monitor.telemetry import HeartbeatEmitter
 
         emitter = HeartbeatEmitter(conn.send, min_interval_s=heartbeat_s)
-        emitter.install()
         emitter.beat()
     try:
-        if collect_report:
-            payload = _execute_with_report(name, kwargs, stream=stream)
-        else:
-            payload = _execute(name, kwargs)
+        with observe(emitter) if emitter is not None else nullcontext():
+            if collect_report:
+                payload = _execute_with_report(name, kwargs, stream=stream)
+            else:
+                payload = _execute(name, kwargs)
         conn.send(("ok", payload))
     except BaseException as exc:  # noqa: BLE001 - isolate *any* worker failure
         try:
@@ -631,8 +671,6 @@ def _subprocess_main(
         except Exception:
             pass
     finally:
-        if emitter is not None:
-            emitter.uninstall()
         conn.close()
 
 

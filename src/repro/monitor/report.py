@@ -7,10 +7,9 @@ depths), and a metrics snapshot from the standard utilization monitors.
 ``python -m repro run-all`` emits one JSON report per artifact and
 ``python -m repro report`` aggregates a directory of them.
 
-Collection uses the context-observer hook
-(:func:`repro.core.context.add_context_observer`): while a
-:class:`ReportCollector` is installed, every machine built anywhere in
-the process — including deep inside experiment code — gets a
+Collection runs under :func:`repro.experiments.runner.observe`: inside
+``with observe(collector):`` every machine built anywhere in the
+process — including deep inside experiment code — gets a
 :class:`~repro.monitor.metrics.MetricsRegistry` plus the standard
 monitor set: in-place accounting armed on its links, memory modules and
 cluster banks as they are assembled (read back when the report is
@@ -22,7 +21,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.monitor.metrics import MetricsRegistry
 from repro.monitor.monitors import attach_standard_monitors, detach_monitors
@@ -42,11 +41,11 @@ DEFAULT_REPORT_DIR = ".repro-reports"
 
 
 class ReportCollector:
-    """Instrument every SimContext built while installed.
+    """Instrument every SimContext built under
+    :func:`~repro.experiments.runner.observe`::
 
-    Use as a context manager::
-
-        with ReportCollector() as collector:
+        collector = ReportCollector()
+        with observe(collector):
             output = experiment.runner(**kwargs)
         machines = collector.machine_dicts()
     """
@@ -55,15 +54,8 @@ class ReportCollector:
     #: CLI's: reports want the decomposition, not every exemplar).
     SPAN_CAP = 100_000
 
-    def __init__(
-        self,
-        collect_spans: bool = True,
-        stream: bool = False,
-        timeline: Optional[float] = None,
-    ) -> None:
+    def __init__(self, stream: bool = False, timeline: Optional[float] = None) -> None:
         self._records: List[tuple] = []
-        self._observer = None
-        self.collect_spans = collect_spans
         #: streaming collection: attach a bounded-memory
         #: :class:`~repro.monitor.streamstore.StreamingSpanStore` per
         #: machine instead of the buffered collector — same signals,
@@ -76,62 +68,29 @@ class ReportCollector:
         #: collects nothing and leaves the engine pulse unused.
         self.timeline = timeline
 
-    # -- installation ------------------------------------------------------
+    def __call__(self, ctx) -> Callable[[], None]:
+        registry = MetricsRegistry()
+        monitors = attach_standard_monitors(ctx, registry)
+        if self.stream:
+            from repro.monitor.streamstore import StreamingSpanStore
 
-    def install(self) -> "ReportCollector":
-        # deferred import: repro.core.context itself imports the monitor
-        # package (the signal bus), so a module-level import would cycle.
-        from repro.core.context import add_context_observer
+            spans = StreamingSpanStore(max_requests=self.SPAN_CAP).attach(ctx.bus)
+        else:
+            spans = SpanCollector(max_requests=self.SPAN_CAP).attach(ctx.bus)
+        timeline = None
+        if self.timeline is not None:
+            from repro.monitor.timeline import arm_machine_timeline
 
-        if self._observer is None:
-            self._observer = add_context_observer(self._observe)
-        return self
+            timeline = arm_machine_timeline(ctx, self.timeline, registry=registry)
+        self._records.append((ctx, registry, spans, timeline))
 
-    def uninstall(self) -> None:
-        from repro.core.context import remove_context_observer
-
-        if self._observer is not None:
-            remove_context_observer(self._observer)
-            self._observer = None
-        for ctx, _registry, monitors, spans, timeline in self._records:
+        def undo() -> None:
             detach_monitors(monitors)
-            if spans is not None:
-                spans.detach()
+            spans.detach()
             if timeline is not None:
                 ctx.engine.detach_pulse()
 
-    def __enter__(self) -> "ReportCollector":
-        return self.install()
-
-    def __exit__(self, *exc_info) -> None:
-        self.uninstall()
-
-    def _observe(self, ctx) -> None:
-        registry = MetricsRegistry()
-        monitors = attach_standard_monitors(ctx, registry)
-        spans = None
-        if self.collect_spans:
-            if self.stream:
-                from repro.monitor.streamstore import StreamingSpanStore
-
-                spans = StreamingSpanStore(
-                    max_requests=self.SPAN_CAP
-                ).attach(ctx.bus)
-            else:
-                spans = SpanCollector(max_requests=self.SPAN_CAP).attach(ctx.bus)
-        timeline = None
-        if self.timeline is not None:
-            from repro.monitor.timeline import MetricTimeline, machine_probes
-
-            # probes resolve lazily at the first pulse — the machine's
-            # components don't exist yet when the observer fires.
-            timeline = MetricTimeline(
-                lambda: machine_probes(ctx),
-                interval_cycles=self.timeline,
-                registry=registry,
-            )
-            ctx.engine.attach_pulse(timeline.pulse)
-        self._records.append((ctx, registry, monitors, spans, timeline))
+        return undo
 
     # -- results -----------------------------------------------------------
 
@@ -142,7 +101,7 @@ class ReportCollector:
     def machine_dicts(self) -> List[Dict[str, object]]:
         """One JSON-ready record per machine built during collection."""
         out = []
-        for ctx, registry, _monitors, spans, timeline in self._records:
+        for ctx, registry, spans, timeline in self._records:
             engine = ctx.engine
             record = {
                 "config_hash": ctx.config.stable_hash(),
@@ -154,19 +113,16 @@ class ReportCollector:
             if timeline is not None:
                 timeline.finalize(engine.now)
                 record["timeline"] = timeline.to_dict()
-            if spans is not None:
-                if self.stream:
-                    from repro.monitor.streamstore import (
-                        StreamingLatencyAnalysis,
-                    )
+            if self.stream:
+                from repro.monitor.streamstore import StreamingLatencyAnalysis
 
-                    record["latency"] = StreamingLatencyAnalysis.from_store(
-                        spans
-                    ).summary()
-                else:
-                    record["latency"] = LatencyAnalysis.from_collector(
-                        spans
-                    ).summary()
+                record["latency"] = StreamingLatencyAnalysis.from_store(
+                    spans
+                ).summary()
+            else:
+                record["latency"] = LatencyAnalysis.from_collector(
+                    spans
+                ).summary()
             out.append(record)
         return out
 

@@ -18,10 +18,11 @@ The per-run observability stack (metrics, spans, sketches) answers
 
 * **Worker heartbeats** — :class:`HeartbeatEmitter` runs inside the
   isolated worker process.  It observes every machine the experiment
-  builds (the same context-observer hook the report collector uses)
-  and arms an engine *pulse* — a read-only hook riding the Watchdog's
-  check cadence (:meth:`~repro.core.engine.Engine.attach_pulse`), so
-  the unmonitored hot path stays untouched.  At most every
+  builds (through :func:`repro.experiments.runner.observe`, as the
+  report collector does) and arms an engine *pulse* — a read-only
+  hook riding the Watchdog's check cadence
+  (:meth:`~repro.core.engine.Engine.attach_pulse`), so the unmonitored
+  hot path stays untouched.  At most every
   ``min_interval_s`` wall seconds the pulse ships engine self-metrics
   (events processed, sim cycles, events/sec, peak RSS) back over the
   worker's existing result pipe.  The parent uses heartbeat *silence*
@@ -259,8 +260,9 @@ def peak_rss_kb() -> Optional[int]:
 class HeartbeatEmitter:
     """Worker-side heartbeat source.
 
-    Installed (inside the worker process) as a context observer: every
-    machine the experiment builds gets an engine pulse
+    Passed (inside the worker process) to
+    :func:`~repro.experiments.runner.observe`: every machine the
+    experiment builds gets an engine pulse
     (:meth:`~repro.core.engine.Engine.attach_pulse`) that rides the
     watchdog check cadence.  The pulse is wall-clock rate-limited to
     ``min_interval_s`` and ships cumulative engine self-metrics through
@@ -283,36 +285,12 @@ class HeartbeatEmitter:
         self.clock = clock
         self.beats = 0
         self._engines: List[object] = []
-        self._observer = None
         self._last = float("-inf")
 
-    # -- installation ------------------------------------------------------
-
-    def install(self) -> "HeartbeatEmitter":
-        from repro.core.context import add_context_observer
-
-        if self._observer is None:
-            self._observer = add_context_observer(self._observe)
-        return self
-
-    def uninstall(self) -> None:
-        from repro.core.context import remove_context_observer
-
-        if self._observer is not None:
-            remove_context_observer(self._observer)
-            self._observer = None
-        for engine in self._engines:
-            engine.detach_pulse()
-
-    def __enter__(self) -> "HeartbeatEmitter":
-        return self.install()
-
-    def __exit__(self, *exc_info) -> None:
-        self.uninstall()
-
-    def _observe(self, ctx) -> None:
+    def __call__(self, ctx) -> Callable[[], object]:
         self._engines.append(ctx.engine)
         ctx.engine.attach_pulse(self._pulse)
+        return ctx.engine.detach_pulse
 
     # -- beating -----------------------------------------------------------
 

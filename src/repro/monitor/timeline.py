@@ -19,6 +19,11 @@ run is cycle-bit-identical to a bare one (``tests/test_zero_cost.py``
 asserts it), and a machine with no recorder attached pays nothing at
 all.
 
+Experiment code builds its machines internally, so the recorder reaches
+them from outside: ``with observe(TimelineRecorder()):`` (see
+:func:`repro.experiments.runner.observe`) arms one timeline on every
+machine built inside the block and detaches it on exit.
+
 Bounded memory
 --------------
 
@@ -443,19 +448,33 @@ def machine_probes(ctx) -> List[SeriesProbe]:
 
 
 # ---------------------------------------------------------------------------
-# the recorder: context-observer driver for experiment code
+# the recorder: per-machine observer for experiment code
+
+
+def arm_machine_timeline(ctx, interval_cycles: float, **kwargs) -> MetricTimeline:
+    """Attach a :class:`MetricTimeline` over :func:`machine_probes` to
+    ``ctx``'s engine pulse and return it; ``kwargs`` go to the
+    timeline.  Observers fire before machine assembly, so the component
+    walk is deferred to the first pulse via a probe factory.  Undo with
+    ``ctx.engine.detach_pulse()``."""
+    timeline = MetricTimeline(
+        lambda: machine_probes(ctx), interval_cycles=interval_cycles, **kwargs
+    )
+    ctx.engine.attach_pulse(timeline.pulse)
+    return timeline
 
 
 class TimelineRecorder:
-    """Attach a :class:`MetricTimeline` to every machine built while
-    installed.
+    """Attach a :class:`MetricTimeline` to every machine built under
+    :func:`~repro.experiments.runner.observe`.
 
     Same shape as :class:`~repro.monitor.report.ReportCollector` /
-    :class:`~repro.monitor.telemetry.HeartbeatEmitter`: a context
-    observer arms an engine pulse per machine, so experiment code that
+    :class:`~repro.monitor.telemetry.HeartbeatEmitter`: called with each
+    new machine, it arms an engine pulse, so experiment code that
     builds machines internally gets timelines without modification::
 
-        with TimelineRecorder(interval_cycles=64.0) as recorder:
+        recorder = TimelineRecorder(interval_cycles=64.0)
+        with observe(recorder):
             experiment.runner(...)
         docs = recorder.documents()
     """
@@ -468,40 +487,13 @@ class TimelineRecorder:
         self.interval_cycles = interval_cycles
         self.max_intervals = max_intervals
         self._records: List[tuple] = []  # (ctx, timeline)
-        self._observer = None
 
-    def install(self) -> "TimelineRecorder":
-        from repro.core.context import add_context_observer
-
-        if self._observer is None:
-            self._observer = add_context_observer(self._observe)
-        return self
-
-    def uninstall(self) -> None:
-        from repro.core.context import remove_context_observer
-
-        if self._observer is not None:
-            remove_context_observer(self._observer)
-            self._observer = None
-        for ctx, _timeline in self._records:
-            ctx.engine.detach_pulse()
-
-    def __enter__(self) -> "TimelineRecorder":
-        return self.install()
-
-    def __exit__(self, *exc_info) -> None:
-        self.uninstall()
-
-    def _observe(self, ctx) -> None:
-        # observers fire before machine assembly, so the component walk
-        # is deferred to the first pulse via a probe factory.
-        timeline = MetricTimeline(
-            lambda: machine_probes(ctx),
-            interval_cycles=self.interval_cycles,
-            max_intervals=self.max_intervals,
+    def __call__(self, ctx) -> Callable[[], object]:
+        timeline = arm_machine_timeline(
+            ctx, self.interval_cycles, max_intervals=self.max_intervals
         )
-        ctx.engine.attach_pulse(timeline.pulse)
         self._records.append((ctx, timeline))
+        return ctx.engine.detach_pulse
 
     # -- results -----------------------------------------------------------
 

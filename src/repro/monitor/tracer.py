@@ -268,11 +268,18 @@ class ChromeTracer:
             )
         return pid, tid
 
-    def _post(self, event: dict) -> None:
+    def _full(self, events: int = 1) -> bool:
+        """True, counting ``events`` as dropped, once the cap is reached.
+        Handlers test it before building their dicts (after ``_track``,
+        so the metadata matches an uncapped trace)."""
         if len(self.events) < self.capacity:
+            return False
+        self._dropped += events
+        return True
+
+    def _post(self, event: dict) -> None:
+        if not self._full():
             self.events.append(event)
-        else:
-            self._dropped += 1
 
     # -- signal handlers ---------------------------------------------------
 
@@ -289,6 +296,8 @@ class ChromeTracer:
     def _on_hop(self, scope: str, resource, packet, time: float) -> None:
         process, thread = self._split_resource(resource.name)
         pid, tid = self._track(scope, process, thread)
+        if self._full(2):  # the slice and its flow step
+            return
         duration = _service_cycles(resource, packet)
         self._post(
             {
@@ -307,6 +316,8 @@ class ChromeTracer:
     def _on_queue(self, scope: str, resource, time: float) -> None:
         process, _thread = self._split_resource(resource.name)
         pid, _ = self._track(scope, process, "queues")
+        if self._full():
+            return
         self._post(
             {
                 "name": f"{resource.name} queue",
@@ -320,6 +331,8 @@ class ChromeTracer:
 
     def _on_service(self, scope: str, module: int, packet, time: float, cycles: float) -> None:
         pid, tid = self._track(scope, "gmem", f"module[{module}]")
+        if self._full(2):  # the slice and its flow step
+            return
         self._post(
             {
                 "name": packet.kind.name if hasattr(packet.kind, "name") else str(packet.kind),
@@ -341,6 +354,8 @@ class ChromeTracer:
         ("t"); :meth:`trace` rewrites each flow's final step into the
         terminator ("f") export-time, since the last hop isn't knowable
         while events stream in."""
+        if self._full():
+            return
         started = request_id in self._flow_started
         if not started:
             self._flow_started.add(request_id)
@@ -360,6 +375,8 @@ class ChromeTracer:
         self, scope: str, module: int, address: int, time: float, packet, success: bool
     ) -> None:
         pid, tid = self._track(scope, "gmem", f"module[{module}]")
+        if self._full():
+            return
         self._post(
             {
                 "name": "sync.op",
@@ -375,6 +392,8 @@ class ChromeTracer:
 
     def _on_cluster(self, scope: str, resource, packet, time: float) -> None:
         pid, tid = self._track(scope, "cluster", resource.name)
+        if self._full():
+            return
         duration = _service_cycles(resource, packet)
         self._post(
             {
@@ -399,6 +418,8 @@ class ChromeTracer:
         args: Optional[dict] = None,
     ) -> None:
         pid, tid = self._track(scope, process, thread)
+        if self._full():
+            return
         event = {
             "name": name,
             "cat": "ce",

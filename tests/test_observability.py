@@ -8,6 +8,7 @@ from repro.core.config import CedarConfig
 from repro.core.context import add_context_observer, remove_context_observer
 from repro.core.engine import Engine
 from repro.core.machine import CedarMachine
+from repro.experiments.runner import experiment, observe
 from repro.monitor.metrics import (
     MetricsRegistry,
     Timeline,
@@ -199,6 +200,56 @@ class TestContextObservers:
         remove_context_observer(lambda ctx: None)
 
 
+class TestObserve:
+    def test_observed_run_after_a_warm_memo_builds_machines(self):
+        """A bare run warms the experiment memos; observe() clears them,
+        so the observed re-run builds machines and renders the same text."""
+        exp = experiment("characterization")
+        kwargs = exp.arguments(True)
+        bare = exp.runner(**kwargs)
+        collector = ReportCollector()
+        with observe(collector):
+            observed = exp.runner(**kwargs)
+        assert collector.machines >= 1
+        assert observed == bare
+
+    def test_exception_in_the_block_detaches_everything(self):
+        from repro.core import context
+
+        before = list(context._CONTEXT_OBSERVERS)
+        collector = ReportCollector(timeline=64.0)
+        with pytest.raises(RuntimeError, match="mid-block"):
+            with observe(collector):
+                machine = CedarMachine(CedarConfig())
+                run_small_kernel(machine)
+                assert machine.engine._pulse is not None
+                assert not machine.bus.quiescent()
+                raise RuntimeError("mid-block")
+        assert context._CONTEXT_OBSERVERS == before
+        assert machine.engine._pulse is None
+        assert machine.bus.quiescent()  # push monitors and spans
+        networks = (machine.forward_network, machine.reverse_network)
+        links = [link for net in networks for stage in net.stages for link in stage]
+        assert all(link.occupancy is None for link in links)
+        assert all(m.service_account is None for m in machine.gmem.modules)
+
+    def test_undos_run_newest_first(self):
+        calls = []
+
+        def observer(tag):
+            def attach(ctx):
+                calls.append(("attach", tag))
+                return lambda: calls.append(("undo", tag))
+
+            return attach
+
+        with observe(observer("a"), observer("b")):
+            CedarMachine(CedarConfig())
+        assert calls == [
+            ("attach", "a"), ("attach", "b"), ("undo", "b"), ("undo", "a"),
+        ]
+
+
 class TestStandardMonitors:
     def test_monitors_populate_registry(self):
         machine = CedarMachine(CedarConfig(), monitor_port=0)
@@ -268,6 +319,30 @@ class TestChromeTracer:
         assert tracer.dropped > 0
         assert tracer.trace()["otherData"]["dropped"] == tracer.dropped
 
+    def test_capped_trace_is_a_prefix_of_the_uncapped_one(self, monkeypatch):
+        """Past the cap a handler counts the drop before building its
+        event, but still registers its track: the capped trace keeps the
+        uncapped one's first N events and all of its metadata."""
+        import itertools
+
+        from repro.network import packet
+
+        def traced(capacity):
+            monkeypatch.setattr(packet, "_packet_ids", itertools.count())
+            machine = CedarMachine(CedarConfig(), monitor_port=0)
+            tracer = ChromeTracer(capacity=capacity).attach(machine.bus)
+            run_small_kernel(machine)
+            tracer.detach()
+            return tracer
+
+        full = traced(1_000_000)
+        n = len(full.events) // 3
+        capped = traced(n)
+        assert full.dropped == 0 and n > 0
+        assert capped.events == full.events[:n]
+        assert capped._metadata == full._metadata
+        assert capped.dropped == len(full.events) - n
+
     def test_validation_rejects_malformed(self):
         with pytest.raises(ValueError):
             validate_chrome_trace({"no": "traceEvents"})
@@ -282,7 +357,8 @@ class TestChromeTracer:
 
 class TestRunReports:
     def test_collector_instruments_machines(self):
-        with ReportCollector() as collector:
+        collector = ReportCollector()
+        with observe(collector):
             machine = CedarMachine(CedarConfig(), monitor_port=0)
             run_small_kernel(machine)
         assert collector.machines == 1
@@ -292,9 +368,10 @@ class TestRunReports:
         assert record["engine"]["events_processed"] > 0
         assert record["metrics"]["pfu.port[0].streams"] == 1
 
-    def test_collector_uninstall_stops_instrumenting(self):
-        collector = ReportCollector().install()
-        collector.uninstall()
+    def test_machines_built_after_the_block_are_not_observed(self):
+        collector = ReportCollector()
+        with observe(collector):
+            pass
         CedarMachine(CedarConfig())
         assert collector.machines == 0
 

@@ -331,6 +331,7 @@ def test_report_path_builds_no_request_spans(monkeypatch):
     from repro.cluster.ce import AwaitStream, GlobalLoad, StartPrefetch
     from repro.core.config import CedarConfig
     from repro.core.machine import CedarMachine
+    from repro.experiments.runner import observe
     from repro.monitor.report import ReportCollector
 
     built = []
@@ -346,7 +347,8 @@ def test_report_path_builds_no_request_spans(monkeypatch):
         yield GlobalLoad(length=4, stride=1, address=4096 + 64 * port)
 
     monkeypatch.setattr(RequestSpan, "__init__", counting_init)
-    with ReportCollector() as collector:
+    collector = ReportCollector()
+    with observe(collector):
         CedarMachine(CedarConfig()).run_programs(
             {port: program(port) for port in range(8)}
         )

@@ -224,9 +224,11 @@ class TestStreamingRenderers:
         assert "gmem" in out
 
     def test_report_collector_stream_mode(self):
+        from repro.experiments.runner import observe
         from repro.monitor.report import ReportCollector
 
-        with ReportCollector(stream=True) as collector:
+        collector = ReportCollector(stream=True)
+        with observe(collector):
             machine = CedarMachine(CedarConfig())
             machine.run_programs(_programs(ports=4, length=8))
         (record,) = collector.machine_dicts()

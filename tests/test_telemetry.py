@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.context import SimContext
 from repro.core.engine import Engine
+from repro.experiments.runner import observe
 from repro.monitor.telemetry import (
     DEFAULT_HEARTBEAT_S,
     TELEMETRY_VERSION,
@@ -184,10 +185,10 @@ class _FakeClock:
 class TestHeartbeatEmitter:
     def test_observer_arms_engine_pulse(self):
         emitter = HeartbeatEmitter(send=lambda msg: None)
-        with emitter:
+        with observe(emitter):
             ctx = SimContext()
             assert ctx.engine._pulse == emitter._pulse
-        assert ctx.engine._pulse is None  # uninstall detaches
+        assert ctx.engine._pulse is None  # leaving the block detaches
 
     def test_rate_limited_by_fake_clock(self):
         sent = []
@@ -209,7 +210,7 @@ class TestHeartbeatEmitter:
     def test_payload_shape_and_monotone_events(self):
         sent = []
         emitter = HeartbeatEmitter(send=sent.append, min_interval_s=0.0)
-        with emitter:
+        with observe(emitter):
             ctx = SimContext()
             for i in range(10_000):
                 ctx.engine.schedule_after(float(i + 1), lambda: None)

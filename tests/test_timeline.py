@@ -206,7 +206,10 @@ class TestTimelineRecorder:
         """Context observers fire before machine assembly; the recorder
         must still see the full probe set (deferred factory), and its
         documents must validate."""
-        with TimelineRecorder(interval_cycles=64.0) as recorder:
+        from repro.experiments.runner import observe
+
+        recorder = TimelineRecorder(interval_cycles=64.0)
+        with observe(recorder):
             machine = CedarMachine(CedarConfig())
             run_kernels(machine)
         assert recorder.machines == 1
@@ -214,7 +217,7 @@ class TestTimelineRecorder:
         n_series, n_intervals = validate_timeline(doc)
         assert n_series > 2  # engine + network + memory probes resolved
         assert n_intervals > 0
-        assert machine.engine._pulse is None  # uninstall detached it
+        assert machine.engine._pulse is None  # leaving the block detached it
 
     def test_defaults_match_module_constants(self):
         recorder = TimelineRecorder()

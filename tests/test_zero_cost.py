@@ -9,8 +9,8 @@ experiment artifact must be bit-identical to the unmonitored run.
 import pytest
 
 from repro.core.config import CedarConfig
-from repro.core.context import add_context_observer, remove_context_observer
 from repro.experiments.kernels_sim import _run
+from repro.experiments.runner import observe
 from repro.monitor.metrics import MetricsRegistry
 from repro.monitor.monitors import attach_standard_monitors, detach_monitors
 from repro.monitor.report import ReportCollector
@@ -27,27 +27,21 @@ class TestZeroCost:
     def test_chrome_tracer_does_not_change_cycles(self):
         baseline = measure()
         tracer = ChromeTracer()
-        observer = add_context_observer(lambda ctx: tracer.attach(ctx.bus))
-        try:
+        with observe(lambda ctx: tracer.attach(ctx.bus).detach):
             traced = measure()
-        finally:
-            remove_context_observer(observer)
-            tracer.detach()
         assert len(tracer.events) > 0  # the tracer really was attached
         assert traced == baseline  # cycles, rates, probe metrics: identical
 
     def test_standard_monitors_do_not_change_cycles(self):
         baseline = measure()
         registry = MetricsRegistry()
-        attached = []
-        observer = add_context_observer(
-            lambda ctx: attached.extend(attach_standard_monitors(ctx, registry))
-        )
-        try:
+
+        def attach(ctx):
+            monitors = attach_standard_monitors(ctx, registry)
+            return lambda: detach_monitors(monitors)
+
+        with observe(attach):
             monitored = measure()
-        finally:
-            remove_context_observer(observer)
-            detach_monitors(attached)
         assert len(registry) > 0  # the monitors really saw traffic
         assert monitored == baseline
 
@@ -58,15 +52,13 @@ class TestZeroCost:
 
         baseline = measure()
         collectors = []
-        observer = add_context_observer(
-            lambda ctx: collectors.append(SpanCollector().attach(ctx.bus))
-        )
-        try:
+
+        def attach(ctx):
+            collectors.append(SpanCollector().attach(ctx.bus))
+            return collectors[-1].detach
+
+        with observe(attach):
             traced = measure()
-        finally:
-            remove_context_observer(observer)
-            for collector in collectors:
-                collector.detach()
         assert sum(c.completed for c in collectors) > 0  # spans were stitched
         assert traced == baseline
 
@@ -77,7 +69,8 @@ class TestZeroCost:
         from repro.monitor.timeline import TimelineRecorder
 
         baseline = measure()
-        with TimelineRecorder(interval_cycles=64.0) as recorder:
+        recorder = TimelineRecorder(interval_cycles=64.0)
+        with observe(recorder):
             sampled = measure()
         assert recorder.machines >= 1
         docs = recorder.documents()
@@ -88,12 +81,12 @@ class TestZeroCost:
         assert sampled == baseline
 
     def test_detached_pulse_leaves_no_residue(self):
-        """After a recorder uninstalls, the engine is back on the
+        """After an observed block, the engine is back on the
         unchecked fast path and a re-run reproduces the bare results."""
         from repro.monitor.timeline import TimelineRecorder
 
         baseline = measure()
-        with TimelineRecorder(interval_cycles=64.0):
+        with observe(TimelineRecorder(interval_cycles=64.0)):
             measure()
         assert measure() == baseline
 
@@ -132,12 +125,8 @@ class TestZeroCost:
     def test_no_prefetch_path_is_also_unperturbed(self):
         baseline = measure(prefetch=False)
         tracer = ChromeTracer()
-        observer = add_context_observer(lambda ctx: tracer.attach(ctx.bus))
-        try:
+        with observe(lambda ctx: tracer.attach(ctx.bus).detach):
             traced = measure(prefetch=False)
-        finally:
-            remove_context_observer(observer)
-            tracer.detach()
         assert traced == baseline
 
     def test_experiment_text_is_identical_under_collection(self):
@@ -150,8 +139,8 @@ class TestZeroCost:
 
         run_characterization.cache_clear()
         baseline = render_characterization(run_characterization())
-        run_characterization.cache_clear()
-        with ReportCollector() as collector:
+        collector = ReportCollector()
+        with observe(collector):
             instrumented = render_characterization(run_characterization())
         run_characterization.cache_clear()
         assert collector.machines >= 1  # collection really happened
