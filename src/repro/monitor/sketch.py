@@ -31,7 +31,12 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
+from itertools import compress, repeat
+from operator import ge, truediv
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 #: serialized-sketch schema version (see :meth:`QuantileSketch.to_dict`).
 SKETCH_VERSION = 1
@@ -44,6 +49,20 @@ DEFAULT_RELATIVE_ERROR = 0.01
 #: upper tail).  At 1% relative error this spans ~20 decades, so real
 #: workloads never hit it — it is a hard memory guarantee, not a knob.
 DEFAULT_MAX_BUCKETS = 2048
+
+
+def chained_sum(values, start=0.0):
+    """``start + values[0] + values[1] + ...`` added left to right: the
+    value a ``+=`` loop leaves, on every interpreter.  Builtin ``sum``
+    is compensated since Python 3.12 and ``np.sum`` adds pairwise, so
+    neither matches that loop bit for bit; ``np.add.accumulate`` is
+    sequential by definition.  Rows of a 2-D ``values`` fold column by
+    column onto a ``start`` row.  Returns Python floats."""
+    rows = np.asarray(values, dtype=float)
+    column = np.empty((len(rows) + 1, *rows.shape[1:]))
+    column[0] = start
+    column[1:] = rows
+    return np.add.accumulate(column)[-1].tolist()
 
 
 class QuantileSketch:
@@ -112,6 +131,41 @@ class QuantileSketch:
         buckets[key] = buckets.get(key, 0) + 1
         if len(buckets) > self.max_buckets:
             self._collapse()
+
+    def record_many(self, values: Sequence[float]) -> None:
+        """Fold ``values`` in order: the state :meth:`record` on each in
+        turn leaves.  The sum is added left to right, min and max keep
+        the first extremum, and each distinct value is keyed once.  When
+        the new keys could push the bucket count past ``max_buckets``
+        the values go through :meth:`record` one by one, so collapses
+        happen at the same points."""
+        if not len(values):
+            return
+        counts = Counter(values)
+        positive = [value for value in counts if not value <= 0.0]
+        keys = list(map(math.ceil, map(
+            truediv, map(math.log, positive), repeat(self._ln_gamma)
+        )))
+        buckets = self._buckets
+        if len(buckets) + len(set(keys).difference(buckets)) > self.max_buckets:
+            for value in values:
+                self.record(value)
+            return
+        self.count += len(values)
+        total = self._sum
+        for value in values:
+            total += value
+        self._sum = total
+        low = min(values)
+        if self._min is None or low < self._min:
+            self._min = low
+        high = max(values)
+        if self._max is None or high > self._max:
+            self._max = high
+        seen = list(map(counts.__getitem__, positive))
+        self._zero_count += len(values) - sum(seen)
+        for key, n in zip(keys, seen):
+            buckets[key] = buckets.get(key, 0) + n
 
     def _collapse(self) -> None:
         """Merge the lowest buckets until back under the cap.  Collapsing
@@ -295,6 +349,22 @@ class ExemplarReservoir:
         else:
             heapq.heappush(heap, (*rank, build()))
         return True
+
+    def offer_ranked_many(self, latencies: Sequence[float],
+                          request_ids: Sequence[int],
+                          build: Callable[[int], object]) -> None:
+        """:meth:`offer_ranked` for each ``(latencies[k],
+        request_ids[k])`` in order, ``build(k)`` making the k-th span.
+        Once the reservoir is full its floor only rises, so the offers
+        below the floor it starts with are counted without a call."""
+        heap = self._slowest
+        floor = heap[0][0] if len(heap) >= self.k else -math.inf
+        candidates = list(compress(
+            range(len(latencies)), map(ge, latencies, repeat(floor))
+        ))
+        self.offered_complete += len(latencies) - len(candidates)
+        for k in candidates:
+            self.offer_ranked(latencies[k], request_ids[k], lambda: build(k))
 
     def offer_incomplete(self, span) -> None:
         """Offer an incomplete span (an in-flight eviction or a sim-end

@@ -37,11 +37,14 @@ from __future__ import annotations
 import json
 from collections import Counter
 from functools import lru_cache
-from itertools import compress
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from itertools import chain, repeat
+from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.gmemory.sync import format_sync_op
 from repro.monitor.histogram import Histogrammer
+from repro.monitor.sketch import chained_sum
 
 #: exported spans-JSON schema version (see :func:`validate_spans`).
 SPANS_VERSION = 1
@@ -52,6 +55,9 @@ STREAM_SPANS_VERSION = 2
 
 #: the five phases of a global reference, in timeline order.
 PHASES = ("forward", "memory_wait", "memory_service", "memory_block", "reverse")
+
+#: the memory module's phases: a request's ``gmem`` stage traversal.
+MEMORY_PHASES = PHASES[1:4]
 
 
 @lru_cache(maxsize=4096)
@@ -69,20 +75,85 @@ def _stage_of(resource_name: str) -> str:
 HOP_SLOTS = 8
 
 
-def hop_segments(raw_hops: Sequence) -> Iterator[Tuple[str, float, float, float]]:
-    """``(stage, queue_wait, service, blocked)`` per flat hop record in
-    ``raw_hops`` (:attr:`RequestSpan.raw_hops`), with
-    :meth:`HopSpan.segments`' arithmetic — the analyses read hops
-    through this instead of building a :class:`HopSpan` each."""
-    for j in range(0, len(raw_hops), HOP_SLOTS):
-        svc = raw_hops[j + 4]
-        service_end = raw_hops[j + 6]
-        yield (
-            _stage_of(raw_hops[j]),
-            max(0.0, service_end - svc - raw_hops[j + 5]),
-            svc,
-            max(0.0, raw_hops[j + 7] - service_end),
-        )
+def concat_hops(hops: Sequence[list]) -> Tuple[tuple, List[int]]:
+    """Per-request flat hop lists (:attr:`RequestSpan.raw_hops`) as
+    :func:`stage_segments` takes them: the hop fields of all of them,
+    concatenated, and each request's hop count."""
+    flat = list(chain.from_iterable(hops))
+    fields = (
+        list(map(_stage_of, flat[0::HOP_SLOTS])),
+        *(np.asarray(flat[k::HOP_SLOTS], dtype=float) for k in (4, 5, 6, 7)),
+    )
+    return fields, [len(raw) // HOP_SLOTS for raw in hops]
+
+
+def stage_segments(fields: tuple, counts: Sequence[int],
+                   memory: Sequence[Sequence[float]]) -> Dict[str, np.ndarray]:
+    """Per-stage ``(queue_wait, service, blocked)`` rows of a batch of
+    requests' traversals.  ``fields`` are the hops' stage name list and
+    their ``svc``, ``enqueue``, ``service_end`` and ``depart`` float
+    arrays (requests in order, each one's hops in emission order);
+    request ``r`` contributes its next ``counts[r]`` hops and then its
+    memory-module term, row ``r`` of the ``memory`` columns (wait,
+    service, block), under stage ``"gmem"``.
+
+    Stages key the result in first-seen traversal order and each one's
+    rows keep traversal order, so :func:`~repro.monitor.sketch.chained_sum`
+    over a stage's rows adds what a ``+=`` loop over the traversals adds,
+    in the same order.  The hop arithmetic is :meth:`HopSpan.segments`',
+    done in one numpy pass."""
+    if not len(counts):
+        return {}
+    stages, svc, enqueue, service_end, depart = fields
+    wait = service_end - svc - enqueue
+    blocked = depart - service_end
+    n_hops = len(stages)
+    n_requests = len(counts)
+    code_of = {stage: k for k, stage in enumerate(dict.fromkeys(stages))}
+    gmem = code_of.setdefault("gmem", len(code_of))
+    # traversal order: each request's hops, then its memory term
+    counts = np.asarray(counts, dtype=np.intp)
+    hop_at = np.arange(n_hops) + np.repeat(np.arange(n_requests), counts)
+    memory_at = np.cumsum(counts) + np.arange(n_requests)
+    codes = np.empty(n_hops + n_requests, dtype=np.intp)
+    codes[hop_at] = np.fromiter(map(code_of.__getitem__, stages), np.intp,
+                                n_hops)
+    codes[memory_at] = gmem
+    rows = np.empty((len(codes), 3))
+    # max(0.0, x) keeps 0.0 unless x > 0.0
+    rows[hop_at, 0] = np.where(wait > 0.0, wait, 0.0)
+    rows[hop_at, 1] = svc
+    rows[hop_at, 2] = np.where(blocked > 0.0, blocked, 0.0)
+    rows[memory_at] = np.column_stack(memory)
+    names = list(code_of)
+    found, first = np.unique(codes, return_index=True)
+    return {
+        names[code]: rows[codes == code]
+        for code in found[np.argsort(first)].tolist()
+    }
+
+
+def traversal_cycles(rows: np.ndarray) -> List[float]:
+    """``queue_wait + service + blocked`` per row of :func:`stage_segments`,
+    added in that order."""
+    return (rows[:, 0] + rows[:, 1] + rows[:, 2]).tolist()
+
+
+def rank_stages(latencies: Sequence[float], fields: tuple,
+                counts: Sequence[int],
+                memory: Sequence[Sequence[float]]) -> List[dict]:
+    """Bottleneck attribution of a tail cohort: each stage's summed
+    traversal cycles (hops and memory terms, laid out as
+    :func:`stage_segments` takes them) as a share of the cohort's summed
+    latency, worst first; equal shares keep first-seen stage order."""
+    total = chained_sum(latencies) or 1.0
+    ranked = []
+    for stage, rows in stage_segments(fields, counts, memory).items():
+        cycles = chained_sum(traversal_cycles(rows))
+        ranked.append({"stage": stage, "cycles": cycles,
+                       "share": cycles / total})
+    ranked.sort(key=lambda row: row["share"], reverse=True)
+    return ranked
 
 
 class HopSpan:
@@ -305,8 +376,9 @@ def _phase_columns(buf: list, bs: Sequence[int], es: Sequence[int],
 def _drifts(latencies: Sequence[float],
             phases: Sequence[Sequence[float]]) -> List[float]:
     """``abs(sum(phases) - latency)`` per request, given the five phase
-    columns.  The chained sum equals ``sum``'s: its integer start can
-    only flip the sign of a zero, which ``abs`` drops."""
+    columns.  The phases are added left to right, as a ``+=`` loop adds
+    them, whatever the interpreter's ``sum`` does (compensated since
+    Python 3.12)."""
     return [
         abs(forward + wait + service + block + reverse - latency)
         for latency, forward, wait, service, block, reverse
@@ -389,9 +461,10 @@ class SpanCollector:
         #: request id -> its fault record indices.
         self._faults: Dict[int, List[int]] = {}
         self._open_syncs: Dict[int, List[int]] = {}
-        #: resource names already seen on non-memory ``net.span``
-        #: records: the stitching loop skips a hop on one set lookup.
-        self._hop_names: set = set()
+        #: stage per resource name already seen on non-memory
+        #: ``net.span`` records: the stitching loop skips a hop on one
+        #: dict lookup, and the hop columns read stages from it.
+        self._hop_stages: Dict[str, str] = {}
         self._dropped = 0
         self._completed = 0
         self._subscriptions: List[tuple] = []
@@ -479,16 +552,16 @@ class SpanCollector:
         faults = self._faults
         open_syncs = self._open_syncs
         mem, svc, sync = self._mem, self._svc, self._sync
-        hop_names = self._hop_names
+        hop_stages = self._hop_stages
         cap = self.max_requests
         for i in range(i, n, HOP_SLOTS):
             tag = buf[i]
-            if tag in hop_names:
+            if tag in hop_stages:
                 continue  # a hop: read by position when needed
             if tag.__class__ is str:
                 # a net.span record: only the memory module's is stitched
                 if not tag.startswith("gm["):
-                    hop_names.add(tag)
+                    hop_stages[tag] = _stage_of(tag)
                     continue
                 rid = buf[i + 1]
                 if rid in requests and rid not in ends:
@@ -547,30 +620,80 @@ class SpanCollector:
             if ids and rid in ids:
                 ids.remove(rid)
 
+    def _hop_runs(self, bounds: Dict[int, Tuple[int, int]]
+                  ) -> Tuple[np.ndarray, List[int]]:
+        """For ``bounds`` = ``{request id: (birth index, end index)}``:
+        the buffer indices of those requests' hop records, request by
+        request in ``bounds`` order, each in emission order, and each
+        request's hop count.  A request's hops are the non-``gm[``
+        ``net.span`` records carrying its id strictly between the two
+        indices.  C-level maps read the tag and id columns of the
+        covered range and one numpy pass picks the hops: no Python frame
+        per record."""
+        if not bounds:
+            return np.empty(0, dtype=np.intp), []
+        buf = self._events
+        bs, es = np.array(list(bounds.values())).T
+        lo = int(bs.min())
+        hi = int(es.max())
+        n = len(range(lo, hi, HOP_SLOTS))
+        rank = dict(zip(bounds, range(len(bounds))))
+        owner = np.fromiter(
+            map(rank.get, buf[lo + 1:hi:HOP_SLOTS], repeat(-1)), np.intp, n
+        )
+        named = np.flatnonzero(owner >= 0)
+        at = named * HOP_SLOTS + lo
+        owner = owner[named]
+        # every hop resource up to the cursor is in _hop_stages; the
+        # tags of other records are integers or gm[ names
+        hop = np.fromiter(
+            map(self._hop_stages.__contains__, map(buf.__getitem__, at.tolist())),
+            bool, len(at),
+        )
+        hop &= (bs[owner] < at) & (at < es[owner])
+        at = at[hop]
+        owner = owner[hop]
+        return (at[np.argsort(owner, kind="stable")],
+                np.bincount(owner, minlength=len(bounds)).tolist())
+
+    def _hop_fields(self, at: np.ndarray) -> tuple:
+        """The :func:`stage_segments` fields of the hop records at buffer
+        indices ``at``."""
+        buf = self._events
+        get = buf.__getitem__
+        return (
+            list(map(self._hop_stages.__getitem__, map(get, at.tolist()))),
+            *(np.fromiter(map(get, (at + k).tolist()), float, len(at))
+              for k in (4, 5, 6, 7)),
+        )
+
+    def _records(self, at: np.ndarray) -> list:
+        """The flat records at buffer indices ``at``, concatenated."""
+        return list(chain.from_iterable(map(
+            self._events.__getitem__,
+            map(slice, at.tolist(), (at + HOP_SLOTS).tolist()),
+        )))
+
     def _hop_records(self, bounds: Dict[int, Tuple[int, int]]) -> Dict[int, list]:
         """Flat hop records per request for ``bounds`` = ``{request id:
-        (birth index, end index)}``: the non-``gm[`` ``net.span``
-        records carrying the id strictly between the two, in emission
-        order.  One pass over the slot-1 column of the covered range."""
-        hops: Dict[int, list] = {rid: [] for rid in bounds}
-        if not bounds:
-            return hops
-        buf = self._events
-        lo = min(b for b, _e in bounds.values())
-        hi = max(e for _b, e in bounds.values())
-        # the records naming a wanted id, found without a Python frame
-        # per record
-        named = compress(
-            range(lo, hi, HOP_SLOTS),
-            map(hops.__contains__, buf[lo + 1:hi:HOP_SLOTS]),
-        )
-        for i in named:
-            rid = buf[i + 1]
-            b, e = bounds[rid]
-            tag = buf[i]
-            if b < i < e and tag.__class__ is str and not tag.startswith("gm["):
-                hops[rid] += buf[i:i + HOP_SLOTS]
+        (birth index, end index)}`` (see :meth:`_hop_runs`)."""
+        at, counts = self._hop_runs(bounds)
+        flat = self._records(at)
+        hops = {}
+        start = 0
+        for rid, count in zip(bounds, counts):
+            stop = start + count * HOP_SLOTS
+            hops[rid] = flat[start:stop]
+            start = stop
         return hops
+
+    def _bounds(self, rids: Sequence[int]) -> Dict[int, Tuple[int, int]]:
+        """``{request id: (birth index, end index)}`` of tracked requests
+        ``rids``; an in-flight request's hops run up to the cursor."""
+        requests = self._requests
+        ends = self._ends
+        upto = self._cursor
+        return {rid: (requests[rid], ends.get(rid, upto)) for rid in rids}
 
     def _span(self, b: int, e: Optional[int], g: Optional[int],
               s: Optional[int], y: Optional[int], faults: Optional[List[int]],
@@ -599,25 +722,23 @@ class SpanCollector:
             span.complete = True
         return span
 
-    def _raw_hops(self, rids: Sequence[int]) -> List[list]:
-        """Flat hop records of tracked requests ``rids``, in order."""
-        requests = self._requests
-        ends = self._ends
-        upto = self._cursor
-        hops = self._hop_records(
-            {rid: (requests[rid], ends.get(rid, upto)) for rid in rids}
-        )
-        return [hops[rid] for rid in rids]
+    def _hop_columns(self, rids: Sequence[int]) -> Tuple[tuple, List[int]]:
+        """The :func:`stage_segments` fields of tracked requests
+        ``rids``' hops and each one's hop count, read from the buffer
+        without building records."""
+        at, counts = self._hop_runs(self._bounds(rids))
+        return self._hop_fields(at), counts
 
     def _spans_for(self, rids: Sequence[int]) -> List[RequestSpan]:
         """:class:`RequestSpan` objects for tracked requests ``rids``."""
         requests = self._requests
         ends = self._ends
         mem, svc, sync, faults = self._mem, self._svc, self._sync, self._faults
+        hops = self._hop_records(self._bounds(rids))
         return [
             self._span(requests[rid], ends.get(rid), mem.get(rid),
-                       svc.get(rid), sync.get(rid), faults.get(rid), hops)
-            for rid, hops in zip(rids, self._raw_hops(rids))
+                       svc.get(rid), sync.get(rid), faults.get(rid), hops[rid])
+            for rid in rids
         ]
 
     def _rows(self) -> Tuple[List[int], List[list]]:
@@ -726,7 +847,7 @@ class LatencyAnalysis:
         self._set_rows(
             columns, bins, dropped,
             lambda rows: [spans[i] for i in rows],
-            lambda rows: [spans[i].raw_hops for i in rows],
+            lambda rows: concat_hops([spans[i].raw_hops for i in rows]),
         )
 
     @classmethod
@@ -737,7 +858,7 @@ class LatencyAnalysis:
         analysis._set_rows(
             columns, bins, collector.dropped,
             lambda rows: collector._spans_for([rids[i] for i in rows]),
-            lambda rows: collector._raw_hops([rids[i] for i in rows]),
+            lambda rows: collector._hop_columns([rids[i] for i in rows]),
         )
         return analysis
 
@@ -747,7 +868,7 @@ class LatencyAnalysis:
         self._origins = columns[0]
         self._latencies = columns[1]
         self._phases = dict(zip(PHASES, columns[2:]))
-        #: row indices -> their spans / flat hop records
+        #: row indices -> their spans / (stage_segments fields, hop counts)
         self._spans_of = spans_of
         self._hops_of = hops_of
         self.bins = bins
@@ -783,7 +904,7 @@ class LatencyAnalysis:
         p50, p90, p95, p99 = hist.quantiles(self.QUANTILES)
         return {
             "count": len(values),
-            "mean": sum(values) / len(values),
+            "mean": chained_sum(values) / len(values),
             "p50": p50, "p90": p90, "p95": p95, "p99": p99,
             "max": max(values),
         }
@@ -806,46 +927,33 @@ class LatencyAnalysis:
     def phase_decomposition(self) -> Dict[str, dict]:
         """Statistics for each of the five phases, with each phase's
         share of total (sum over requests) end-to-end latency."""
-        total = sum(self._latencies) or 1.0
+        total = chained_sum(self._latencies) or 1.0
         out = {}
         for phase, values in self._phases.items():
             if not values:
                 continue
             row = self._stats_row(values)
-            row["share"] = sum(values) / total
+            row["share"] = chained_sum(values) / total
             out[phase] = row
         return out
 
-    def _memory_cycles(self, i: int) -> Tuple[float, float, float]:
+    def _segments(self, rows: Sequence[int]) -> tuple:
+        """``(fields, counts, memory)`` of ``rows``, as
+        :func:`stage_segments` takes them."""
         phases = self._phases
-        return (phases["memory_wait"][i], phases["memory_service"][i],
-                phases["memory_block"][i])
+        memory = [[phases[phase][i] for i in rows] for phase in MEMORY_PHASES]
+        return (*self._hops_of(rows), memory)
 
     def stage_decomposition(self) -> Dict[str, dict]:
         """Queue-wait / service / blocked cycles per network stage (and
         the memory modules), averaged per traversal, with each stage's
         share of total end-to-end latency."""
-        acc: Dict[str, List[float]] = {}
-        rows = range(self.requests)
-        for i, raw in zip(rows, self._hops_of(rows)):
-            for stage, wait, service, blocked in hop_segments(raw):
-                entry = acc.get(stage)
-                if entry is None:
-                    entry = acc[stage] = [0.0, 0.0, 0.0, 0]
-                entry[0] += wait
-                entry[1] += service
-                entry[2] += blocked
-                entry[3] += 1
-            wait, service, blocked = self._memory_cycles(i)
-            entry = acc.setdefault("gmem", [0.0, 0.0, 0.0, 0])
-            entry[0] += wait
-            entry[1] += service
-            entry[2] += blocked
-            entry[3] += 1
-        total = sum(self._latencies) or 1.0
+        segments = stage_segments(*self._segments(range(self.requests)))
+        total = chained_sum(self._latencies) or 1.0
         out = {}
-        for stage in sorted(acc):
-            wait, service, blocked, count = acc[stage]
+        for stage in sorted(segments):
+            count = len(segments[stage])
+            wait, service, blocked = chained_sum(segments[stage], (0.0, 0.0, 0.0))
             out[stage] = {
                 "traversals": count,
                 "queue_wait": wait / count,
@@ -876,21 +984,9 @@ class LatencyAnalysis:
         cohort = self._cohort(q)
         if not cohort:
             return []
-        acc: Dict[str, float] = {}
-        total = 0.0
-        for i, raw in zip(cohort, self._hops_of(cohort)):
-            total += self._latencies[i]
-            for stage, wait, service, blocked in hop_segments(raw):
-                acc[stage] = acc.get(stage, 0.0) + (wait + service + blocked)
-            wait, service, blocked = self._memory_cycles(i)
-            acc["gmem"] = acc.get("gmem", 0.0) + (wait + service + blocked)
-        total = total or 1.0
-        ranked = [
-            {"stage": stage, "cycles": cycles, "share": cycles / total}
-            for stage, cycles in acc.items()
-        ]
-        ranked.sort(key=lambda row: row["share"], reverse=True)
-        return ranked
+        latencies = self._latencies
+        return rank_stages([latencies[i] for i in cohort],
+                           *self._segments(cohort))
 
     def slowest(self, n: int = 5) -> List[RequestSpan]:
         """The ``n`` slowest completed requests (waterfall exemplars)."""

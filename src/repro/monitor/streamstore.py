@@ -18,12 +18,24 @@ request into constant-size state at the drain after it completes:
 and the record buffer is compacted to the requests still in flight —
 
 so resident state is O(sketch buckets + K + in-flight), independent of
-how many requests the run drives.  The exact per-span reconciliation
-check (phase sums vs end-to-end latency) is preserved as a running
-invariant counter: every fold checks it, violations are counted and the
-worst drift retained, and :func:`~repro.monitor.spans.validate_spans`
-rejects a streaming document with any violation — the same guarantee as
-the buffered schema, without keeping the spans.
+how many requests the run drives.
+
+A drain folds its completions in columns, not request by request: each
+sketch takes one :meth:`QuantileSketch.record_many` call, the hop
+records of every completion are picked out of the buffer in one pass
+and reduced by :func:`~repro.monitor.spans.stage_segments`, and the
+stage totals add each stage's traversals with
+:func:`~repro.monitor.sketch.chained_sum` in the order a per-request
+``+=`` loop would (completion rank, then emission position, each
+request's memory term last).  The result is bit-identical to folding
+one request at a time.
+
+The exact per-span reconciliation check (phase sums vs end-to-end
+latency) is preserved as a running invariant counter: every fold checks
+it, violations are counted and the worst drift retained, and
+:func:`~repro.monitor.spans.validate_spans` rejects a streaming document
+with any violation — the same guarantee as the buffered schema, without
+keeping the spans.
 
 The hot path is untouched: the ``net.span`` subscriber is still the
 event buffer's C-level ``extend``, and stitching is still deferred — the
@@ -45,16 +57,19 @@ Trade-offs versus the buffered collector (by design):
 from __future__ import annotations
 
 import json
-from itertools import compress
+from itertools import accumulate, compress, repeat
+from operator import eq
 from typing import Dict, List, Sequence
 
 from repro.monitor.sketch import (
     DEFAULT_RELATIVE_ERROR,
     ExemplarReservoir,
     QuantileSketch,
+    chained_sum,
 )
 from repro.monitor.spans import (
     HOP_SLOTS,
+    MEMORY_PHASES,
     PHASES,
     RECONCILE_TOLERANCE,
     RequestSpan,
@@ -62,7 +77,10 @@ from repro.monitor.spans import (
     SpanCollector,
     _drifts,
     _phase_columns,
-    hop_segments,
+    concat_hops,
+    rank_stages,
+    stage_segments,
+    traversal_cycles,
 )
 
 
@@ -83,8 +101,10 @@ class StreamingSpanStore(SpanCollector):
     #: drain the event buffer whenever it holds this many unstitched
     #: slots (checked on birth/deliver — the cheap, per-request signals —
     #: so the buffer stays bounded without touching the per-hop fast path).
-    #: 2048 records: a drain's fold builds per-request hop lists and
-    #: columns, so the batch size sets the peak of a streaming run.
+    #: 2048 records: a drain folds its completions in columns (one
+    #: ``record_many`` per sketch, one numpy pass over all their hops,
+    #: no per-request hop list), so the batch size sets both the peak
+    #: of those columns and how many calls a run's fold makes.
     DRAIN_THRESHOLD = 16_384
 
     #: default exemplar reservoir size (slowest K + most recent K).
@@ -173,7 +193,9 @@ class StreamingSpanStore(SpanCollector):
     def _fold(self) -> None:
         """Fold this drain's completions, in completion order, into the
         sketches, the exact stage sums, the reconciliation counters and
-        the exemplar reservoir."""
+        the exemplar reservoir — column by column: one
+        :meth:`QuantileSketch.record_many` per sketch, one numpy pass
+        over the drain's hops (:func:`stage_segments`)."""
         pending = self._pending
         if not pending:
             return
@@ -187,38 +209,32 @@ class StreamingSpanStore(SpanCollector):
         rids, bs, es, gs, ss, ys, fs = (
             [column[k] for k in phased] for column in columns
         )
-        hops = self._hop_records(dict(zip(rids, zip(bs, es))))
         origins, latencies, *phases = _phase_columns(self._events, bs, es, gs, ss)
         sketches = self.latency_sketches
-        record_all = sketches["all"].record
-        phase_sketches = [self.phase_sketches[phase] for phase in PHASES]
-        for origin, latency, *values in zip(origins, latencies, *phases):
-            record_all(latency)
+        sketches["all"].record_many(latencies)
+        for origin in dict.fromkeys(origins):
             sketch = sketches.get(origin)
             if sketch is None:
                 sketch = sketches[origin] = QuantileSketch(self.relative_error)
-            sketch.record(latency)
-            for phase_sketch, value in zip(phase_sketches, values):
-                phase_sketch.record(value)
-        # exact stage sums, one ``+=`` per traversal in completion order
-        # (each request's hops in emission order, then its memory
-        # term); the per-traversal totals go to the stage sketches
+            sketch.record_many(
+                list(compress(latencies, map(eq, origins, repeat(origin))))
+            )
+        for phase, values in zip(PHASES, phases):
+            self.phase_sketches[phase].record_many(values)
+        # exact stage sums: each stage's traversals in completion order
+        # (each request's hops in emission order, then its memory term),
+        # added left to right onto the running totals
+        at, counts = self._hop_runs(dict(zip(rids, zip(bs, es))))
+        segments = stage_segments(self._hop_fields(at), counts, phases[1:4])
         totals = self.stage_totals
-        stage_sketches = self.stage_sketches
-        memory = zip(phases[1], phases[2], phases[3])
-        for rid, mem in zip(rids, memory):
-            for stage, wait, service, blocked in (
-                *hop_segments(hops[rid]), ("gmem", *mem)
-            ):
-                entry = totals.get(stage)
-                if entry is None:
-                    entry = totals[stage] = [0.0, 0.0, 0.0, 0]
-                    stage_sketches[stage] = QuantileSketch(self.relative_error)
-                entry[0] += wait
-                entry[1] += service
-                entry[2] += blocked
-                entry[3] += 1
-                stage_sketches[stage].record(wait + service + blocked)
+        for stage, rows in segments.items():
+            entry = totals.get(stage)
+            if entry is None:
+                entry = totals[stage] = [0.0, 0.0, 0.0, 0]
+                self.stage_sketches[stage] = QuantileSketch(self.relative_error)
+            entry[:3] = chained_sum(rows, entry[:3])
+            entry[3] += len(rows)
+            self.stage_sketches[stage].record_many(traversal_cycles(rows))
         # the exact reconciliation invariant, checked at fold time
         # instead of held for a post-hoc pass
         for drift in _drifts(latencies, phases):
@@ -227,13 +243,13 @@ class StreamingSpanStore(SpanCollector):
             if drift > self.reconciliation_worst:
                 self.reconciliation_worst = drift
         self.reconciliation_checked += len(latencies)
-        # a span is built only when the reservoir keeps it
-        offer = self.exemplars.offer_ranked
-        span = self._span
-        for rid, b, e, g, s, y, f, latency in zip(
-            rids, bs, es, gs, ss, ys, fs, latencies
-        ):
-            offer(latency, rid, lambda: span(b, e, g, s, y, f, hops[rid]))
+        # a span (and its hop list) is built only when the reservoir
+        # keeps it
+        offsets = list(accumulate(counts, initial=0))
+        self.exemplars.offer_ranked_many(latencies, rids, lambda k: self._span(
+            bs[k], es[k], gs[k], ss[k], ys[k], fs[k],
+            self._records(at[offsets[k]:offsets[k + 1]]),
+        ))
 
     def _compact(self) -> None:
         """Shrink the buffer to the records of the requests still in
@@ -590,24 +606,12 @@ class StreamingLatencyAnalysis:
         cohort = self.tail_cohort(q)
         if not cohort:
             return []
-        acc: Dict[str, float] = {}
-        total = 0.0
-        for span in cohort:
-            total += span.latency
-            for stage, wait, service, blocked in hop_segments(span.raw_hops):
-                acc[stage] = acc.get(stage, 0.0) + (wait + service + blocked)
-            phases = span.phases()
-            acc["gmem"] = acc.get("gmem", 0.0) + (
-                phases["memory_wait"] + phases["memory_service"]
-                + phases["memory_block"]
-            )
-        total = total or 1.0
-        ranked = [
-            {"stage": stage, "cycles": cycles, "share": cycles / total}
-            for stage, cycles in acc.items()
-        ]
-        ranked.sort(key=lambda row: row["share"], reverse=True)
-        return ranked
+        phases = [span.phases() for span in cohort]
+        return rank_stages(
+            [span.latency for span in cohort],
+            *concat_hops([span.raw_hops for span in cohort]),
+            [[p[phase] for p in phases] for phase in MEMORY_PHASES],
+        )
 
     def slowest(self, n: int = 5) -> List[RequestSpan]:
         return self.spans[:n] if n is not None else list(self.spans)

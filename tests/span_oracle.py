@@ -8,13 +8,15 @@ the moment it completes, and the summary is computed over the stitched
 spans.  The code is slow and obviously eager-equivalent, which is what
 an oracle should be: ``tests/test_span_oracle.py`` feeds the same
 signal programs to these classes and to the real collectors and
-requires identical summaries and documents.
+requires identical summaries and documents.  ``PerRequestFoldStore`` is
+the real streaming store with the request-by-request fold its column
+fold replaced.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from repro.gmemory.sync import format_sync_op
 from repro.monitor.histogram import Histogrammer
@@ -30,8 +32,37 @@ from repro.monitor.spans import (
     STREAM_SPANS_VERSION,
     SPANS_VERSION,
     RequestSpan,
-    hop_segments,
+    _drifts,
+    _phase_columns,
+    _stage_of,
 )
+from repro.monitor.streamstore import StreamingSpanStore
+
+
+def hop_segments(raw_hops: Sequence) -> Iterator[Tuple[str, float, float, float]]:
+    """``(stage, queue_wait, service, blocked)`` per flat hop record in
+    ``raw_hops``, with :meth:`HopSpan.segments`' arithmetic, one hop at
+    a time (:func:`repro.monitor.spans.stage_segments` does it in one
+    numpy pass)."""
+    for j in range(0, len(raw_hops), HOP_SLOTS):
+        svc = raw_hops[j + 4]
+        service_end = raw_hops[j + 6]
+        yield (
+            _stage_of(raw_hops[j]),
+            max(0.0, service_end - svc - raw_hops[j + 5]),
+            svc,
+            max(0.0, raw_hops[j + 7] - service_end),
+        )
+
+
+def loop_sum(values, start=0.0):
+    """``start + values[0] + values[1] + ...`` as a ``+=`` loop adds it
+    (builtin ``sum`` is compensated since Python 3.12)."""
+    total = start
+    for value in values:
+        total += value
+    return total
+
 
 _EV_GSVC = 1
 _EV_BIRTH = 2
@@ -265,7 +296,7 @@ class OracleStreamingSpanStore(OracleSpanCollector):
             self._stage(stage, wait, service, blocked)
         self._stage("gmem", phases["memory_wait"], phases["memory_service"],
                     phases["memory_block"])
-        drift = abs(sum(phases.values()) - latency)
+        drift = abs(loop_sum(phases.values()) - latency)
         self.reconciliation_checked += 1
         if drift > RECONCILE_TOLERANCE:
             self.reconciliation_violations += 1
@@ -335,6 +366,67 @@ class OracleStreamingSpanStore(OracleSpanCollector):
         }
 
 
+class PerRequestFoldStore(StreamingSpanStore):
+    """The streaming store with the fold it had before it folded in
+    columns: one :meth:`QuantileSketch.record` per value and one
+    :func:`hop_segments` walk per request, the stage sums added one
+    ``+=`` at a time.  Everything else is the real store's."""
+
+    def _fold(self) -> None:
+        pending = self._pending
+        if not pending:
+            return
+        columns = [pending[j::7] for j in range(7)]
+        del pending[:]
+        phased = [k for k, (g, s) in enumerate(zip(columns[3], columns[4]))
+                  if g is not None and s is not None]
+        self.completed_without_phases += len(columns[0]) - len(phased)
+        if not phased:
+            return
+        rids, bs, es, gs, ss, ys, fs = (
+            [column[k] for k in phased] for column in columns
+        )
+        hops = self._hop_records(dict(zip(rids, zip(bs, es))))
+        origins, latencies, *phases = _phase_columns(self._events, bs, es, gs, ss)
+        sketches = self.latency_sketches
+        phase_sketches = [self.phase_sketches[phase] for phase in PHASES]
+        for origin, latency, *values in zip(origins, latencies, *phases):
+            sketches["all"].record(latency)
+            sketch = sketches.get(origin)
+            if sketch is None:
+                sketch = sketches[origin] = QuantileSketch(self.relative_error)
+            sketch.record(latency)
+            for phase_sketch, value in zip(phase_sketches, values):
+                phase_sketch.record(value)
+        totals = self.stage_totals
+        memory = zip(phases[1], phases[2], phases[3])
+        for rid, mem in zip(rids, memory):
+            for stage, wait, service, blocked in (
+                *hop_segments(hops[rid]), ("gmem", *mem)
+            ):
+                entry = totals.get(stage)
+                if entry is None:
+                    entry = totals[stage] = [0.0, 0.0, 0.0, 0]
+                    self.stage_sketches[stage] = QuantileSketch(self.relative_error)
+                entry[0] += wait
+                entry[1] += service
+                entry[2] += blocked
+                entry[3] += 1
+                self.stage_sketches[stage].record(wait + service + blocked)
+        for drift in _drifts(latencies, phases):
+            if drift > RECONCILE_TOLERANCE:
+                self.reconciliation_violations += 1
+            if drift > self.reconciliation_worst:
+                self.reconciliation_worst = drift
+        self.reconciliation_checked += len(latencies)
+        for rid, b, e, g, s, y, f, latency in zip(
+            rids, bs, es, gs, ss, ys, fs, latencies
+        ):
+            self.exemplars.offer_ranked(
+                latency, rid, lambda: self._span(b, e, g, s, y, f, hops[rid])
+            )
+
+
 # ---------------------------------------------------------------------------
 # the RequestSpan-based latency summary
 
@@ -348,7 +440,7 @@ def _stats_row(values, bins):
     p50, p90, p95, p99 = _histogram(values, bins).quantiles((0.5, 0.9, 0.95, 0.99))
     return {
         "count": len(values),
-        "mean": sum(values) / len(values),
+        "mean": loop_sum(values) / len(values),
         "p50": p50, "p90": p90, "p95": p95, "p99": p99,
         "max": max(values),
     }
@@ -365,12 +457,12 @@ def oracle_summary(spans, dropped: int = 0, bins: int = 2048) -> dict:
     latencies = [s.latency for s in spans]
     end_to_end = {o: _stats_row(v, bins) for o, v in sorted(by_origin.items())}
     end_to_end["all"] = _stats_row(latencies, bins)
-    total = sum(latencies) or 1.0
+    total = loop_sum(latencies) or 1.0
     phases = {}
     for phase in PHASES:
         values = [s.phases()[phase] for s in spans]
         row = _stats_row(values, bins)
-        row["share"] = sum(values) / total
+        row["share"] = loop_sum(values) / total
         phases[phase] = row
     threshold = _histogram(latencies, bins).percentile(0.95)
     acc: Dict[str, float] = {}
@@ -391,7 +483,7 @@ def oracle_summary(spans, dropped: int = 0, bins: int = 2048) -> dict:
     ranked.sort(key=lambda row: row["share"], reverse=True)
     worst = 0.0
     for span in spans:
-        worst = max(worst, abs(sum(span.phases().values()) - span.latency))
+        worst = max(worst, abs(loop_sum(span.phases().values()) - span.latency))
     return {
         "requests": len(spans),
         "dropped": dropped,

@@ -1,6 +1,7 @@
 """Online quantile sketches and exemplar reservoirs: accuracy bounds,
 merge algebra, determinism, and serialization."""
 
+import json
 import math
 from types import SimpleNamespace
 
@@ -11,12 +12,15 @@ from repro.core.config import CedarConfig
 from repro.core.machine import CedarMachine
 from repro.cluster.ce import AwaitStream, GlobalLoad, StartPrefetch
 from repro.monitor.sketch import (
+    DEFAULT_MAX_BUCKETS,
     DEFAULT_RELATIVE_ERROR,
     ExemplarReservoir,
     QuantileSketch,
     SKETCH_VERSION,
+    chained_sum,
 )
 from repro.monitor.spans import SpanCollector
+from tests.span_oracle import loop_sum
 
 
 def exact_quantile(values, q):
@@ -109,6 +113,101 @@ class TestQuantileAccuracy:
         sketch.record(1.0)
         with pytest.raises(ValueError):
             sketch.quantile(1.5)
+
+
+def _same_extremum(a, b):
+    """Equal and of one type, with one sign (``-0.0`` vs ``0.0``)."""
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert type(a) is type(b)
+        assert a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+#: duplicates, both zeros, negatives, ints and a wide positive range
+batch_values = st.lists(
+    st.one_of(
+        st.sampled_from((0.0, -0.0, -1.5, 1.0, 1.0000001, 2.5, 0.1, 1e-3, 7e6)),
+        st.integers(-3, 10**6),
+        st.floats(min_value=-1e9, max_value=1e12,
+                  allow_nan=False, allow_infinity=False),
+    ),
+    max_size=40,
+)
+
+
+class TestRecordMany:
+    @given(prior=batch_values, batches=st.lists(batch_values, max_size=4),
+           max_buckets=st.sampled_from((2, 3, 5, 8, DEFAULT_MAX_BUCKETS)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_record_loop(self, prior, batches, max_buckets):
+        """``record_many`` leaves the state a ``record`` loop leaves:
+        the serialized sketch, bucket insertion order, the exact sum
+        and the first extremum, from any prior state — including past
+        a small bucket cap, where both collapse at the same points."""
+        one = QuantileSketch(max_buckets=max_buckets)
+        many = QuantileSketch(max_buckets=max_buckets)
+        for value in prior:
+            one.record(value)
+            many.record(value)
+        for batch in batches:
+            for value in batch:
+                one.record(value)
+            many.record_many(batch)
+            assert json.dumps(many.to_dict()) == json.dumps(one.to_dict())
+            assert list(many._buckets.items()) == list(one._buckets.items())
+            assert many.collapsed == one.collapsed
+            _same_extremum(many.min, one.min)
+            _same_extremum(many.max, one.max)
+            _same_extremum(many.sum, one.sum)
+
+    def test_keeps_the_first_extremum(self):
+        sketch = QuantileSketch()
+        sketch.record_many([0.0, 3, -0.0, 3.0])
+        _same_extremum(sketch.min, 0.0)
+        _same_extremum(sketch.max, 3)
+
+    def test_collapses_where_a_record_loop_does(self):
+        one = QuantileSketch(max_buckets=4)
+        many = QuantileSketch(max_buckets=4)
+        values = [1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 5.0]
+        for value in values:
+            one.record(value)
+        many.record_many(values)
+        assert one.collapsed and many.collapsed
+        assert list(many._buckets.items()) == list(one._buckets.items())
+
+
+class TestChainedSum:
+    """``chained_sum`` is the ``+=`` loop, bit for bit, on every
+    interpreter.  The inputs are ones where Python 3.12's compensated
+    builtin ``sum`` returns something else."""
+
+    CASES = (
+        [0.1] * 10,  # the loop leaves 0.9999999999999999
+        [1e16, 1.0, -1e16],  # the loop loses the 1.0
+        [0.1, 0.2, 0.3, -0.6, 1e-17] * 7,
+    )
+
+    @pytest.mark.parametrize("values", CASES)
+    def test_is_the_loop(self, values):
+        assert chained_sum(values) == loop_sum(values)
+        assert chained_sum(values, 2.5) == loop_sum(values, 2.5)
+
+    def test_pins_the_loop_values(self):
+        assert chained_sum([0.1] * 10) == 0.9999999999999999
+        assert chained_sum([1e16, 1.0, -1e16]) == 0.0
+
+    def test_folds_columns(self):
+        rows = [[0.1, 1e16, 1.0]] * 10 + [[0.0, -1e16, 0.5]]
+        assert chained_sum(rows, (0.0, 0.0, 0.0)) == [
+            loop_sum(column) for column in zip(*rows)
+        ]
+
+    @pytest.mark.parametrize("values", CASES)
+    def test_record_many_sums_like_the_loop(self, values):
+        sketch = QuantileSketch()
+        sketch.record_many(values)
+        assert sketch.sum == loop_sum(values)
 
 
 class TestMerge:

@@ -9,6 +9,10 @@ delivers, stores completing at the memory module, sync timeouts,
 faults, small request caps (buffered cap-drop and streaming eviction),
 drains at arbitrary points — and requires byte-identical
 summaries and documents.  One machine-level case runs CG under faults.
+The streaming store's column fold is also held against
+``PerRequestFoldStore``, the per-request fold it replaced, down to the
+insertion order of its stage totals and sketch buckets, on the same
+programs and on hypothesis machine floods.
 """
 
 import itertools
@@ -17,6 +21,17 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro.cluster.ce import (
+    AwaitStream,
+    Compute,
+    GlobalLoad,
+    GlobalStore,
+    StartPrefetch,
+    SyncInstruction,
+)
+from repro.core.config import CedarConfig
+from repro.core.machine import CedarMachine
+from repro.faults import FaultPlan
 from repro.monitor.signals import SignalBus
 from repro.monitor.spans import LatencyAnalysis, RequestSpan, SpanCollector
 from repro.monitor.streamstore import StreamingLatencyAnalysis, StreamingSpanStore
@@ -24,6 +39,7 @@ from repro.network.packet import PacketKind
 from tests.span_oracle import (
     OracleSpanCollector,
     OracleStreamingSpanStore,
+    PerRequestFoldStore,
     oracle_summary,
 )
 
@@ -221,13 +237,44 @@ def _check_buffered(program, mine, oracle) -> None:
           expected)
 
 
-def _check_streaming(program, mine, oracle) -> None:
-    mine.DRAIN_THRESHOLD = 5 * 8  # many drains, each compacting
+def _fold_state(store) -> list:
+    """The fold's running state in insertion order: stage totals, then
+    every sketch's buckets as inserted."""
+    return [
+        list(store.stage_totals.items()),
+        [(name, list(sketch._buckets.items()))
+         for group in (store.latency_sketches, store.phase_sketches,
+                       store.stage_sketches)
+         for name, sketch in group.items()],
+    ]
+
+
+def _same_fold(mine, oracle) -> None:
+    """A streaming store and an oracle store left the same documents,
+    summaries and fold state."""
+    assert (json.dumps(mine.spans(), sort_keys=True)
+            == json.dumps(oracle.spans(), sort_keys=True))
+    _same(StreamingLatencyAnalysis.from_store(mine).summary(),
+          StreamingLatencyAnalysis.from_store(oracle).summary())
+    _same(_fold_state(mine), _fold_state(oracle))
+
+
+def _drained_every(cls, records):
+    """``cls`` draining every ``records`` records."""
+    return type(cls.__name__, (cls,), {"DRAIN_THRESHOLD": records * 8})
+
+
+def _check_streaming(program, mine, oracle, per_request, records=5) -> None:
+    """``mine`` (drained every ``records`` records, each drain
+    compacting) against the eager oracle and the per-request fold."""
+    mine.DRAIN_THRESHOLD = per_request.DRAIN_THRESHOLD = records * 8
     _play(program, [mine])
     _play(program, [oracle])
+    _play(program, [per_request])
     _same(mine.spans(), oracle.spans())
     _same(StreamingLatencyAnalysis.from_store(mine).summary(),
           StreamingLatencyAnalysis.from_store(oracle).summary())
+    _same_fold(mine, per_request)
 
 
 @settings(max_examples=150, deadline=None)
@@ -246,14 +293,12 @@ def test_streaming_store_matches_oracle(program, cap, exemplars, seed):
         StreamingSpanStore(max_requests=cap, exemplars=exemplars, seed=seed),
         OracleStreamingSpanStore(max_requests=cap, exemplars=exemplars,
                                  seed=seed),
+        PerRequestFoldStore(max_requests=cap, exemplars=exemplars, seed=seed),
     )
 
 
-def test_streaming_fold_across_many_drains():
-    """Hundreds of overlapping requests with non-dyadic timings, drained
-    every few records: the running stage sums (sequential across
-    drains), sketches, reservoir and in-flight carry-over match the
-    span-by-span fold."""
+def _overlapping_program():
+    """Hundreds of overlapping requests with non-dyadic timings."""
     rng = random.Random(5)
     values = (0.1, 0.3, 0.7, 1.1, 2.9)
     scripts = []
@@ -278,10 +323,92 @@ def test_streaming_fold_across_many_drains():
         program += [script.pop(0), ("advance", rng.choice(values))]
         if not script:
             active.remove(script)
+    return program
+
+
+def _check_overlapping(records) -> None:
     mine = StreamingSpanStore(exemplars=8, seed=1)
     oracle = OracleStreamingSpanStore(exemplars=8, seed=1)
-    _check_streaming(program, mine, oracle)
+    _check_streaming(_overlapping_program(), mine, oracle,
+                     PerRequestFoldStore(exemplars=8, seed=1), records)
     assert oracle.spans()["complete"] == 400
+
+
+def test_streaming_fold_across_many_drains():
+    """Overlapping requests drained every few records: the running stage
+    sums (sequential across drains), sketches, reservoir and in-flight
+    carry-over match the span-by-span fold and the per-request fold."""
+    _check_overlapping(records=5)
+
+
+def test_streaming_fold_in_large_drains():
+    """The same requests drained in batches of dozens of traversals per
+    stage, so each drain's stage sums chain many terms."""
+    _check_overlapping(records=200)
+
+
+#: one CE's flood: loads, stores, sync ops, prefetched streams, and
+#: compute gaps of non-dyadic length so that times (and the stage sums
+#: folded from them) are not exact in every summation order.
+_memory_op = st.one_of(
+    st.tuples(st.just("load"), st.integers(1, 6), st.integers(0, 4095)),
+    st.tuples(st.just("store"), st.integers(1, 6), st.integers(0, 4095)),
+    st.tuples(st.just("sync"), st.just(1), st.integers(0, 7)),
+    st.tuples(st.just("prefetch"), st.integers(1, 16), st.integers(0, 4095)),
+)
+_flood_op = st.one_of(
+    _memory_op,
+    st.tuples(st.just("compute"), st.sampled_from((0.1, 0.7, 1.3)),
+              st.just(0)),
+)
+
+
+def _flood_program(ops):
+    for kind, n, address in ops:
+        if kind == "load":
+            yield GlobalLoad(length=n, stride=1, address=address)
+        elif kind == "store":
+            yield GlobalStore(length=n, stride=1, address=address)
+        elif kind == "sync":
+            yield SyncInstruction(address=address)
+        elif kind == "prefetch":
+            stream = yield StartPrefetch(length=n, stride=1, address=address)
+            yield AwaitStream(stream)
+        else:
+            yield Compute(cycles=n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    floods=st.lists(
+        st.tuples(_memory_op, st.lists(_flood_op, max_size=7)).map(
+            lambda ops: [ops[0], *ops[1]]
+        ),
+        min_size=2, max_size=8,
+    ),
+    rate=st.sampled_from((0.0, 0.02, 0.1)),
+    fault_seed=st.integers(0, 3),
+    cap=st.sampled_from((1, 3, 200_000)),
+    records=st.sampled_from((5, 64, 2048)),
+)
+def test_column_fold_matches_per_request_fold(floods, rate, fault_seed, cap,
+                                              records):
+    """Machine floods of reads, stores, sync ops and prefetches under
+    uniform faults, into stores that evict at a small in-flight cap and
+    drain every few records: the column fold leaves the documents,
+    summaries and fold state the per-request fold leaves."""
+    machine = CedarMachine(CedarConfig(faults=FaultPlan.uniform(rate, seed=fault_seed)))
+    mine = _drained_every(StreamingSpanStore, records)(max_requests=cap)
+    oracle = _drained_every(PerRequestFoldStore, records)(max_requests=cap)
+    for store in (mine, oracle):
+        store.attach(machine.bus)
+    machine.run_programs(
+        {port: _flood_program(ops) for port, ops in enumerate(floods)}
+    )
+    for store in (mine, oracle):
+        store.detach()
+    assert mine.spans()["complete"] > 0
+    _same_fold(mine, oracle)
 
 
 def test_cg_under_faults_matches_oracle(monkeypatch):

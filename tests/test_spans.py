@@ -21,10 +21,13 @@ from repro.monitor.spans import (
     HopSpan,
     LatencyAnalysis,
     PHASES,
+    RequestSpan,
     SpanCollector,
     validate_spans,
     validate_spans_file,
 )
+from repro.monitor.streamstore import StreamingLatencyAnalysis
+from tests.span_oracle import loop_sum
 
 
 def _mixed_programs():
@@ -287,6 +290,39 @@ class TestLatencyAnalysis:
         assert summary["requests"] == collector.completed
         json.dumps(summary)  # the report embeds this
 
+    def test_sums_add_left_to_right(self):
+        """Means, shares and stage averages add like a ``+=`` loop on
+        every interpreter: ten 0.1-cycle requests average
+        ``0.9999999999999999 / 10``, not the ``1.0 / 10`` of Python
+        3.12's compensated ``sum``."""
+        spans = [_served_span(rid, service=0.1) for rid in range(10)]
+        analysis = LatencyAnalysis(spans)
+        loop = loop_sum([0.1] * 10)
+        assert analysis.end_to_end()["all"]["mean"] == loop / 10
+        assert analysis.phase_decomposition()["memory_service"]["mean"] == (
+            loop / 10
+        )
+        assert analysis.stage_decomposition()["gmem"]["service"] == loop / 10
+
+    def test_tied_stages_rank_in_first_seen_order(self):
+        """Each request's hops come before its memory term: a forward
+        hop, a reverse hop and the memory module tied on cycles rank in
+        that order, in the buffered and the streaming analysis."""
+        span = _served_span(0, service=1.0, hops=[
+            ("fwd.s0[0]", False, 1.0, 0.0, 1.0, 1.0),
+            ("rev.s0[0]", True, 1.0, 3.0, 4.0, 4.0),
+        ])
+        for analysis in (
+            LatencyAnalysis([span]),
+            StreamingLatencyAnalysis({"all": _sketch_of([span.latency])},
+                                     {}, {}, {}, [span]),
+        ):
+            ranked = analysis.bottleneck_attribution()
+            assert [row["stage"] for row in ranked] == [
+                "fwd.s0", "rev.s0", "gmem"
+            ]
+            assert len({row["share"] for row in ranked}) == 1
+
     def test_rendered_report_mentions_every_phase(self):
         from repro.monitor.analysis import latency_report
 
@@ -296,6 +332,31 @@ class TestLatencyAnalysis:
             assert phase in text
         assert "bottleneck" in text
         assert "slowest" in text
+
+
+def _served_span(rid, service, hops=()):
+    """A complete request served ``service`` cycles at the memory module
+    and nowhere else waiting; ``hops`` are ``(resource, is_reply, svc,
+    enqueue, service_end, depart)``."""
+    span = RequestSpan(rid, "demand", 0, 0, "READ_REQ", 1, 0.0)
+    for resource, is_reply, svc, enqueue, service_end, depart in hops:
+        span.raw_hops += [resource, rid, is_reply, False, svc, enqueue,
+                          service_end, depart]
+    span.mem_enqueue = 0.0
+    span.mem_cycles = service
+    span.mem_service_end = service
+    span.mem_depart = service
+    span.end = service
+    span.complete = True
+    return span
+
+
+def _sketch_of(values):
+    from repro.monitor.sketch import QuantileSketch
+
+    sketch = QuantileSketch()
+    sketch.record_many(values)
+    return sketch
 
 
 class TestHistogrammerPercentiles:
