@@ -288,7 +288,11 @@ def _run_all(args) -> str:
 
 def _trace(args) -> str:
     from repro.experiments.runner import experiment, observe
-    from repro.monitor.tracer import ChromeTracer, validate_chrome_trace
+    from repro.monitor.tracer import (
+        ChromeTracer,
+        _write_chrome_trace,
+        validate_chrome_trace,
+    )
 
     exp = experiment(args.experiment)
     tracer = ChromeTracer()
@@ -316,8 +320,9 @@ def _trace(args) -> str:
             tracer.ingest_timeline(doc, scope=f"m{i}:" if i else "")
         n_series = sum(len(d.get("series", {})) for d in docs)
         counter_note = f", {n_series} timeline counter track(s)"
-    n_events, n_tracks = validate_chrome_trace(tracer.trace())
-    tracer.write(args.out)
+    doc = tracer.trace()
+    n_events, n_tracks = validate_chrome_trace(doc)
+    _write_chrome_trace(doc, args.out)
     return (
         f"wrote {args.out}: {n_events} events on {n_tracks} tracks from "
         f"{machines['n']} machine(s), {tracer.dropped} dropped{counter_note}\n"

@@ -59,17 +59,10 @@ class Cluster:
 
     def attach(self, ctx) -> None:
         """Wire the shared cache and cluster memory onto the bus: each
-        departure publishes ``cluster.access`` (keyed by cluster id) and
-        the queue edges publish ``net.enqueue`` / ``net.dequeue`` keyed
-        ``"cluster"`` so one subscription covers every cluster."""
-        access = ctx.bus.signal("cluster.access", key=self.cluster_id)
-        enqueue = ctx.bus.signal("net.enqueue", key="cluster")
-        dequeue = ctx.bus.signal("net.dequeue", key="cluster")
+        departure publishes its ``net.span`` record keyed ``"cluster"``,
+        so one subscription covers every cluster."""
         span = ctx.bus.signal("net.span", key="cluster")
         for resource in (self.cache, self.cluster_memory):
-            resource.depart_signal = access
-            resource.enqueue_signal = enqueue
-            resource.dequeue_signal = dequeue
             resource.span_signal = span
 
     def reset(self) -> None:

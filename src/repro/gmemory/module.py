@@ -199,16 +199,12 @@ class GlobalMemory:
 
     def attach(self, ctx) -> None:
         """Give every module its per-module ``gmem.service`` / ``sync.op``
-        monitoring channels, plus the shared queue-occupancy channels
-        (keyed ``"gmem"`` so one subscription covers every module)."""
-        enqueue = ctx.bus.signal("net.enqueue", key="gmem")
-        dequeue = ctx.bus.signal("net.dequeue", key="gmem")
+        monitoring channels, plus the shared ``net.span`` channel (keyed
+        ``"gmem"`` so one subscription covers every module)."""
         span = ctx.bus.signal("net.span", key="gmem")
         for module in self.modules:
             module.service_signal = ctx.bus.signal("gmem.service", key=module.index)
             module.sync_signal = ctx.bus.signal("sync.op", key=module.index)
-            module.enqueue_signal = enqueue
-            module.dequeue_signal = dequeue
             module.span_signal = span
 
     def reset(self) -> None:

@@ -59,16 +59,11 @@ SIGNAL_CATALOG: Dict[str, Tuple[str, ...]] = {
     "pfu.request": ("port", "word_index", "time"),
     "pfu.deliver": ("port", "word_index", "time"),
     "pfu.suspend": ("port", "time"),
-    # network (broadcast channel per network name)
-    "net.hop": ("resource", "packet", "time"),
-    # queue occupancy: a packet entering / leaving a resource's queue
-    # (keyed like ``net.hop``; emitted by every queueing Resource that a
-    # component wires up, including memory modules and cluster banks)
-    "net.enqueue": ("resource", "packet", "time"),
-    "net.dequeue": ("resource", "packet", "time"),
-    # one consolidated record per queue occupancy, emitted at departure
-    # with all three edge times.  Unlike every other signal, the payload
-    # is ONE pre-packed eight-slot tuple —
+    # every queueing Resource a component wires up (network links keyed
+    # by network name, memory modules ``"gmem"``, cluster banks
+    # ``"cluster"``): one consolidated record per queue occupancy,
+    # emitted at departure with all three edge times.  Unlike every
+    # other signal, the payload is ONE pre-packed eight-slot tuple —
     #   (resource_name, request_id, is_reply, is_write, service_cycles,
     #    enqueue, service_end, depart)
     # — every slot an atomic value, with the packet fields already
@@ -78,9 +73,10 @@ SIGNAL_CATALOG: Dict[str, Tuple[str, ...]] = {
     # build and a C-level flat append, no Python frame — and because
     # the record tuple dies immediately, tracing adds no net GC-tracked
     # allocations (surviving per-event tuples would otherwise drag
-    # collection pauses into the measured loop).  The request-tracing
-    # layer subscribes to this instead of point signals (keyed like
-    # net.hop)
+    # collection pauses into the measured loop).  The request tracers,
+    # the streaming store and the Chrome tracer all read it; the
+    # network, memory and cluster monitors pull in-place accumulators
+    # instead.
     "net.span": ("record",),
     # global memory (per-module channels); ``cycles`` is the service time
     "gmem.service": ("module", "packet", "time", "cycles"),
@@ -92,8 +88,6 @@ SIGNAL_CATALOG: Dict[str, Tuple[str, ...]] = {
     # span identity the SpanCollector stitches on.
     "req.birth": ("packet", "origin", "time"),
     "req.deliver": ("packet", "time"),
-    # cluster-local shared resources (per-cluster channels)
-    "cluster.access": ("resource", "packet", "time"),
     # CE lifecycle
     "ce.done": ("port", "time"),
     # fault injection (un-keyed channels; see repro.faults)

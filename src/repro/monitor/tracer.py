@@ -14,8 +14,10 @@ CE instruction cycle).
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
@@ -98,11 +100,58 @@ class EventTracer:
 # ---------------------------------------------------------------------------
 # Chrome trace-event export
 
+#: log entry tags: a kept ``net.span`` record, an instant, a memory service.
+_SPAN, _INSTANT, _SERVICE = range(3)
 
-def _service_cycles(resource, packet) -> float:
-    """Approximate service duration of ``packet`` on ``resource`` from
-    its public rate parameters (the monitor-side view of busy time)."""
-    return resource.fixed_cycles + packet.words / resource.words_per_cycle
+
+def _layout(name: str) -> Tuple[int, Optional[Tuple[str, str, str]], str]:
+    """How a ``net.span`` record of resource ``name`` is drawn:
+    ``(events, slice, queue process)``.
+
+    ``slice`` is the ``(process, thread, cat)`` of the record's "X"
+    slice.  A link (``"fwd.s0[3]"``) draws on process ``net.fwd``,
+    thread ``s0``, with a flow step: four events with its two queue
+    counter samples.  A cluster bank (``"cl0.cache"``) draws on process
+    ``cluster``, thread ``cl0.cache``, without a flow step (its request
+    crosses one resource): three events.  A memory module
+    (``"gm[4]"``) draws no slice, since ``gmem.service`` does: two.
+    The queue counter sits on process ``net.<prefix>`` (``net.fwd``,
+    ``net.cl0``, ``net.gm``)."""
+    prefix, dot, rest = name.partition(".")
+    if not dot:
+        return 2, None, f"net.{name.split('[', 1)[0]}"
+    queue = f"net.{prefix}"
+    if prefix.startswith("cl") and prefix[2:].isdigit():
+        return 3, ("cluster", name, "cluster"), queue
+    return 4, (queue, rest.split("[", 1)[0] or rest, "net"), queue
+
+
+#: instant signals: payload -> ``(process, thread, cat, time, args)`` of
+#: the "i" event, evaluated for kept events only and holding no packet
+#: or resource (packets are pooled and mutate).
+_INSTANTS: Dict[str, Callable[..., tuple]] = {
+    "sync.op": lambda m, a, t, p, ok: (
+        "gmem", f"module[{m}]", "sync", t, {"address": a, "success": ok}),
+    "pfu.arm": lambda port, t: ("ce", f"port[{port}]", "ce", t, None),
+    "pfu.request": lambda port, i, t: (
+        "ce", f"port[{port}]", "ce", t, {"word": i}),
+    "pfu.deliver": lambda port, i, t: (
+        "ce", f"port[{port}]", "ce", t, {"word": i}),
+    "pfu.suspend": lambda port, t: ("ce", f"port[{port}]", "ce", t, None),
+    "ce.done": lambda port, t: ("ce", f"port[{port}]", "ce", t, None),
+    "fault.transient": lambda r, p, t, b: (
+        "faults", "network", "ce", t,
+        {"resource": r.name, "backoff_cycles": b}),
+    "fault.port_down": lambda r, t, until: (
+        "faults", "network", "ce", t, {"resource": r.name, "until": until}),
+    "fault.ecc": lambda m, p, t, c: (
+        "faults", "gmem", "ce", t, {"module": m, "stall_cycles": c}),
+    "fault.sync_timeout": lambda m, a, t, c: (
+        "faults", "gmem", "ce", t,
+        {"module": m, "address": a, "penalty_cycles": c}),
+    "fault.reroute": lambda n, p, t: (
+        "faults", "network", "ce", t, {"network": n}),
+}
 
 
 class ChromeTracer:
@@ -121,61 +170,73 @@ class ChromeTracer:
     ------
 
     * ``net.fwd`` / ``net.rev`` processes, one thread per stage (plus
-      ``inject``): complete ("X") events per link departure, counter
-      ("C") events for queue occupancy.
+      ``inject``): one complete ("X") slice per ``net.span`` record, at
+      the record's service interval (``ts`` = service end - service,
+      ``dur`` = service), with the request ``id`` and its
+      ``queue_wait`` and ``blocked`` cycles in ``args``; and one
+      counter ("C") track per resource, ``<name> queue``, counting
+      queued packets.
     * ``gmem`` process, one thread per module: complete events per
       service (duration = the actual service cycles), instants for
-      sync ops.
+      sync ops.  Module queues are counter tracks on ``net.gm``.
     * ``ce`` process, one thread per CE port: instants for PFU
       arm/request/deliver/suspend and CE completion.
-    * ``cluster`` process: complete events on cache / cluster-memory
-      accesses.
+    * ``cluster`` process: one complete slice per cache /
+      cluster-memory record; their queues are counters on ``net.cl<N>``.
+    * ``faults`` process: one instant per injected fault.
     * ``timeline`` process (via :meth:`ingest_timeline`): one counter
       ("C") track per interval-sampled metric series.
 
+    Link and memory slices are chained into their request's flow
+    (Perfetto draws arrows between the slices sharing an ``id``).
+
+    Capacity
+    --------
+
+    Like the hardware tracers, one tracer keeps the first ``capacity``
+    events in emission order.  An emission counts as the events it
+    renders to, in this order: a link record four (slice, flow step,
+    enqueue and depart counter samples), a cluster record three (no
+    flow step), a memory-module record two (the counter samples), a
+    memory service two (slice and flow step), an instant one; a
+    ``net.span`` record counts when it departs.  The emission that
+    fills the window keeps only its events that fit, and from then on
+    the tracer buffers nothing: it adds each emission's events to
+    :attr:`dropped`.  Kept emissions are held in compact form and
+    rendered into event dicts by :meth:`trace`.
+
     Signals only observe, so an attached tracer never changes cycle
-    counts — only wall-clock speed.
+    counts — only wall-clock speed.  It takes the ``net.span`` record
+    the request tracer takes, so traced links stay on the engine's
+    grouped service pass.
     """
 
     DEFAULT_CAPACITY = 1 << 20
 
     #: signal names a ChromeTracer listens to when the bus declares them.
-    SIGNALS = (
-        "net.hop",
-        "net.enqueue",
-        "net.dequeue",
-        "gmem.service",
-        "sync.op",
-        "cluster.access",
-        "pfu.arm",
-        "pfu.request",
-        "pfu.deliver",
-        "pfu.suspend",
-        "ce.done",
-        "fault.transient",
-        "fault.port_down",
-        "fault.ecc",
-        "fault.sync_timeout",
-        "fault.reroute",
-    )
+    SIGNALS = ("net.span", "gmem.service", *_INSTANTS)
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity < 1:
             raise ValueError("tracer capacity must be positive")
         self.capacity = capacity
-        self.events: List[dict] = []
-        self._metadata: List[dict] = []
+        #: events the kept window still has room for (0 once closed).
+        self._room = capacity
         self._dropped = 0
-        #: (scope, process name) -> pid; (pid, thread name) -> tid
-        self._pids: Dict[Tuple[str, str], int] = {}
-        self._tids: Dict[Tuple[int, str], int] = {}
+        #: kept emissions in emission order, as tagged tuples.
+        self._log: List[tuple] = []
+        #: ``(scope, timeline document)`` pairs from :meth:`ingest_timeline`.
+        self._timelines: List[Tuple[str, dict]] = []
         self._subscriptions: List[tuple] = []
-        #: request ids that already have a flow start ("s") event.
-        self._flow_started: set = set()
 
     @property
     def dropped(self) -> int:
         return self._dropped
+
+    @property
+    def kept(self) -> int:
+        """Events in the kept window, without rendering them."""
+        return self.capacity - self._room
 
     # -- attachment --------------------------------------------------------
 
@@ -186,45 +247,11 @@ class ChromeTracer:
         machines distinct when one tracer observes several.
         """
         handlers = {
-            "net.hop": lambda r, p, t: self._on_hop(scope, r, p, t),
-            "net.enqueue": lambda r, p, t: self._on_queue(scope, r, t),
-            "net.dequeue": lambda r, p, t: self._on_queue(scope, r, t),
-            "gmem.service": lambda m, p, t, c: self._on_service(scope, m, p, t, c),
-            "sync.op": lambda m, a, t, p, ok: self._on_sync(scope, m, a, t, p, ok),
-            "cluster.access": lambda r, p, t: self._on_cluster(scope, r, p, t),
-            "pfu.arm": lambda port, t: self._instant(scope, "ce", f"port[{port}]", "pfu.arm", t),
-            "pfu.request": lambda port, i, t: self._instant(
-                scope, "ce", f"port[{port}]", "pfu.request", t, {"word": i}
-            ),
-            "pfu.deliver": lambda port, i, t: self._instant(
-                scope, "ce", f"port[{port}]", "pfu.deliver", t, {"word": i}
-            ),
-            "pfu.suspend": lambda port, t: self._instant(
-                scope, "ce", f"port[{port}]", "pfu.suspend", t
-            ),
-            "ce.done": lambda port, t: self._instant(
-                scope, "ce", f"port[{port}]", "ce.done", t
-            ),
-            "fault.transient": lambda r, p, t, b: self._instant(
-                scope, "faults", "network", "fault.transient", t,
-                {"resource": r.name, "backoff_cycles": b},
-            ),
-            "fault.port_down": lambda r, t, until: self._instant(
-                scope, "faults", "network", "fault.port_down", t,
-                {"resource": r.name, "until": until},
-            ),
-            "fault.ecc": lambda m, p, t, c: self._instant(
-                scope, "faults", "gmem", "fault.ecc", t,
-                {"module": m, "stall_cycles": c},
-            ),
-            "fault.sync_timeout": lambda m, a, t, c: self._instant(
-                scope, "faults", "gmem", "fault.sync_timeout", t,
-                {"module": m, "address": a, "penalty_cycles": c},
-            ),
-            "fault.reroute": lambda n, p, t: self._instant(
-                scope, "faults", "network", "fault.reroute", t, {"network": n}
-            ),
+            "net.span": self._span_handler(scope),
+            "gmem.service": self._service_handler(scope),
         }
+        for name, fields in _INSTANTS.items():
+            handlers[name] = self._instant_handler(scope, name, fields)
         for name, handler in handlers.items():
             if bus.declared(name):
                 self._subscriptions.append((bus, bus.subscribe(name, handler)))
@@ -236,269 +263,72 @@ class ChromeTracer:
             bus.unsubscribe(subscription)
         self._subscriptions = []
 
-    # -- track bookkeeping -------------------------------------------------
-
-    def _track(self, scope: str, process: str, thread: str) -> Tuple[int, int]:
-        pkey = (scope, process)
-        pid = self._pids.get(pkey)
-        if pid is None:
-            pid = len(self._pids) + 1
-            self._pids[pkey] = pid
-            self._metadata.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "args": {"name": f"{scope}{process}"},
-                }
-            )
-        tkey = (pid, thread)
-        tid = self._tids.get(tkey)
-        if tid is None:
-            tid = sum(1 for (p, _t) in self._tids if p == pid) + 1
-            self._tids[tkey] = tid
-            self._metadata.append(
-                {
-                    "name": "thread_name",
-                    "ph": "M",
-                    "pid": pid,
-                    "tid": tid,
-                    "args": {"name": thread},
-                }
-            )
-        return pid, tid
-
-    def _full(self, events: int = 1) -> bool:
-        """True, counting ``events`` as dropped, once the cap is reached.
-        Handlers test it before building their dicts (after ``_track``,
-        so the metadata matches an uncapped trace)."""
-        if len(self.events) < self.capacity:
-            return False
-        self._dropped += events
-        return True
-
-    def _post(self, event: dict) -> None:
-        if not self._full():
-            self.events.append(event)
-
     # -- signal handlers ---------------------------------------------------
+    #
+    # Each handler tests the window before it reads its payload: past
+    # the window an emission costs one call and one addition.  A logged
+    # record or service carries the number of its events kept, which is
+    # short of its full count only for the emission that fills the
+    # window.
 
-    @staticmethod
-    def _split_resource(name: str) -> Tuple[str, str]:
-        """``"fwd.s0[3]"`` -> (process ``"net.fwd"``, thread ``"s0"``);
-        undotted names (``"gm[4]"``) keep the full name as the thread."""
-        net, dot, rest = name.partition(".")
-        if not dot:
-            return f"net.{name.split('[', 1)[0]}", name
-        thread = rest.split("[", 1)[0] or rest
-        return f"net.{net}", thread
+    def _span_handler(self, scope: str) -> Callable[[tuple], None]:
+        """The ``net.span`` subscriber for ``scope``, with each
+        resource's event count looked up once."""
+        log = self._log
+        weights: Dict[str, int] = {}
 
-    def _on_hop(self, scope: str, resource, packet, time: float) -> None:
-        process, thread = self._split_resource(resource.name)
-        pid, tid = self._track(scope, process, thread)
-        if self._full(2):  # the slice and its flow step
-            return
-        duration = _service_cycles(resource, packet)
-        self._post(
-            {
-                "name": resource.name,
-                "cat": "net",
-                "ph": "X",
-                "ts": max(0.0, time - duration),
-                "dur": duration,
-                "pid": pid,
-                "tid": tid,
-                "args": {"src": packet.src, "dst": packet.dst, "words": packet.words},
-            }
-        )
-        self._flow(pid, tid, packet.request_id, max(0.0, time - duration))
+        def on_span(record: tuple) -> None:
+            name = record[0]
+            n = weights.get(name)
+            if n is None:
+                n = weights[name] = _layout(name)[0]
+            room = self._room
+            if n <= room:
+                self._room = room - n
+                log.append((_SPAN, scope, record, n))
+            else:
+                self._room = 0
+                self._dropped += n - room
+                if room:
+                    log.append((_SPAN, scope, record, room))
 
-    def _on_queue(self, scope: str, resource, time: float) -> None:
-        process, _thread = self._split_resource(resource.name)
-        pid, _ = self._track(scope, process, "queues")
-        if self._full():
-            return
-        self._post(
-            {
-                "name": f"{resource.name} queue",
-                "cat": "queue",
-                "ph": "C",
-                "ts": time,
-                "pid": pid,
-                "args": {"words": resource.queued_words},
-            }
-        )
+        return on_span
 
-    def _on_service(self, scope: str, module: int, packet, time: float, cycles: float) -> None:
-        pid, tid = self._track(scope, "gmem", f"module[{module}]")
-        if self._full(2):  # the slice and its flow step
-            return
-        self._post(
-            {
-                "name": packet.kind.name if hasattr(packet.kind, "name") else str(packet.kind),
-                "cat": "gmem",
-                "ph": "X",
-                "ts": max(0.0, time - cycles),
-                "dur": cycles,
-                "pid": pid,
-                "tid": tid,
-                "args": {"address": packet.address, "words": packet.words},
-            }
-        )
-        self._flow(pid, tid, packet.request_id, max(0.0, time - cycles))
+    def _service_handler(self, scope: str) -> Callable[..., None]:
+        """The ``gmem.service`` subscriber: a slice and its flow step."""
+        log = self._log
 
-    def _flow(self, pid: int, tid: int, request_id: int, ts: float) -> None:
-        """Chain this slice into the request's flow track (Perfetto
-        draws arrows between the slices sharing an ``id``).  The first
-        slice of a request starts the flow ("s"); the rest step it
-        ("t"); :meth:`trace` rewrites each flow's final step into the
-        terminator ("f") export-time, since the last hop isn't knowable
-        while events stream in."""
-        if self._full():
-            return
-        started = request_id in self._flow_started
-        if not started:
-            self._flow_started.add(request_id)
-        self._post(
-            {
-                "name": "request",
-                "cat": "flow",
-                "ph": "t" if started else "s",
-                "id": request_id,
-                "ts": ts,
-                "pid": pid,
-                "tid": tid,
-            }
-        )
-
-    def _on_sync(
-        self, scope: str, module: int, address: int, time: float, packet, success: bool
-    ) -> None:
-        pid, tid = self._track(scope, "gmem", f"module[{module}]")
-        if self._full():
-            return
-        self._post(
-            {
-                "name": "sync.op",
-                "cat": "sync",
-                "ph": "i",
-                "s": "t",
-                "ts": time,
-                "pid": pid,
-                "tid": tid,
-                "args": {"address": address, "success": success},
-            }
-        )
-
-    def _on_cluster(self, scope: str, resource, packet, time: float) -> None:
-        pid, tid = self._track(scope, "cluster", resource.name)
-        if self._full():
-            return
-        duration = _service_cycles(resource, packet)
-        self._post(
-            {
-                "name": resource.name,
-                "cat": "cluster",
-                "ph": "X",
-                "ts": max(0.0, time - duration),
-                "dur": duration,
-                "pid": pid,
-                "tid": tid,
-                "args": {"words": packet.words},
-            }
-        )
-
-    def _instant(
-        self,
-        scope: str,
-        process: str,
-        thread: str,
-        name: str,
-        time: float,
-        args: Optional[dict] = None,
-    ) -> None:
-        pid, tid = self._track(scope, process, thread)
-        if self._full():
-            return
-        event = {
-            "name": name,
-            "cat": "ce",
-            "ph": "i",
-            "s": "t",
-            "ts": time,
-            "pid": pid,
-            "tid": tid,
-        }
-        if args:
-            event["args"] = args
-        self._post(event)
-
-    # -- post-hoc span ingestion -------------------------------------------
-
-    def ingest_spans(self, spans, scope: str = "") -> "ChromeTracer":
-        """Render stitched :class:`~repro.monitor.spans.RequestSpan`
-        objects into the trace after the fact — the streaming path's
-        route into Chrome/Perfetto, where only the exemplar reservoir's
-        spans survive the run (``store.complete_spans()`` +
-        ``store.incomplete_spans()``).
-
-        Each retained span contributes one complete ("X") slice per hop
-        (duration = the hop's full queue occupancy, with the
-        wait/service/blocked split in ``args``), a memory-module slice,
-        birth/deliver instants on its CE port, and the same flow chain
-        live attachment builds — so the arrows in the viewer connect an
-        exemplar's hops exactly as they would had every request been
-        traced live.
-        """
-        for span in sorted(spans, key=lambda s: s.birth):
-            rid = span.request_id
-            pid, tid = self._track(scope, "ce", f"port[{span.port}]")
-            self._instant(
-                scope, "ce", f"port[{span.port}]", "req.birth", span.birth,
-                {"id": rid, "origin": span.origin},
-            )
-            slices = []
-            for hop in span.hops:
-                if hop.depart is None:
-                    continue
-                slices.append((hop.enqueue, hop.depart - hop.enqueue,
-                               hop.resource, "net", hop.segments()))
-            if span.mem_enqueue is not None and span.mem_depart is not None:
-                module = span.mem_module if span.mem_module is not None else 0
-                slices.append((
-                    span.mem_enqueue, span.mem_depart - span.mem_enqueue,
-                    f"gm[{module}]", "gmem", None,
+        def on_service(module: int, packet, time: float, cycles: float) -> None:
+            room = self._room
+            if room:
+                keep = 2 if room >= 2 else 1
+                self._room = room - keep
+                self._dropped += 2 - keep
+                kind = packet.kind
+                log.append((
+                    _SERVICE, scope, module,
+                    kind.name if hasattr(kind, "name") else str(kind),
+                    time, cycles, packet.address, packet.words,
+                    packet.request_id, keep,
                 ))
-            slices.sort(key=lambda s: s[0])
-            for ts, duration, resource, cat, segments in slices:
-                if cat == "gmem":
-                    # match the live handler's track layout
-                    process, thread = "gmem", f"module[{resource[3:-1]}]"
-                else:
-                    process, thread = self._split_resource(resource)
-                pid, tid = self._track(scope, process, thread)
-                args = {"id": rid, "origin": span.origin}
-                if segments is not None:
-                    args["queue_wait"], args["service"], args["blocked"] = (
-                        segments
-                    )
-                self._post({
-                    "name": resource,
-                    "cat": cat,
-                    "ph": "X",
-                    "ts": ts,
-                    "dur": duration,
-                    "pid": pid,
-                    "tid": tid,
-                    "args": args,
-                })
-                self._flow(pid, tid, rid, ts)
-            if span.end is not None:
-                self._instant(
-                    scope, "ce", f"port[{span.port}]", "req.deliver",
-                    span.end, {"id": rid, "latency": span.latency},
-                )
-        return self
+            else:
+                self._dropped += 2
+
+        return on_service
+
+    def _instant_handler(self, scope: str, name: str,
+                         fields: Callable[..., tuple]) -> Callable[..., None]:
+        """The subscriber for instant signal ``name``: one event."""
+        log = self._log
+
+        def on_instant(*payload) -> None:
+            if self._room:
+                self._room -= 1
+                log.append((_INSTANT, scope, name, *fields(*payload)))
+            else:
+                self._dropped += 1
+
+        return on_instant
 
     # -- post-hoc timeline ingestion ---------------------------------------
 
@@ -521,62 +351,204 @@ class ChromeTracer:
         series) — dropping it because the live run was busy would lose
         exactly the overview the counters exist to give.
         """
-        edges = doc.get("edges", [])
-        for name, entry in sorted(doc.get("series", {}).items()):
-            pid, _tid = self._track(scope, "timeline", name)
-            kind = entry.get("kind")
-            anchor = {"value": 0.0}
-            if kind == "delta":
-                anchor["per_cycle"] = 0.0
-            self.events.append({
-                "name": name, "cat": "timeline", "ph": "C",
-                "ts": 0.0, "pid": pid, "args": anchor,
-            })
-            prev = 0.0
-            for edge, value in zip(edges, entry.get("values", [])):
-                args = {"value": value}
-                if kind == "delta":
-                    span = edge - prev
-                    args["per_cycle"] = value / span if span > 0 else 0.0
-                prev = edge
-                self.events.append({
-                    "name": name, "cat": "timeline", "ph": "C",
-                    "ts": edge, "pid": pid, "args": args,
-                })
+        self._timelines.append((scope, doc))
         return self
+
+    # -- rendering ---------------------------------------------------------
+
+    def _render(self) -> Tuple[List[dict], List[dict], Dict[int, List[int]]]:
+        """``(metadata, events, flows)`` of the kept window.
+
+        ``events`` are the logged emissions in order (a request's first
+        flow step "s", the rest "t"; the window's last emission only up
+        to its kept count), then each resource's queue counter, then the
+        timeline counters; ``flows`` maps each
+        request id to the indices of its flow steps.  Tracks are
+        numbered in first-use order, so a capped trace's metadata is a
+        prefix of the uncapped one's.  The queue counters replay the
+        kept records' enqueue and depart edges per resource, stable by
+        time, so the last sample at each timestamp is the depth after
+        it.
+
+        The cyclic collector is paused while the render runs: it builds
+        up to a million acyclic dicts, and collections triggered by
+        those allocations would rescan them, more than doubling the
+        render's time."""
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return self._render_events()
+        finally:
+            if enabled:
+                gc.enable()
+
+    def _render_events(self) -> Tuple[List[dict], List[dict], Dict[int, List[int]]]:
+        metadata: List[dict] = []
+        pids: Dict[Tuple[str, str], int] = {}
+        tids: Dict[Tuple[int, str], int] = {}
+        threads: Dict[int, int] = {}
+
+        def track(scope: str, process: str, thread: str) -> Tuple[int, int]:
+            pkey = (scope, process)
+            pid = pids.get(pkey)
+            if pid is None:
+                pid = pids[pkey] = len(pids) + 1
+                metadata.append({
+                    "name": "process_name", "ph": "M", "pid": pid,
+                    "args": {"name": f"{scope}{process}"},
+                })
+            tkey = (pid, thread)
+            tid = tids.get(tkey)
+            if tid is None:
+                tid = tids[tkey] = threads[pid] = threads.get(pid, 0) + 1
+                metadata.append({
+                    "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
+                    "args": {"name": thread},
+                })
+            return pid, tid
+
+        events: List[dict] = []
+        flows: Dict[int, List[int]] = {}
+
+        def flow(pid: int, tid: int, request_id: int, ts: float) -> None:
+            steps = flows.get(request_id)
+            if steps is None:
+                steps = flows[request_id] = []
+            steps.append(len(events))
+            events.append({
+                "name": "request", "cat": "flow",
+                "ph": "t" if len(steps) > 1 else "s",
+                "id": request_id, "ts": ts, "pid": pid, "tid": tid,
+            })
+
+        #: resource name -> :func:`_layout` of its records.
+        layouts: Dict[str, tuple] = {}
+        #: (scope, resource name) -> (counter pid, [(time, +1 | -1), ...])
+        queues: Dict[Tuple[str, str], Tuple[int, list]] = {}
+        for entry in self._log:
+            tag = entry[0]
+            if tag == _SPAN:
+                _tag, scope, record, keep = entry
+                name, request_id, _reply, _write, svc, enqueue, end, depart = record
+                layout = layouts.get(name)
+                if layout is None:
+                    layout = layouts[name] = _layout(name)
+                _n, slice_, queue = layout
+                if slice_ is not None:
+                    keep -= 1
+                    process, thread, cat = slice_
+                    pid, tid = track(scope, process, thread)
+                    start = end - svc
+                    wait = start - enqueue
+                    blocked = depart - end
+                    events.append({
+                        "name": name, "cat": cat, "ph": "X",
+                        "ts": start, "dur": svc, "pid": pid, "tid": tid,
+                        "args": {
+                            "id": request_id,
+                            "queue_wait": wait if wait > 0.0 else 0.0,
+                            "blocked": blocked if blocked > 0.0 else 0.0,
+                        },
+                    })
+                    if cat == "net" and keep:
+                        keep -= 1
+                        flow(pid, tid, request_id, start)
+                if keep:
+                    edges = queues.get((scope, name))
+                    if edges is None:
+                        pid, _tid = track(scope, queue, "queues")
+                        edges = queues[(scope, name)] = (pid, [])
+                    edges[1].append((enqueue, 1))
+                    if keep > 1:
+                        edges[1].append((depart, -1))
+            elif tag == _INSTANT:
+                _tag, scope, name, process, thread, cat, time, args = entry
+                pid, tid = track(scope, process, thread)
+                event = {
+                    "name": name, "cat": cat, "ph": "i", "s": "t",
+                    "ts": time, "pid": pid, "tid": tid,
+                }
+                if args:
+                    event["args"] = args
+                events.append(event)
+            else:
+                (_tag, scope, module, kind, time, cycles, address, words,
+                 request_id, keep) = entry
+                pid, tid = track(scope, "gmem", f"module[{module}]")
+                start = max(0.0, time - cycles)
+                events.append({
+                    "name": kind, "cat": "gmem", "ph": "X",
+                    "ts": start, "dur": cycles, "pid": pid, "tid": tid,
+                    "args": {"address": address, "words": words},
+                })
+                if keep > 1:
+                    flow(pid, tid, request_id, start)
+        by_time = itemgetter(0)
+        for (_scope, name), (pid, edges) in queues.items():
+            edges.sort(key=by_time)
+            label = f"{name} queue"
+            depth = 0
+            for ts, step in edges:
+                depth += step
+                events.append({
+                    "name": label, "cat": "queue", "ph": "C",
+                    "ts": ts, "pid": pid, "args": {"packets": depth},
+                })
+        for scope, doc in self._timelines:
+            edges = doc.get("edges", [])
+            for name, entry in sorted(doc.get("series", {}).items()):
+                pid, _tid = track(scope, "timeline", name)
+                kind = entry.get("kind")
+                anchor = {"value": 0.0}
+                if kind == "delta":
+                    anchor["per_cycle"] = 0.0
+                events.append({
+                    "name": name, "cat": "timeline", "ph": "C",
+                    "ts": 0.0, "pid": pid, "args": anchor,
+                })
+                prev = 0.0
+                for edge, value in zip(edges, entry.get("values", [])):
+                    args = {"value": value}
+                    if kind == "delta":
+                        span = edge - prev
+                        args["per_cycle"] = value / span if span > 0 else 0.0
+                    prev = edge
+                    events.append({
+                        "name": name, "cat": "timeline", "ph": "C",
+                        "ts": edge, "pid": pid, "args": args,
+                    })
+        return metadata, events, flows
+
+    @property
+    def events(self) -> Tuple[dict, ...]:
+        """The kept events (flow chains not yet terminated), rendered
+        afresh on every read: a read-only view for inspection.
+        :attr:`kept` counts them without the render."""
+        return tuple(self._render()[1])
 
     # -- export ------------------------------------------------------------
 
     def trace(self) -> dict:
-        """The complete trace object (JSON-serializable).
+        """The complete trace object (JSON-serializable), rendered from
+        the kept emissions.
 
         Flow chains are finalized here: each request's last flow event
         becomes the terminating "f" phase, and requests that produced
-        only a single flow event (no arrow to draw) are dropped.  The
-        collected events themselves are left untouched so ``trace`` can
-        be called repeatedly.
+        only a single flow event (no arrow to draw) are dropped.
         """
-        events: List[dict] = []
-        last_flow: Dict[int, int] = {}
-        flow_counts: Dict[int, int] = {}
-        for event in self.events:
-            if event.get("cat") == "flow":
-                event = dict(event)
-                fid = event["id"]
-                last_flow[fid] = len(events)
-                flow_counts[fid] = flow_counts.get(fid, 0) + 1
-            events.append(event)
+        metadata, events, flows = self._render()
         singletons = set()
-        for fid, idx in last_flow.items():
-            if flow_counts[fid] < 2:
-                singletons.add(idx)
+        for steps in flows.values():
+            if len(steps) < 2:
+                singletons.add(steps[0])
             else:
-                events[idx]["ph"] = "f"
-                events[idx]["bp"] = "e"
+                last = events[steps[-1]]
+                last["ph"] = "f"
+                last["bp"] = "e"
         if singletons:
             events = [e for i, e in enumerate(events) if i not in singletons]
         return {
-            "traceEvents": [*self._metadata, *events],
+            "traceEvents": [*metadata, *events],
             "displayTimeUnit": "ms",
             "otherData": {
                 "generator": "repro.monitor.tracer.ChromeTracer",
@@ -586,12 +558,12 @@ class ChromeTracer:
         }
 
     def write(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.trace(), fh)
+        _write_chrome_trace(self.trace(), path)
 
     def track_count(self) -> int:
-        """Distinct (pid, tid) tracks carrying real (non-metadata) events."""
-        return len({(e["pid"], e.get("tid", 0)) for e in self.events})
+        """Distinct (pid, tid) tracks carrying real (non-metadata)
+        events, from one render."""
+        return len({(e["pid"], e.get("tid", 0)) for e in self._render()[1]})
 
 
 #: keys required per trace-event phase; every event needs name/ph/pid.
@@ -637,6 +609,30 @@ def validate_chrome_trace(trace: dict) -> Tuple[int, int]:
         n_events += 1
         tracks.add((event["pid"], event.get("tid", 0)))
     return n_events, len(tracks)
+
+
+#: events per ``json.dumps`` call in :func:`_write_chrome_trace`.
+_WRITE_CHUNK = 8192
+
+
+def _write_chrome_trace(trace: dict, path) -> None:
+    """Write ``trace`` to ``path`` as ``json.dump`` would, byte for
+    byte, but a slice of ``traceEvents`` at a time through
+    ``json.dumps``: ``json.dump`` encodes with the pure-Python encoder,
+    several times slower on a million events, and one ``json.dumps`` of
+    the whole document would hold it all in memory a second time."""
+    events = trace["traceEvents"]
+    with open(path, "w") as fh:
+        fh.write('{"traceEvents": [')
+        for start in range(0, len(events), _WRITE_CHUNK):
+            if start:
+                fh.write(", ")
+            fh.write(json.dumps(events[start:start + _WRITE_CHUNK])[1:-1])
+        fh.write("]")
+        for key, value in trace.items():
+            if key != "traceEvents":
+                fh.write(f", {json.dumps(key)}: {json.dumps(value)}")
+        fh.write("}")
 
 
 def validate_chrome_trace_file(path) -> Tuple[int, int]:

@@ -83,26 +83,16 @@ class OmegaNetwork:
     # -- component lifecycle ---------------------------------------------------
 
     def attach(self, ctx) -> None:
-        """Wire every link's departure to the bus's ``net.hop`` channel
-        and its queue edges to ``net.enqueue`` / ``net.dequeue`` (all
-        keyed by network name).  Links already owned by another network
-        (shared-fabric views) keep their original channels."""
-        signal = ctx.bus.signal("net.hop", key=self.name)
-        enqueue = ctx.bus.signal("net.enqueue", key=self.name)
-        dequeue = ctx.bus.signal("net.dequeue", key=self.name)
+        """Wire every link's ``net.span`` record to the bus channel keyed
+        by network name.  Links already owned by another network
+        (shared-fabric views) keep their original channel."""
         span = ctx.bus.signal("net.span", key=self.name)
         for port in self.injection_ports:
-            if port.depart_signal is NULL_SIGNAL:
-                port.depart_signal = signal
-                port.enqueue_signal = enqueue
-                port.dequeue_signal = dequeue
+            if port.span_signal is NULL_SIGNAL:
                 port.span_signal = span
         for stage in self.stages:
             for link in stage:
-                if link.depart_signal is NULL_SIGNAL:
-                    link.depart_signal = signal
-                    link.enqueue_signal = enqueue
-                    link.dequeue_signal = dequeue
+                if link.span_signal is NULL_SIGNAL:
                     link.span_signal = span
 
     def reset(self) -> None:

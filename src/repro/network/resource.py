@@ -94,9 +94,6 @@ class Resource:
         "_blocked_head",
         "_blocked_since",
         "_waiters",
-        "depart_signal",
-        "enqueue_signal",
-        "dequeue_signal",
         "span_signal",
         "fault_hook",
         "occupancy",
@@ -135,21 +132,14 @@ class Resource:
         self._blocked_head: Optional[Transit] = None
         self._blocked_since: float = 0.0
         self._waiters: Deque["Resource"] = deque()
-        #: monitoring channels, re-pointed at real bus channels by the
-        #: owning component at attach time; :data:`NULL_SIGNAL` (whose
-        #: ``callbacks`` is permanently ``()``) until then, so every
-        #: would-be emission is a single truthiness branch on a cached
-        #: tuple — the zero-cost fast path — with no ``is not None``
-        #: pre-check.
-        #: ``depart_signal`` -> ``net.hop`` (a packet leaving the server),
-        #: ``enqueue_signal`` / ``dequeue_signal`` -> ``net.enqueue`` /
-        #: ``net.dequeue`` (queue-occupancy edges for the tracer).
-        #: ``span_signal`` -> ``net.span``: ONE consolidated record per
-        #: occupancy, emitted at departure with all three edge times, so
-        #: a request tracer costs one callback per hop instead of three.
-        self.depart_signal = NULL_SIGNAL
-        self.enqueue_signal = NULL_SIGNAL
-        self.dequeue_signal = NULL_SIGNAL
+        #: the ``net.span`` channel, re-pointed at the real bus channel
+        #: by the owning component at attach time; :data:`NULL_SIGNAL`
+        #: (whose ``callbacks`` is permanently ``()``) until then, so
+        #: every would-be emission is a single truthiness branch on a
+        #: cached tuple — the zero-cost fast path.  It carries ONE
+        #: record per queue occupancy, emitted at departure with its
+        #: enqueue, service-end and departure times; the request tracer
+        #: and the Chrome tracer both read it.
         self.span_signal = NULL_SIGNAL
         #: optional fault-injection site (see ``repro.faults``), set at
         #: injector attach time.  Same ``is not None`` fast path as the
@@ -190,9 +180,6 @@ class Resource:
         acc = self.occupancy
         if acc is not None:
             acc.edge(self._words_queued, self.engine._now)
-        sig = self.enqueue_signal
-        if sig.callbacks:
-            sig.emit(self, transit.packet, self.engine._now)
         if not self._serving and self._blocked_head is None:
             self._maybe_start()
         return True
@@ -303,12 +290,6 @@ class Resource:
                 self.fixed_cycles + words / self.words_per_cycle,
                 now,
             )
-        sig = self.dequeue_signal
-        if sig.callbacks:
-            sig.emit(self, transit.packet, now)
-        sig = self.depart_signal
-        if sig.callbacks:
-            sig.emit(self, transit.packet, now)
         cbs = self.span_signal.callbacks
         if cbs:
             # pre-packed record (see the net.span catalog entry): packet
@@ -395,20 +376,21 @@ class Resource:
 # or a recovery window handing off to another link.
 #
 # Observation stays on the grouped pass.  A link armed with an
-# ``occupancy`` accumulator or a ``net.span`` subscriber gets its
-# accounting inline, in the scalar order: on departure the ``svc_t``
-# stamp, ``Occupancy.depart`` and the eight-slot span record; on
-# admission the ``enq_t`` stamp and ``Occupancy.edge``.
+# ``occupancy`` accumulator or a ``net.span`` subscriber (the request
+# tracer, the streaming store, the Chrome tracer) gets its accounting
+# inline, in the scalar order: on departure the ``svc_t`` stamp,
+# ``Occupancy.depart`` and the eight-slot span record; on admission the
+# ``enq_t`` stamp and ``Occupancy.edge``.  No observer forces a record
+# off the pass.
 #
-# Anything else falls back to the scalar methods *per record*: memory
-# modules (completion hook + recovery), blocked heads, and links whose
-# point signals (``net.dequeue`` / ``net.hop`` / ``net.enqueue``) have
-# subscribers, such as the tracer's.  A fault site or service hook on
-# the next service start goes through ``_maybe_start``.  The two paths
-# are one semantics with two dispatch costs: every inlined mutation
-# below mirrors the scalar method it replaces line for line (the scalar
-# code is the reference; change both together), which is what the
-# engine-oracle identity tests and the adversarial ordering tests
+# Three cases fall back to the scalar methods *per record*: a
+# completion hook (memory modules), a recovery window, and a blocked
+# head.  A fault site or service hook on the next service start goes
+# through ``_maybe_start``.  The two paths are one semantics with two
+# dispatch costs: every inlined mutation below mirrors the scalar
+# method it replaces line for line (the scalar code is the reference;
+# change both together), which is what the engine-oracle identity
+# tests, the network fuzz oracle and the adversarial ordering tests
 # enforce.
 
 def _finish_batch(eng: Engine, batch: List[list], i: int, n: int):
@@ -455,11 +437,8 @@ def _finish_batch(eng: Engine, batch: List[list], i: int, n: int):
                 res._has_complete_hook
                 or res.recovery_cycles
                 or res._blocked_head is not None
-                or res.dequeue_signal.callbacks
-                or res.depart_signal.callbacks
             ):
-                # scalar fallback: hooks, point signals, recovery,
-                # blocked heads.
+                # scalar fallback: hooks, recovery, blocked heads.
                 if len(free) < _FREE_LIST_MAX:
                     free.append(spare)
                 res._finish(transit)
@@ -488,7 +467,7 @@ def _finish_batch(eng: Engine, batch: List[list], i: int, n: int):
                 if eng._stop_requested:
                     return i, done
                 continue
-            # -- res._pop_head (no recovery, no point signals)
+            # -- res._pop_head (no recovery)
             queue.popleft()
             packet = transit.packet
             words = packet.words
@@ -514,56 +493,50 @@ def _finish_batch(eng: Engine, batch: List[list], i: int, n: int):
             if to_link:
                 transit.idx = nxt_idx
                 # -- nxt.offer
-                if nxt.enqueue_signal.callbacks:
-                    if not nxt.offer(transit):
-                        raise SimulationError(
-                            f"{nxt.name} refused after reporting space"
+                nxt._queue.append(transit)
+                nxt._words_queued += words
+                if nxt.span_signal.callbacks:
+                    transit.enq_t = now
+                acc = nxt.occupancy
+                if acc is not None:
+                    acc.edge(nxt._words_queued, now)
+                if not nxt._serving and nxt._blocked_head is None:
+                    # -- nxt._maybe_start / _start_service /
+                    #    engine.schedule_after
+                    if (
+                        nxt.fault_hook is not None
+                        or nxt._has_service_hook
+                        or nxt.recovery_cycles
+                    ):
+                        nxt._maybe_start()
+                    else:
+                        head = nxt._queue[0]
+                        cycles = (
+                            nxt.fixed_cycles
+                            + head.packet.words / nxt.words_per_cycle
                         )
-                else:
-                    nxt._queue.append(transit)
-                    nxt._words_queued += words
-                    if nxt.span_signal.callbacks:
-                        transit.enq_t = now
-                    acc = nxt.occupancy
-                    if acc is not None:
-                        acc.edge(nxt._words_queued, now)
-                    if not nxt._serving and nxt._blocked_head is None:
-                        # -- nxt._maybe_start / _start_service /
-                        #    engine.schedule_after
-                        if (
-                            nxt.fault_hook is not None
-                            or nxt._has_service_hook
-                            or nxt.recovery_cycles
-                        ):
-                            nxt._maybe_start()
+                        nxt.stats.busy_cycles += cycles
+                        nxt._serving = True
+                        when = now + cycles
+                        if spare is not None:
+                            rec = spare
+                            spare = None
+                            rec[0] = when
+                            rec[2] = nxt._finish
+                            rec[3] = (head,)
+                        elif free:
+                            rec = free.pop()
+                            rec[0] = when
+                            rec[2] = nxt._finish
+                            rec[3] = (head,)
                         else:
-                            head = nxt._queue[0]
-                            cycles = (
-                                nxt.fixed_cycles
-                                + head.packet.words / nxt.words_per_cycle
-                            )
-                            nxt.stats.busy_cycles += cycles
-                            nxt._serving = True
-                            when = now + cycles
-                            if spare is not None:
-                                rec = spare
-                                spare = None
-                                rec[0] = when
-                                rec[2] = nxt._finish
-                                rec[3] = (head,)
-                            elif free:
-                                rec = free.pop()
-                                rec[0] = when
-                                rec[2] = nxt._finish
-                                rec[3] = (head,)
-                            else:
-                                rec = [when, 0, nxt._finish, (head,)]
-                            b = bucket_get(when)
-                            if b is None:
-                                buckets[when] = [rec]
-                                heappush(ts_heap, when)
-                            else:
-                                b.append(rec)
+                            rec = [when, 0, nxt._finish, (head,)]
+                        b = bucket_get(when)
+                        if b is None:
+                            buckets[when] = [rec]
+                            heappush(ts_heap, when)
+                        else:
+                            b.append(rec)
             elif nxt is not None:
                 # terminal sink callable
                 nxt(packet)

@@ -446,6 +446,28 @@ def _stats_row(values, bins):
     }
 
 
+def _attribution(cohort) -> List[dict]:
+    """Bottleneck attribution of a tail ``cohort``, hop by hop: each
+    stage's summed traversal cycles (hops, then the memory term, per
+    request) over the cohort's summed latency, worst first, ties in
+    first-seen order."""
+    acc: Dict[str, float] = {}
+    cohort_total = 0.0
+    for span in cohort:
+        cohort_total += span.latency
+        for stage, wait, service, blocked in hop_segments(span.raw_hops):
+            acc[stage] = acc.get(stage, 0.0) + (wait + service + blocked)
+        p = span.phases()
+        acc["gmem"] = acc.get("gmem", 0.0) + (
+            p["memory_wait"] + p["memory_service"] + p["memory_block"]
+        )
+    cohort_total = cohort_total or 1.0
+    ranked = [{"stage": s, "cycles": c, "share": c / cohort_total}
+              for s, c in acc.items()]
+    ranked.sort(key=lambda row: row["share"], reverse=True)
+    return ranked
+
+
 def oracle_summary(spans, dropped: int = 0, bins: int = 2048) -> dict:
     """``LatencyAnalysis.summary()`` computed span by span."""
     spans = [s for s in spans if s.complete and s.phases() is not None]
@@ -465,22 +487,7 @@ def oracle_summary(spans, dropped: int = 0, bins: int = 2048) -> dict:
         row["share"] = loop_sum(values) / total
         phases[phase] = row
     threshold = _histogram(latencies, bins).percentile(0.95)
-    acc: Dict[str, float] = {}
-    cohort_total = 0.0
-    for span in spans:
-        if span.latency < threshold:
-            continue
-        cohort_total += span.latency
-        for stage, wait, service, blocked in hop_segments(span.raw_hops):
-            acc[stage] = acc.get(stage, 0.0) + (wait + service + blocked)
-        p = span.phases()
-        acc["gmem"] = acc.get("gmem", 0.0) + (
-            p["memory_wait"] + p["memory_service"] + p["memory_block"]
-        )
-    cohort_total = cohort_total or 1.0
-    ranked = [{"stage": s, "cycles": c, "share": c / cohort_total}
-              for s, c in acc.items()]
-    ranked.sort(key=lambda row: row["share"], reverse=True)
+    ranked = _attribution([s for s in spans if s.latency >= threshold])
     worst = 0.0
     for span in spans:
         worst = max(worst, abs(loop_sum(span.phases().values()) - span.latency))
@@ -491,4 +498,49 @@ def oracle_summary(spans, dropped: int = 0, bins: int = 2048) -> dict:
         "phases": phases,
         "bottleneck": ranked[0] if ranked else None,
         "reconciliation_error": worst,
+    }
+
+
+def oracle_streaming_summary(store) -> dict:
+    """``StreamingLatencyAnalysis.from_store(store).summary()`` for an
+    :class:`OracleStreamingSpanStore`, with the phase shares taken from
+    its exact running sums and the p95 bottleneck attributed hop by hop
+    over its exemplar spans.  Quantile rows and the tail threshold are
+    the sketches' own (``tests/test_sketch.py`` covers them)."""
+    everything = store.latency_sketches["all"]
+    if not everything.count:
+        return {"requests": 0, "mode": "streaming"}
+
+    def row(sketch):
+        p50, p90, p95, p99 = sketch.quantiles((0.5, 0.9, 0.95, 0.99))
+        return {"count": sketch.count, "mean": sketch.mean(),
+                "p50": p50, "p90": p90, "p95": p95, "p99": p99,
+                "max": sketch.max}
+
+    end_to_end = {origin: row(sketch)
+                  for origin, sketch in sorted(store.latency_sketches.items())
+                  if origin != "all" and sketch.count}
+    end_to_end["all"] = row(everything)
+    total = everything.sum or 1.0
+    phases = {}
+    for phase in PHASES:
+        sketch = store.phase_sketches[phase]
+        if sketch.count:
+            phases[phase] = dict(row(sketch), share=sketch.sum / total)
+    threshold = everything.quantile(0.95)
+    ranked = _attribution([
+        s for s in store.exemplars.slowest()
+        if s.complete and s.phases() is not None and s.latency >= threshold
+    ])
+    return {
+        "mode": "streaming",
+        "requests": everything.count,
+        "dropped": store.dropped,
+        "evicted": store.evicted,
+        "end_to_end": end_to_end,
+        "phases": phases,
+        "bottleneck": ranked[0] if ranked else None,
+        "reconciliation_error": store.reconciliation_worst,
+        "sketches": {"latency": {name: sketch.to_dict() for name, sketch
+                                 in sorted(store.latency_sketches.items())}},
     }

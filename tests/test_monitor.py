@@ -192,7 +192,7 @@ class TestSignalBus:
 
     def test_publisher_guard_never_builds_payload(self):
         bus = self._bus()
-        sig = bus.signal("net.hop")
+        sig = bus.signal("pfu.request")
 
         def expensive():
             raise AssertionError("payload built with no subscribers")
@@ -268,7 +268,7 @@ class TestSignalBus:
 
     def test_channel_identity_is_stable(self):
         bus = self._bus()
-        assert bus.signal("net.hop", key="fwd") is bus.signal("net.hop", key="fwd")
+        assert bus.signal("net.span", key="fwd") is bus.signal("net.span", key="fwd")
 
     def test_subscriber_count_counts_distinct_subscriptions(self):
         """A broadcast subscription mirrors into every keyed channel; it

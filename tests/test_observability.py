@@ -315,14 +315,17 @@ class TestChromeTracer:
         tracer = ChromeTracer(capacity=10).attach(machine.bus)
         run_small_kernel(machine)
         tracer.detach()
-        assert len(tracer.events) == 10
+        assert len(tracer.events) == tracer.kept == 10
         assert tracer.dropped > 0
         assert tracer.trace()["otherData"]["dropped"] == tracer.dropped
 
     def test_capped_trace_is_a_prefix_of_the_uncapped_one(self, monkeypatch):
-        """Past the cap a handler counts the drop before building its
-        event, but still registers its track: the capped trace keeps the
-        uncapped one's first N events and all of its metadata."""
+        """The cap keeps the first N events and only counts the rest:
+        the capped trace's slices, flow steps and instants are the
+        uncapped one's first ones, its tracks are a prefix of the
+        uncapped tracks, and kept plus dropped is the uncapped total.
+        (Queue counters replay only the kept records, so their depths
+        differ.)"""
         import itertools
 
         from repro.network import packet
@@ -335,13 +338,22 @@ class TestChromeTracer:
             tracer.detach()
             return tracer
 
+        def live(events):
+            return [e for e in events if e["cat"] != "queue"]
+
         full = traced(1_000_000)
-        n = len(full.events) // 3
-        capped = traced(n)
-        assert full.dropped == 0 and n > 0
-        assert capped.events == full.events[:n]
-        assert capped._metadata == full._metadata
-        assert capped.dropped == len(full.events) - n
+        full_meta = [e for e in full.trace()["traceEvents"] if e["ph"] == "M"]
+        assert full.dropped == 0
+        # four consecutive caps: the window closes inside a record for
+        # at least one of them unless every boundary is an instant
+        for n in range(len(full.events) // 3, len(full.events) // 3 + 4):
+            capped = traced(n)
+            assert len(capped.events) == capped.kept == n
+            assert capped.dropped == len(full.events) - n
+            mine = live(capped.events)
+            assert mine == live(full.events)[: len(mine)]
+            meta = [e for e in capped.trace()["traceEvents"] if e["ph"] == "M"]
+            assert meta == full_meta[: len(meta)] and len(meta) < len(full_meta)
 
     def test_validation_rejects_malformed(self):
         with pytest.raises(ValueError):
