@@ -188,11 +188,10 @@ def _all(args) -> str:
 
 
 def _run_all(args) -> str:
-    import json
     import os
 
     from repro.experiments.runner import DEFAULT_CACHE_DIR, run_all
-    from repro.monitor.report import DEFAULT_REPORT_DIR
+    from repro.monitor.report import DEFAULT_REPORT_DIR, report_json
 
     cache_dir = None
     if args.cached:
@@ -252,7 +251,7 @@ def _run_all(args) -> str:
         for result in results:
             if result.report is not None:
                 (report_dir / f"{result.name}.json").write_text(
-                    json.dumps(result.report, indent=1, sort_keys=True)
+                    report_json(result.report)
                 )
                 written += 1
         print(f"[run-all] {written} run reports -> {report_dir}/", file=sys.stderr)
@@ -288,11 +287,7 @@ def _run_all(args) -> str:
 
 def _trace(args) -> str:
     from repro.experiments.runner import experiment, observe
-    from repro.monitor.tracer import (
-        ChromeTracer,
-        _write_chrome_trace,
-        validate_chrome_trace,
-    )
+    from repro.monitor.tracer import ChromeTracer, _write_json, validate_chrome_trace
 
     exp = experiment(args.experiment)
     tracer = ChromeTracer()
@@ -322,7 +317,7 @@ def _trace(args) -> str:
         counter_note = f", {n_series} timeline counter track(s)"
     doc = tracer.trace()
     n_events, n_tracks = validate_chrome_trace(doc)
-    _write_chrome_trace(doc, args.out)
+    _write_json(doc, args.out, "traceEvents")
     return (
         f"wrote {args.out}: {n_events} events on {n_tracks} tracks from "
         f"{machines['n']} machine(s), {tracer.dropped} dropped{counter_note}\n"
@@ -441,7 +436,7 @@ def _analyze(args) -> str:
         )
     sections = [latency_report(analysis, top=args.top), tail]
     if args.out:
-        import json
+        from repro.monitor.tracer import _write_json
 
         if args.stream:
             doc = merge_streaming_docs(docs)
@@ -458,8 +453,7 @@ def _analyze(args) -> str:
                 "requests": [r for d in docs for r in d["requests"]],
             }
         n_requests, n_complete = validate_spans(doc)
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh)
+        _write_json(doc, args.out, "requests")
         sections.append(
             f"wrote {args.out}: {n_requests} spans ({n_complete} complete)"
         )
@@ -469,7 +463,11 @@ def _analyze(args) -> str:
 def _report(args) -> str:
     import json
 
-    from repro.monitor.report import DEFAULT_REPORT_DIR, render_report_summary
+    from repro.monitor.report import (
+        DEFAULT_REPORT_DIR,
+        render_report_summary,
+        report_json,
+    )
 
     if args.experiment is None:
         report_dir = Path(args.dir or DEFAULT_REPORT_DIR)
@@ -494,15 +492,16 @@ def _report(args) -> str:
                 f"{args.dir}/; run `python -m repro run-all "
                 f"{args.experiment}` first"
             )
-        return json.dumps(json.loads(path.read_text()), indent=1)
+        report = json.loads(path.read_text())
+    else:
+        from repro.experiments.runner import run_experiment
 
-    from repro.experiments.runner import run_experiment
-
-    result = run_experiment(
-        args.experiment, fast=args.fast, collect_report=True,
-        stream=args.stream, timeline=args.interval,
-    )
-    return json.dumps(result.report, indent=1)
+        report = run_experiment(
+            args.experiment, fast=args.fast, collect_report=True,
+            stream=args.stream, timeline=args.interval,
+        ).report
+    # the canonical report text; print() adds its trailing newline
+    return report_json(report).rstrip("\n")
 
 
 def _store_cmd(args):

@@ -647,21 +647,14 @@ class Engine:
 
     def self_metrics(self) -> Dict[str, object]:
         """The engine's own observability counters: dispatch volume,
-        realized events/sec, and queue depths.  This is the native data
-        source for the BENCH trajectory and per-run reports."""
-        wall = self._run_wall_s
+        simulated time and queue contents.  Every value is simulated,
+        so a run report built from them is reproducible byte for byte;
+        wall time inside the run loops is :attr:`run_wall_s`."""
         return {
             "events_processed": self._events_processed,
-            "events_per_sec": round(self._events_processed / wall, 1) if wall > 0 else 0.0,
-            "run_wall_s": round(wall, 6),
             "runs": self._runs,
             "sim_cycles": self._now,
             "pending": self.pending(),
-            # the retired tail/heap layout's depths: tracked reports
-            # still carry both keys (always 0 on the bucket queue) until
-            # the canonical-reports item in ROADMAP.md reshapes them.
-            "queue_depth_tail": 0,
-            "queue_depth_heap": 0,
             "cancelled_pending": self._cancelled,
         }
 

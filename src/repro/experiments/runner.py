@@ -54,7 +54,9 @@ from repro.core.config import CedarConfig, DEFAULT_CONFIG
 #: bump when renderer output formats change, invalidating old entries.
 #: v6: entries live in the sharded crash-safe result store
 #: (:mod:`repro.store`).
-CACHE_VERSION = 6
+#: v7: stored run reports are version 5 (no wall-clock fields), so an
+#: old entry can never replay wall time into ``.repro-reports``.
+CACHE_VERSION = 7
 
 #: default on-disk cache location (repo-/cwd-relative).
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -410,26 +412,11 @@ def cache_lookup(cache_dir: Path, name: str, key: str) -> Optional[CacheHit]:
     return None
 
 
-def cache_load_entry(cache_dir: Path, name: str, key: str) -> Optional[Dict]:
-    """The full cache entry (output plus any stored run report), served
-    from the sharded store; see :func:`cache_lookup`."""
-    hit = cache_lookup(cache_dir, name, key)
-    return hit.entry if hit is not None else None
-
-
-def cache_load(cache_dir: Path, name: str, key: str) -> Optional[str]:
-    entry = cache_load_entry(cache_dir, name, key)
-    if entry is None:
-        return None
-    return entry.get("output")
-
-
 def cache_store(
     cache_dir: Path,
     name: str,
     key: str,
     output: str,
-    elapsed: float,
     report: Optional[Dict] = None,
 ) -> None:
     """Durably commit one cache entry through the sharded store
@@ -443,7 +430,6 @@ def cache_store(
         "key": key,
         "experiment": name,
         "output": output,
-        "elapsed_s": round(elapsed, 3),
         "cache_version": CACHE_VERSION,
     }
     if report is not None:
@@ -536,44 +522,30 @@ def observe(
             undo()
 
 
-def _execute(name: str, kwargs: Dict[str, object]) -> str:
-    """Worker entry point: run one experiment to its rendered text."""
-    return REGISTRY[name].runner(**kwargs)
-
-
 def _execute_with_report(
     name: str,
     kwargs: Dict[str, object],
     stream: bool = False,
     timeline: Optional[float] = None,
 ) -> tuple:
-    """Worker entry point for instrumented runs.
-
-    Returns ``(output, machine_dicts, elapsed_s)``.  Elapsed time is
-    measured here, inside the worker, so a report never charges an
-    experiment for time it spent queued behind other work.  The run goes
-    through :func:`observe`, so a worker's warm memo entries from an
-    earlier experiment cannot hide machines from the collector.
-    ``stream`` selects bounded-memory streaming span collection
-    (sketch-backed latency summaries) instead of the buffered
-    collector; ``timeline`` (an interval in simulated cycles) adds
-    interval-sampled metric timelines to each machine record.
-    """
+    """Run one experiment under a :class:`ReportCollector`: returns
+    ``(output, machine_dicts)``.  The run goes through :func:`observe`,
+    so a worker's warm memo entries from an earlier experiment cannot
+    hide machines from the collector.  ``stream`` selects
+    bounded-memory streaming span collection (sketch-backed latency
+    summaries) instead of the buffered collector; ``timeline`` (an
+    interval in simulated cycles) adds interval-sampled metric
+    timelines to each machine record."""
     from repro.monitor.report import ReportCollector
 
     collector = ReportCollector(stream=stream, timeline=timeline)
     with observe(collector):
-        start = time.perf_counter()
         output = REGISTRY[name].runner(**kwargs)
-    return output, collector.machine_dicts(), time.perf_counter() - start
+    return output, collector.machine_dicts()
 
 
 def _build_report(
-    name: str,
-    kwargs: Dict[str, object],
-    elapsed: float,
-    cached: bool,
-    machines: List[Dict],
+    name: str, kwargs: Dict[str, object], machines: List[Dict]
 ) -> Dict:
     from repro.monitor.report import RunReport
 
@@ -581,10 +553,52 @@ def _build_report(
         experiment=name,
         title=REGISTRY[name].title,
         kwargs=dict(kwargs),
-        elapsed_s=elapsed,
-        cached=cached,
         machines=machines,
     ).to_dict()
+
+
+def _compute(
+    name: str,
+    kwargs: Dict[str, object],
+    collect_report: bool,
+    stream: bool = False,
+    timeline: Optional[float] = None,
+) -> tuple:
+    """Run one experiment: ``(output, report dict or None, elapsed_s)``.
+
+    The worker entry point and the in-process paths alike.  Elapsed
+    time covers the run and its report, measured where the run happens,
+    so it never charges an experiment for time spent queued or for
+    worker start-up; it feeds run-all's headers and telemetry, never
+    the report."""
+    start = time.perf_counter()
+    if collect_report:
+        output, machines = _execute_with_report(
+            name, kwargs, stream=stream, timeline=timeline
+        )
+        report = _build_report(name, kwargs, machines)
+    else:
+        output, report = REGISTRY[name].runner(**kwargs), None
+    return output, report, time.perf_counter() - start
+
+
+def _computed(
+    name: str, key: str, payload: tuple, cache_dir: Optional[Path], attempts: int = 1
+) -> ExperimentResult:
+    """Commit one :func:`_compute` payload to the cache (when there is
+    one) and wrap it as the experiment's fresh result."""
+    output, report, elapsed = payload
+    if cache_dir is not None:
+        cache_store(cache_dir, name, key, output, report=report)
+    return ExperimentResult(
+        name,
+        REGISTRY[name].title,
+        output,
+        elapsed,
+        cached=False,
+        report=report,
+        attempts=attempts,
+    )
 
 
 def run_experiment(
@@ -609,27 +623,21 @@ def run_experiment(
     kwargs = exp.arguments(fast)
     key = cache_key(name, kwargs, config, stream=stream, timeline=timeline)
     if cache_dir is not None:
-        entry = cache_load_entry(cache_dir, name, key)
-        if entry is not None and entry.get("output") is not None:
-            report = entry.get("report") if collect_report else None
+        hit = cache_lookup(cache_dir, name, key)
+        if hit is not None and hit.entry.get("output") is not None:
+            report = hit.entry.get("report") if collect_report else None
             if not collect_report or report is not None:
                 return ExperimentResult(
-                    name, exp.title, entry["output"], 0.0, cached=True, report=report
+                    name, exp.title, hit.entry["output"], 0.0, cached=True,
+                    report=report,
                 )
             # cached output but no stored report: fall through and re-run
-    start = time.perf_counter()
-    if collect_report:
-        output, machines, elapsed = _execute_with_report(
-            name, kwargs, stream=stream, timeline=timeline
-        )
-        report = _build_report(name, kwargs, elapsed, False, machines)
-    else:
-        output = _execute(name, kwargs)
-        elapsed = time.perf_counter() - start
-        report = None
-    if cache_dir is not None:
-        cache_store(cache_dir, name, key, output, elapsed, report=report)
-    return ExperimentResult(name, exp.title, output, elapsed, cached=False, report=report)
+    return _computed(
+        name,
+        key,
+        _compute(name, kwargs, collect_report, stream=stream, timeline=timeline),
+        cache_dir,
+    )
 
 
 def _subprocess_main(
@@ -660,10 +668,7 @@ def _subprocess_main(
         emitter.beat()
     try:
         with observe(emitter) if emitter is not None else nullcontext():
-            if collect_report:
-                payload = _execute_with_report(name, kwargs, stream=stream)
-            else:
-                payload = _execute(name, kwargs)
+            payload = _compute(name, kwargs, collect_report, stream=stream)
         conn.send(("ok", payload))
     except BaseException as exc:  # noqa: BLE001 - isolate *any* worker failure
         try:
@@ -820,38 +825,16 @@ def _run_isolated(
             )
 
     def _succeed(attempt: _Attempt, payload) -> None:
-        if collect_reports:
-            output, machines, elapsed = payload
-            report = _build_report(
-                attempt.name, attempt.kwargs, elapsed, False, machines
-            )
-        else:
-            output, report = payload, None
-            elapsed = time.perf_counter() - attempt.started
-        if cache_dir is not None:
-            cache_store(
-                cache_dir,
-                attempt.name,
-                cache_key(attempt.name, attempt.kwargs, config, stream=stream),
-                output,
-                elapsed,
-                report=report,
-            )
-        results[attempt.name] = ExperimentResult(
-            attempt.name,
-            REGISTRY[attempt.name].title,
-            output,
-            elapsed,
-            cached=False,
-            report=report,
-            attempts=attempt.attempt,
+        key = cache_key(attempt.name, attempt.kwargs, config, stream=stream)
+        result = results[attempt.name] = _computed(
+            attempt.name, key, payload, cache_dir, attempt.attempt
         )
         if emit is not None:
             emit(
                 "completed",
                 attempt.name,
                 attempt=attempt.attempt,
-                elapsed_s=round(elapsed, 3),
+                elapsed_s=round(result.elapsed_s, 3),
                 cached=False,
             )
 
@@ -955,22 +938,13 @@ def _run_inline(
             if emit is not None:
                 emit("worker_started", name, attempt=attempt, inline=True)
             try:
-                result = run_experiment(
+                kwargs = REGISTRY[name].arguments(fast)
+                result = results[name] = _computed(
                     name,
-                    fast,
+                    cache_key(name, kwargs, config, stream=stream),
+                    _compute(name, kwargs, collect_reports, stream=stream),
                     cache_dir,
-                    config,
-                    collect_report=collect_reports,
-                    stream=stream,
-                )
-                results[name] = ExperimentResult(
-                    result.name,
-                    result.title,
-                    result.output,
-                    result.elapsed_s,
-                    result.cached,
-                    report=result.report,
-                    attempts=attempt,
+                    attempt,
                 )
                 if emit is not None:
                     emit(
@@ -978,7 +952,7 @@ def _run_inline(
                         name,
                         attempt=attempt,
                         elapsed_s=round(result.elapsed_s, 3),
-                        cached=result.cached,
+                        cached=False,
                     )
                 break
             except Exception as exc:  # noqa: BLE001 - isolate each artifact

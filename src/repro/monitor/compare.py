@@ -10,10 +10,11 @@ per-metric and per-quantile deltas.
 Only *deterministic simulated* quantities are diffed (simulated
 cycles, engine event counts, traced-request counts, latency means and
 quantiles, per-interval timeline values): two identical-seed runs
-produce exactly zero deltas, so
-the comparison is a seedable CI gate, while wall-clock fields
-(elapsed seconds, realized events/sec) are reported nowhere — they
-differ run to run by construction.
+produce exactly zero deltas, so the comparison is a seedable CI gate.
+No wall-clock field is diffed because a run report holds none: wall
+time is reported where it is measured (run-all's headers, telemetry),
+and :func:`report_metrics` picks out the simulated quantities, so
+reports written before report version 5 compare the same way.
 
 Significance uses the paper's own stability metric
 (:func:`repro.metrics.stability.stability`): a pair ``(a, b)`` is
@@ -181,7 +182,7 @@ def _latency_rows(machine: Dict, prefix: str) -> Dict[str, float]:
 
 def report_metrics(report: Dict) -> Dict[str, float]:
     """Flatten one RunReport dict into its deterministic simulated
-    metrics (no wall-clock fields)."""
+    metrics."""
     rows: Dict[str, float] = {
         "total_sim_cycles": float(report.get("total_sim_cycles", 0.0)),
         "total_engine_events": float(report.get("total_engine_events", 0)),

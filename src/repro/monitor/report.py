@@ -1,9 +1,12 @@
 """Structured run reports: what one experiment run actually did.
 
 A :class:`RunReport` is the machine-readable record of one registered
-experiment execution — configuration hash, simulated time, wall time,
-engine self-metrics (events dispatched, realized events/sec, queue
-depths), and a metrics snapshot from the standard utilization monitors.
+experiment execution — configuration hash, simulated time, engine
+self-metrics (events dispatched, pending work), and a metrics snapshot
+from the standard utilization monitors.  It holds only simulated facts,
+so the same run always serializes (:func:`report_json`) to the same
+bytes; wall time is reported where it is measured (run-all's section
+headers and summary line, telemetry, heartbeats).
 ``python -m repro run-all`` emits one JSON report per artifact and
 ``python -m repro report`` aggregates a directory of them.
 
@@ -33,11 +36,21 @@ from repro.monitor.spans import LatencyAnalysis, SpanCollector
 #: v4: time-resolved collection — per-machine records may carry a
 #: ``timeline`` section (:meth:`MetricTimeline.to_dict`); readers must
 #: tolerate its absence (timelines are opt-in).
-REPORT_VERSION = 4
+#: v5: simulated facts only — ``elapsed_s``, ``cached`` and the engine's
+#: ``events_per_sec``, ``run_wall_s`` and ``queue_depth_*`` are gone.
+REPORT_VERSION = 5
 
 #: default on-disk report location (repo-/cwd-relative), one JSON per
 #: artifact, written by ``python -m repro run-all``.
 DEFAULT_REPORT_DIR = ".repro-reports"
+
+
+def report_json(report: Dict[str, object]) -> str:
+    """``report`` as the canonical report text: one-space indent,
+    sorted keys, trailing newline — what run-all writes to
+    ``.repro-reports/`` and ``python -m repro report EXPERIMENT``
+    prints, so equal reports are equal bytes."""
+    return json.dumps(report, indent=1, sort_keys=True) + "\n"
 
 
 class ReportCollector:
@@ -134,8 +147,6 @@ class RunReport:
     experiment: str
     title: str
     kwargs: Dict[str, object]
-    elapsed_s: float
-    cached: bool
     machines: List[Dict[str, object]] = field(default_factory=list)
     version: int = REPORT_VERSION
 
@@ -179,8 +190,6 @@ class RunReport:
             "experiment": self.experiment,
             "title": self.title,
             "kwargs": dict(self.kwargs),
-            "elapsed_s": round(self.elapsed_s, 3),
-            "cached": self.cached,
             "machines_built": len(self.machines),
             "total_sim_cycles": self.total_sim_cycles(),
             "total_engine_events": self.total_engine_events(),
@@ -188,17 +197,12 @@ class RunReport:
             "machines": list(self.machines),
         }
 
-    def to_json(self, indent: Optional[int] = 1) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
-
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "RunReport":
         return cls(
             experiment=str(data.get("experiment", "?")),
             title=str(data.get("title", "")),
             kwargs=dict(data.get("kwargs", {})),
-            elapsed_s=float(data.get("elapsed_s", 0.0)),
-            cached=bool(data.get("cached", False)),
             machines=list(data.get("machines", [])),
             version=int(data.get("version", REPORT_VERSION)),
         )
@@ -208,20 +212,11 @@ def aggregate_reports(reports: List[Dict[str, object]]) -> Dict[str, object]:
     """Roll a set of report dicts up into fleet-level totals."""
     total_events = sum(r.get("total_engine_events", 0) for r in reports)
     total_cycles = sum(r.get("total_sim_cycles", 0.0) for r in reports)
-    total_wall = sum(
-        m.get("engine", {}).get("run_wall_s", 0.0)
-        for r in reports
-        for m in r.get("machines", [])
-    )
     return {
         "experiments": len(reports),
         "machines_built": sum(r.get("machines_built", 0) for r in reports),
         "total_sim_cycles": total_cycles,
         "total_engine_events": total_events,
-        "total_engine_wall_s": round(total_wall, 4),
-        "aggregate_events_per_sec": round(total_events / total_wall, 1)
-        if total_wall > 0
-        else 0.0,
     }
 
 
@@ -232,21 +227,16 @@ def render_report_summary(reports: List[Dict[str, object]]) -> str:
 
     table = Table(
         title="Run reports",
-        columns=["experiment", "machines", "sim cycles", "events", "ev/s", "wall s"],
+        columns=["experiment", "machines", "sim cycles", "events"],
         precision=1,
     )
     for report in sorted(reports, key=lambda r: str(r.get("experiment", ""))):
-        machines = report.get("machines", [])
-        wall = sum(m.get("engine", {}).get("run_wall_s", 0.0) for m in machines)
-        events = report.get("total_engine_events", 0)
         table.add_row(
             [
                 str(report.get("experiment", "?")),
                 report.get("machines_built", 0),
                 report.get("total_sim_cycles", 0.0),
-                events,
-                (events / wall) if wall > 0 else 0.0,
-                report.get("elapsed_s", 0.0),
+                report.get("total_engine_events", 0),
             ]
         )
     summary = aggregate_reports(reports)
@@ -255,8 +245,7 @@ def render_report_summary(reports: List[Dict[str, object]]) -> str:
         "",
         f"{summary['experiments']} experiments, "
         f"{summary['machines_built']} machines, "
-        f"{summary['total_engine_events']} engine events "
-        f"({summary['aggregate_events_per_sec']:.0f} events/s inside run loops)",
+        f"{summary['total_engine_events']} engine events",
     ]
     sparks = _timeline_sparks(reports)
     if sparks:

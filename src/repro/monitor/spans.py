@@ -812,8 +812,9 @@ class SpanCollector:
         }
 
     def write(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.spans(), fh)
+        from repro.monitor.tracer import _write_json
+
+        _write_json(self.spans(), path, "requests")
 
 
 # ---------------------------------------------------------------------------

@@ -558,7 +558,7 @@ class ChromeTracer:
         }
 
     def write(self, path) -> None:
-        _write_chrome_trace(self.trace(), path)
+        _write_json(self.trace(), path, "traceEvents")
 
     def track_count(self) -> int:
         """Distinct (pid, tid) tracks carrying real (non-metadata)
@@ -611,27 +611,31 @@ def validate_chrome_trace(trace: dict) -> Tuple[int, int]:
     return n_events, len(tracks)
 
 
-#: events per ``json.dumps`` call in :func:`_write_chrome_trace`.
+#: list items per ``json.dumps`` call in :func:`_write_json`.
 _WRITE_CHUNK = 8192
 
 
-def _write_chrome_trace(trace: dict, path) -> None:
-    """Write ``trace`` to ``path`` as ``json.dump`` would, byte for
-    byte, but a slice of ``traceEvents`` at a time through
-    ``json.dumps``: ``json.dump`` encodes with the pure-Python encoder,
-    several times slower on a million events, and one ``json.dumps`` of
-    the whole document would hold it all in memory a second time."""
-    events = trace["traceEvents"]
+def _write_json(doc: dict, path, sliced: str) -> None:
+    """Write ``doc`` to ``path`` as ``json.dump`` would, byte for byte:
+    keys in dict order, the one large list under ``sliced`` (a trace's
+    ``traceEvents``, a spans document's ``requests``) a slice at a time
+    through ``json.dumps``.  ``json.dump`` encodes with the pure-Python
+    encoder, several times slower on a million items, and one
+    ``json.dumps`` of the whole document would hold it all in memory a
+    second time."""
     with open(path, "w") as fh:
-        fh.write('{"traceEvents": [')
-        for start in range(0, len(events), _WRITE_CHUNK):
-            if start:
-                fh.write(", ")
-            fh.write(json.dumps(events[start:start + _WRITE_CHUNK])[1:-1])
-        fh.write("]")
-        for key, value in trace.items():
-            if key != "traceEvents":
-                fh.write(f", {json.dumps(key)}: {json.dumps(value)}")
+        fh.write("{")
+        for i, (key, value) in enumerate(doc.items()):
+            fh.write(f"{', ' if i else ''}{json.dumps(key)}: ")
+            if key != sliced:
+                fh.write(json.dumps(value))
+                continue
+            fh.write("[")
+            for start in range(0, len(value), _WRITE_CHUNK):
+                if start:
+                    fh.write(", ")
+                fh.write(json.dumps(value[start:start + _WRITE_CHUNK])[1:-1])
+            fh.write("]")
         fh.write("}")
 
 

@@ -21,6 +21,7 @@ from repro.monitor.report import (
     RunReport,
     aggregate_reports,
     render_report_summary,
+    report_json,
 )
 from repro.monitor.tracer import ChromeTracer, validate_chrome_trace
 
@@ -169,9 +170,10 @@ class TestEngineSelfMetrics:
         assert m["events_processed"] == 10
         assert m["sim_cycles"] == 9.0
         assert m["runs"] == 1
-        assert m["run_wall_s"] > 0
-        assert m["events_per_sec"] > 0
         assert m["pending"] == 0
+        # wall time is the engine's own, never part of its self-metrics
+        assert eng.run_wall_s > 0
+        assert "run_wall_s" not in m and "events_per_sec" not in m
 
     def test_reset_clears_self_metrics(self):
         eng = Engine()
@@ -180,7 +182,7 @@ class TestEngineSelfMetrics:
         eng.reset()
         m = eng.self_metrics()
         assert m["events_processed"] == 0 and m["runs"] == 0
-        assert m["run_wall_s"] == 0.0
+        assert eng.run_wall_s == 0.0
 
 
 class TestContextObservers:
@@ -392,18 +394,16 @@ class TestRunReports:
             experiment="tiny",
             title="Tiny",
             kwargs={"n": 1},
-            elapsed_s=0.5,
-            cached=False,
             machines=[
                 {
                     "config_hash": "x",
                     "sim_cycles": 100.0,
-                    "engine": {"events_processed": 10, "run_wall_s": 0.1},
+                    "engine": {"events_processed": 10},
                     "metrics": {},
                 }
             ],
         )
-        data = json.loads(report.to_json())
+        data = json.loads(report_json(report.to_dict()))
         again = RunReport.from_dict(data)
         assert again.total_engine_events() == 10
         assert again.total_sim_cycles() == 100.0
@@ -436,3 +436,31 @@ class TestRunReports:
         plain = run_experiment("characterization", cache_dir=tmp_path)
         assert plain.cached and plain.report is None
         assert plain.output == result.output
+
+    def test_fresh_reports_serialize_to_identical_bytes(self):
+        from repro.experiments.runner import run_experiment
+
+        texts = [
+            report_json(
+                run_experiment("characterization", collect_report=True).report
+            )
+            for _ in range(2)
+        ]
+        assert texts[0] == texts[1]
+        assert texts[0].endswith("}\n")
+
+        def keys(node):
+            if isinstance(node, dict):
+                for key, value in node.items():
+                    yield key
+                    yield from keys(value)
+            elif isinstance(node, list):
+                for value in node:
+                    yield from keys(value)
+
+        wall = {"elapsed_s", "cached", "run_wall_s", "events_per_sec"}
+        found = [
+            key for key in keys(json.loads(texts[0]))
+            if key in wall or key.startswith("queue_depth_")
+        ]
+        assert found == []

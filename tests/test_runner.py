@@ -8,7 +8,7 @@ from repro.experiments.runner import (
     REGISTRY,
     Experiment,
     cache_key,
-    cache_load,
+    cache_lookup,
     cache_store,
     experiment_names,
     render_all,
@@ -87,15 +87,16 @@ class TestCacheKey:
 class TestCacheStore:
     def test_round_trip(self, tmp_path):
         key = cache_key("topology", {})
-        assert cache_load(tmp_path, "topology", key) is None
-        cache_store(tmp_path, "topology", key, "rendered text", 1.5)
-        assert cache_load(tmp_path, "topology", key) == "rendered text"
+        assert cache_lookup(tmp_path, "topology", key) is None
+        cache_store(tmp_path, "topology", key, "rendered text")
+        hit = cache_lookup(tmp_path, "topology", key)
+        assert hit.entry["output"] == "rendered text"
 
     def test_entries_live_in_the_sharded_store(self, tmp_path):
         from repro.store import ResultStore
 
         key = cache_key("topology", {})
-        cache_store(tmp_path, "topology", key, "text", 0.0)
+        cache_store(tmp_path, "topology", key, "text")
         path = ResultStore(tmp_path).entry_path(key)
         assert path.is_file() and path.parent.name == key[:2]
 
@@ -103,10 +104,10 @@ class TestCacheStore:
         from repro.store import ResultStore
 
         key = cache_key("topology", {})
-        cache_store(tmp_path, "topology", key, "text", 0.0)
+        cache_store(tmp_path, "topology", key, "text")
         ResultStore(tmp_path).entry_path(key).write_text("{not json")
         with pytest.warns(UserWarning, match="corrupt store entry"):
-            assert cache_load(tmp_path, "topology", key) is None
+            assert cache_lookup(tmp_path, "topology", key) is None
 
 
 class TestDriver:

@@ -19,7 +19,7 @@ from repro.experiments import runner as runner_mod
 from repro.experiments.runner import (
     Experiment,
     cache_key,
-    cache_load_entry,
+    cache_lookup,
     cache_store,
     render_all,
     run_all,
@@ -157,22 +157,22 @@ def _entry_path(cache_dir, key):
 class TestCacheHardening:
     def test_truncated_entry_warns_and_misses(self, tmp_path):
         key = cache_key("topology", {})
-        cache_store(tmp_path, "topology", key, "text", 0.0)
+        cache_store(tmp_path, "topology", key, "text")
         _entry_path(tmp_path, key).write_text('{"truncated')
         with pytest.warns(UserWarning, match="corrupt store entry"):
-            assert cache_load_entry(tmp_path, "topology", key) is None
+            assert cache_lookup(tmp_path, "topology", key) is None
 
     def test_wrong_shape_entry_warns_and_misses(self, tmp_path):
         key = cache_key("topology", {})
-        cache_store(tmp_path, "topology", key, "text", 0.0)
+        cache_store(tmp_path, "topology", key, "text")
         # valid JSON, not an entry document
         _entry_path(tmp_path, key).write_text("[1, 2, 3]")
         with pytest.warns(UserWarning, match="corrupt store entry"):
-            assert cache_load_entry(tmp_path, "topology", key) is None
+            assert cache_lookup(tmp_path, "topology", key) is None
 
     def test_missing_entry_is_a_silent_miss(self, tmp_path):
         key = cache_key("topology", {})
-        assert cache_load_entry(tmp_path, "topology", key) is None
+        assert cache_lookup(tmp_path, "topology", key) is None
 
     def test_corrupt_entry_is_recomputed_and_healed(self, tmp_path):
         run_experiment("topology", cache_dir=tmp_path)
@@ -188,7 +188,7 @@ class TestCacheHardening:
 
     def test_store_is_atomic(self, tmp_path):
         key = cache_key("topology", {})
-        cache_store(tmp_path, "topology", key, "text", 0.0)
+        cache_store(tmp_path, "topology", key, "text")
         assert not list(tmp_path.rglob("*.tmp"))
         assert not list(tmp_path.rglob("*.lock"))
 

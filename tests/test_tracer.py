@@ -173,26 +173,50 @@ def test_queue_counters_replay_queued_packets(monkeypatch):
 
 
 def test_written_file_is_the_json_of_the_trace(tmp_path):
-    """``write`` encodes ``traceEvents`` a slice at a time; the file is
-    still exactly ``json.dumps`` of the document: a machine's trace, an
-    empty one, and one spanning several slices."""
+    """``write`` encodes a document's one large list (``traceEvents``,
+    ``requests``) a slice at a time; the file is still exactly
+    ``json.dumps`` of the document: a machine's trace and spans, empty
+    ones, a streaming spans document (no request list), and trace and
+    spans documents spanning several slices."""
     import json
 
     from repro.core.machine import CedarMachine
-    from repro.monitor.tracer import _WRITE_CHUNK, _write_chrome_trace
+    from repro.monitor.spans import SpanCollector
+    from repro.monitor.streamstore import StreamingSpanStore
+    from repro.monitor.tracer import _WRITE_CHUNK, _write_json
     from tests.test_observability import run_small_kernel
 
     machine = CedarMachine(CedarConfig(), monitor_port=0)
     tracer = ChromeTracer().attach(machine.bus)
+    spans = SpanCollector().attach(machine.bus)
+    stream = StreamingSpanStore().attach(machine.bus)
     run_small_kernel(machine)
-    tracer.detach()
-    path = tmp_path / "trace.json"
-    for subject in (tracer, ChromeTracer()):
+    for observer in (tracer, spans, stream):
+        observer.detach()
+    assert spans.spans()["requests"]
+    path = tmp_path / "doc.json"
+    for subject, doc in (
+        (tracer, tracer.trace()),
+        (ChromeTracer(), ChromeTracer().trace()),
+        (spans, spans.spans()),
+        (SpanCollector(), SpanCollector().spans()),
+        (stream, stream.spans()),
+    ):
         subject.write(path)
-        assert path.read_text() == json.dumps(subject.trace())
-    doc = {
+        assert path.read_text() == json.dumps(doc)
+    long_trace = {
         "traceEvents": [{"ph": "i", "ts": i / 3} for i in range(2 * _WRITE_CHUNK + 5)],
         "otherData": {"dropped": 0},
     }
-    _write_chrome_trace(doc, path)
-    assert path.read_text() == json.dumps(doc)
+    long_spans = {
+        "version": 1,
+        "complete": 2 * _WRITE_CHUNK + 5,
+        "requests": [
+            {"id": i, "latency": i / 7, "hops": [{"stage": 0}]}
+            for i in range(2 * _WRITE_CHUNK + 5)
+        ],
+        "dropped": 0,
+    }
+    for doc, sliced in ((long_trace, "traceEvents"), (long_spans, "requests")):
+        _write_json(doc, path, sliced)
+        assert path.read_text() == json.dumps(doc)
