@@ -387,7 +387,12 @@ def _profile(args) -> str:
 def _analyze(args) -> str:
     from repro.experiments.runner import experiment, observe
     from repro.monitor.analysis import latency_report
-    from repro.monitor.spans import LatencyAnalysis, SpanCollector, validate_spans
+    from repro.monitor.spans import (
+        SPANS_VERSION,
+        LatencyAnalysis,
+        SpanCollector,
+        validate_spans,
+    )
 
     exp = experiment(args.experiment)
     make_collector = SpanCollector
@@ -425,14 +430,12 @@ def _analyze(args) -> str:
             f"{analysis.evicted} evicted; {footprint} resident traced items)"
         )
     else:
-        spans = [s for c in collectors for s in c.complete_spans()]
-        analysis = LatencyAnalysis(
-            spans, dropped=sum(c.dropped for c in collectors)
-        )
-        incomplete = sum(len(c.incomplete_spans()) for c in collectors)
+        analysis = LatencyAnalysis.from_collectors(collectors)
+        incomplete = sum(c.incomplete for c in collectors)
         tail = (
-            f"{len(spans)} requests traced across {len(collectors)} machine(s)"
-            f" ({incomplete} incomplete at sim end, {analysis.dropped} dropped)"
+            f"{sum(c.completed for c in collectors)} requests traced across "
+            f"{len(collectors)} machine(s) ({incomplete} incomplete at sim "
+            f"end, {analysis.dropped} dropped)"
         )
     sections = [latency_report(analysis, top=args.top), tail]
     if args.out:
@@ -440,19 +443,26 @@ def _analyze(args) -> str:
 
         if args.stream:
             doc = merge_streaming_docs(docs)
-        elif len(collectors) == 1:
-            doc = collectors[0].spans()
+            n_requests, n_complete = validate_spans(doc)
         else:
-            docs = [c.spans() for c in collectors]
+            def machine_requests():
+                # request ids are process-wide unique, so machines
+                # merge; one machine's requests are built, checked and
+                # written at a time
+                for collector in collectors:
+                    part = collector.spans()
+                    validate_spans(part)
+                    yield part["requests"]
+
+            n_complete = sum(c.completed for c in collectors)
+            n_requests = n_complete + incomplete
             doc = {
-                "version": docs[0]["version"],
-                "complete": sum(d["complete"] for d in docs),
-                "incomplete": sum(d["incomplete"] for d in docs),
-                "dropped": sum(d["dropped"] for d in docs),
-                # request ids are process-wide unique, so machines merge
-                "requests": [r for d in docs for r in d["requests"]],
+                "version": SPANS_VERSION,
+                "complete": n_complete,
+                "incomplete": incomplete,
+                "dropped": analysis.dropped,
+                "requests": machine_requests(),
             }
-        n_requests, n_complete = validate_spans(doc)
         _write_json(doc, args.out, "requests")
         sections.append(
             f"wrote {args.out}: {n_requests} spans ({n_complete} complete)"

@@ -203,13 +203,12 @@ def run_soak(
     if stream:
         analysis = StreamingLatencyAnalysis.from_store(store)
         footprint: Optional[int] = store.tracing_footprint()
-        doc_incomplete = len(store._requests) + store.evicted
         evicted = store.evicted
     else:
-        analysis = LatencyAnalysis.from_collector(store)
+        analysis = LatencyAnalysis.from_collectors([store])
         footprint = None
-        doc_incomplete = len(store.incomplete_spans())
         evicted = 0
+    doc_incomplete = store.incomplete
     store.detach()
 
     row = analysis.end_to_end().get("all") if analysis.requests else None

@@ -133,8 +133,8 @@ class ReportCollector:
                     spans
                 ).summary()
             else:
-                record["latency"] = LatencyAnalysis.from_collector(
-                    spans
+                record["latency"] = LatencyAnalysis.from_collectors(
+                    [spans]
                 ).summary()
             out.append(record)
         return out

@@ -35,9 +35,8 @@ carry no tracing state beyond the id they always had.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -314,14 +313,17 @@ class RequestSpan:
 #: request id in slot 1 and its time in slot 7:
 #:
 #: * birth ``(BIRTH, rid, origin, port, address, kind, words, time)``
+#:   — tagged ``SYNC_BIRTH`` for a sync instruction, so the stitch finds
+#:   sync requests by tag
 #: * deliver ``(DELIVER, rid, 0, 0, 0, 0, 0, time)``
 #: * memory service ``(GSVC, rid, module, 0, cycles, 0, service_end, 0)``
 #:   — cycles and service end in the slots ``net.span`` uses for them
 #: * sync outcome ``(SYNC, rid, success, operation, 0, 0, 0, time)``
 #: * transient / ECC / reroute fault ``(tag, rid, where, cycles, 0, 0, 0,
 #:   time)`` — ``where`` is the resource name, module or network
-#: * sync timeout ``(SYNC_TIMEOUT, None, module, penalty, address, 0, 0,
-#:   time)`` — the signal names no request.
+#: * sync timeout ``(SYNC_TIMEOUT, -1, module, penalty, address, 0, 0,
+#:   time)`` — the signal names no request (request ids are never
+#:   negative), so the id column is all integers.
 _EV_BIRTH = 1
 _EV_DELIVER = 2
 _EV_GSVC = 3
@@ -330,6 +332,13 @@ _EV_SYNC_TIMEOUT = 5
 _EV_TRANSIENT = 6
 _EV_ECC = 7
 _EV_REROUTE = 8
+_EV_SYNC_BIRTH = 9
+
+#: the record kinds the stitch sorts slot 0 into: the integer tags stand
+#: for themselves, a ``net.span`` record is a memory module's (``gm[``)
+#: or a network hop.
+_KIND_GM = 0
+_KIND_HOP = 10
 
 #: fault record tag -> (annotation type, key of its slot-2 value).
 _FAULTS = {
@@ -338,6 +347,23 @@ _FAULTS = {
     _EV_REROUTE: ("reroute", "network"),
     _EV_SYNC_TIMEOUT: ("sync_timeout", "module"),
 }
+
+#: an index past every buffer: "never" for a request not yet completed
+#: or cut.
+_NEVER = np.iinfo(np.intp).max
+
+
+class _Kinds(dict):
+    """Slot-0 value -> record kind.  The integer tags map to themselves;
+    a resource name is classified the first time it is looked up, so a
+    C-level ``map`` over the tag column needs no pass to find new names."""
+
+    def __init__(self) -> None:
+        super().__init__((tag, tag) for tag in range(_EV_BIRTH, _EV_SYNC_BIRTH + 1))
+
+    def __missing__(self, tag: str) -> int:
+        kind = self[tag] = _KIND_GM if tag.startswith("gm[") else _KIND_HOP
+        return kind
 
 
 def _fault_dict(buf: list, i: int) -> dict:
@@ -349,41 +375,79 @@ def _fault_dict(buf: list, i: int) -> dict:
     return fault
 
 
-def _phase_columns(buf: list, bs: Sequence[int], es: Sequence[int],
-                   gs: Sequence[int], ss: Sequence[int]) -> List[list]:
-    """``[origins, latencies, *phase columns]`` of complete requests whose
-    birth, completion, ``gm[`` and memory-service records sit at the
-    indices in ``bs``, ``es``, ``gs`` and ``ss`` — one entry per request,
-    with :meth:`RequestSpan.phases`' arithmetic."""
-    births = [buf[b + 7] for b in bs]
-    ends = [buf[e + 7] for e in es]
-    enqueues = [buf[g + 5] for g in gs]
-    departs = [buf[g + 7] for g in gs]
-    cycles = [buf[s + 4] for s in ss]
-    served = [buf[s + 6] for s in ss]
-    return [
-        [buf[b + 2] for b in bs],
-        [end - birth for end, birth in zip(ends, births)],
-        [enqueue - birth for enqueue, birth in zip(enqueues, births)],
-        [(done - c) - enqueue
-         for done, c, enqueue in zip(served, cycles, enqueues)],
+def _gather(buf: list, at: np.ndarray, slot: int) -> np.ndarray:
+    """Slot ``slot`` of the records at buffer indices ``at``, as floats."""
+    return np.fromiter(map(buf.__getitem__, (at + slot).tolist()), float, len(at))
+
+
+def _lookup(keys: np.ndarray, values: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """``values[j]`` for each probe equal to ``keys[j]`` (``keys``
+    ascending and distinct), -1 for a probe no key equals."""
+    if not len(keys):
+        return np.full(len(probe), -1, dtype=np.intp)
+    at = np.minimum(np.searchsorted(keys, probe), len(keys) - 1)
+    return np.where(keys[at] == probe, values[at], -1)
+
+
+def _phase_columns(buf: list, bs: np.ndarray, es: np.ndarray, gs: np.ndarray,
+                   ss: np.ndarray) -> Tuple[list, np.ndarray, List[np.ndarray]]:
+    """``(origins, latencies, phases)`` of complete requests whose birth,
+    completion, ``gm[`` and memory-service records sit at the buffer
+    indices ``bs``, ``es``, ``gs`` and ``ss``: an origin list, a latency
+    array and the five phase arrays, one entry per request, with
+    :meth:`RequestSpan.phases`' arithmetic done elementwise."""
+    births = _gather(buf, bs, 7)
+    ends = _gather(buf, es, 7)
+    enqueues = _gather(buf, gs, 5)
+    departs = _gather(buf, gs, 7)
+    cycles = _gather(buf, ss, 4)
+    served = _gather(buf, ss, 6)
+    return list(map(buf.__getitem__, (bs + 2).tolist())), ends - births, [
+        enqueues - births,
+        (served - cycles) - enqueues,
         cycles,
-        [depart - done for depart, done in zip(departs, served)],
-        [end - depart for end, depart in zip(ends, departs)],
+        departs - served,
+        ends - departs,
     ]
 
 
-def _drifts(latencies: Sequence[float],
-            phases: Sequence[Sequence[float]]) -> List[float]:
+def _drifts(latencies: np.ndarray, phases: Sequence[np.ndarray]) -> np.ndarray:
     """``abs(sum(phases) - latency)`` per request, given the five phase
-    columns.  The phases are added left to right, as a ``+=`` loop adds
-    them, whatever the interpreter's ``sum`` does (compensated since
-    Python 3.12)."""
-    return [
-        abs(forward + wait + service + block + reverse - latency)
-        for latency, forward, wait, service, block, reverse
-        in zip(latencies, *phases)
-    ]
+    arrays, added left to right as a ``+=`` loop adds them."""
+    forward, wait, service, block, reverse = phases
+    return np.abs(forward + wait + service + block + reverse - latencies)
+
+
+def _groups(labels: Sequence[str]) -> Dict[str, np.ndarray]:
+    """The row indices of each distinct label, labels in first-seen
+    order, each one's rows ascending."""
+    code = {label: k for k, label in enumerate(dict.fromkeys(labels))}
+    codes = np.fromiter(map(code.__getitem__, labels), np.intp, len(labels))
+    return {label: np.flatnonzero(codes == k) for label, k in code.items()}
+
+
+def _first_seen_counts(values: np.ndarray) -> Dict[float, int]:
+    """``Counter(values)``: each distinct value's count, in first-seen
+    order (``np.unique`` sorts stably when asked for first indices, so
+    each distinct value is its first occurrence)."""
+    distinct, first, counts = np.unique(values, return_index=True,
+                                        return_counts=True)
+    order = np.argsort(first)
+    return dict(zip(distinct[order].tolist(), counts[order].tolist()))
+
+
+#: the columns of :attr:`SpanCollector._state`, one row per tracked
+#: request: its id, then the buffer indices of its birth, completion,
+#: latest ``gm[`` record, memory service and sync outcome (-1 while
+#: absent).
+_RID, _BIRTH, _END, _MEM, _SVC, _SYNC = range(6)
+
+
+#: the record kinds the stitch reads per request, births aside: every
+#: non-hop record that names a request (a sync timeout names none).
+_NAMED = np.zeros(_KIND_HOP + 1, dtype=bool)
+_NAMED[[_KIND_GM, _EV_DELIVER, _EV_GSVC, _EV_SYNC, _EV_TRANSIENT, _EV_ECC,
+        _EV_REROUTE]] = True
 
 
 class SpanCollector:
@@ -411,17 +475,20 @@ class SpanCollector:
     subscriber is the buffer's own C-level ``extend``.
 
     Stitching is deferred to the first read (:attr:`requests`,
-    :meth:`complete_spans`, :meth:`spans`, ...) and keeps per-request
-    state as buffer indices: the birth, the completion (the deliver, or a
-    store's ``gm[`` record), the latest ``gm[`` record, memory service
-    and sync outcome, and the fault records.  A request's hops are the
-    other ``net.span`` records with its id strictly between its birth
-    and its completion; they are read by position only when a span is
-    built or a tail cohort is attributed.  :class:`RequestSpan` objects
-    are built on demand; the report summary
-    (:meth:`LatencyAnalysis.from_collector`) folds the buffer directly.
-    Results are identical to eager stitching; only *when* the work
-    happens changes.
+    :meth:`complete_spans`, :meth:`spans`, ...) and runs in columns
+    (:meth:`_drain`).  Per-request state is one integer array, a row per
+    tracked request in admission order holding buffer indices: the
+    birth, the completion (the deliver, or a store's ``gm[`` record),
+    the latest ``gm[`` record, memory service and sync outcome; fault
+    records are listed per request id.  Two columns kept beside the
+    buffer, each record's kind and the request id it names, let a
+    request's hops — the other ``net.span`` records with its id strictly
+    between its birth and its completion — be picked by position when a
+    span is built or a tail cohort is attributed.  :class:`RequestSpan`
+    objects are built on demand; the report summary
+    (:meth:`LatencyAnalysis.from_collectors`) folds the buffer directly.
+    Results are identical to stitching each record as it arrives; only
+    *when* and *how* the work happens changes.
 
     Occupancies still in flight when the run ends have not departed and
     therefore produce no hop record.
@@ -441,6 +508,12 @@ class SpanCollector:
 
     DEFAULT_MAX_REQUESTS = 200_000
 
+    #: whether a request stops reading its records once it completes.
+    #: The buffered collector keeps every request, so a memory service,
+    #: sync outcome or fault that arrives after its completion still
+    #: lands on it; the streaming store releases it at completion.
+    RELEASE_AT_COMPLETION = False
+
     def __init__(self, max_requests: int = DEFAULT_MAX_REQUESTS) -> None:
         if max_requests < 1:
             raise ValueError("max_requests must be positive")
@@ -450,21 +523,18 @@ class SpanCollector:
         self._events: list = []
         #: buffer slots stitched so far.
         self._cursor = 0
-        #: request id -> birth record index, in admission order.
-        self._requests: Dict[int, int] = {}
-        #: request id -> completion record index, in completion order.
-        self._ends: Dict[int, int] = {}
-        #: request id -> its latest ``gm[`` / memory-service / sync record.
-        self._mem: Dict[int, int] = {}
-        self._svc: Dict[int, int] = {}
-        self._sync: Dict[int, int] = {}
+        #: one row per tracked request, in admission order (columns
+        #: ``_RID`` ... ``_SYNC``).
+        self._state = np.empty((0, 6), dtype=np.intp)
         #: request id -> its fault record indices.
         self._faults: Dict[int, List[int]] = {}
+        #: sync address -> its open sync requests, in admission order.
         self._open_syncs: Dict[int, List[int]] = {}
-        #: stage per resource name already seen on non-memory
-        #: ``net.span`` records: the stitching loop skips a hop on one
-        #: dict lookup, and the hop columns read stages from it.
-        self._hop_stages: Dict[str, str] = {}
+        self._kinds = _Kinds()
+        #: per stitched record: its kind and the request id it names
+        #: (-1 for none).
+        self._kind = np.empty(0, dtype=np.int8)
+        self._ids = np.empty(0, dtype=np.intp)
         self._dropped = 0
         self._completed = 0
         self._subscriptions: List[tuple] = []
@@ -491,8 +561,9 @@ class SpanCollector:
     def _on_req_birth(self, packet, origin: str, time: float) -> None:
         # the PacketKind member, not its name: ``.name`` costs a frame
         self._events.extend((
-            _EV_BIRTH, packet.request_id, origin, packet.src,
-            packet.address, packet.kind, packet.words, time,
+            _EV_SYNC_BIRTH if origin == "sync" else _EV_BIRTH,
+            packet.request_id, origin, packet.src, packet.address, packet.kind,
+            packet.words, time,
         ))
 
     def _on_req_deliver(self, packet, time: float) -> None:
@@ -532,139 +603,188 @@ class SpanCollector:
     def _on_fault_sync_timeout(self, module: int, address: int, time: float,
                                penalty_cycles: float) -> None:
         self._events.extend((
-            _EV_SYNC_TIMEOUT, None, module, penalty_cycles, address, 0, 0, time,
+            _EV_SYNC_TIMEOUT, -1, module, penalty_cycles, address, 0, 0, time,
         ))
 
     # -- deferred stitching ------------------------------------------------
 
     def _drain(self) -> None:
-        """Stitch the records appended since the last drain.  Records are
-        buffered in emission order, which is temporal order, so the state
-        transitions match eager stitching exactly."""
+        """Stitch the records appended since the last drain, in columns.
+
+        Records are buffered in emission order, which is temporal order,
+        so each request's state follows from positions: its completion
+        is its first deliver (or store ``gm[`` record) after its birth;
+        its ``gm[``, memory-service and sync entries are the last such
+        records while it is held.  One C-level pass each reads the kind
+        and the request id of every record; admissions, completions and
+        the state columns are then numpy selections and scatters, and
+        Python loops run only over fault records, sync timeouts, sync
+        births and completions, and cap evictions."""
         buf = self._events
         n = len(buf)
-        i = self._cursor
-        if i >= n:
+        start = self._cursor
+        if start >= n:
             return
         self._cursor = n
-        requests = self._requests
-        ends = self._ends
+        kind = np.frombuffer(
+            bytes(map(self._kinds.__getitem__, buf[start:n:HOP_SLOTS])), np.int8
+        )
+        ids = np.fromiter(buf[start + 1:n:HOP_SLOTS], np.intp, len(kind))
+        # record k sits at buffer index 8 * k; this drain starts at head
+        head = start // HOP_SLOTS
+        born = np.flatnonzero((kind == _EV_BIRTH) | (kind == _EV_SYNC_BIRTH))
+        born = born[:self._admit(len(born))]
+        fresh = np.full((len(born), 6), -1, dtype=np.intp)
+        fresh[:, _RID] = ids[born]
+        fresh[:, _BIRTH] = start + HOP_SLOTS * born
+        for b in fresh[kind[born] == _EV_SYNC_BIRTH, _BIRTH].tolist():
+            self._open_syncs.setdefault(buf[b + 4], []).append(buf[b + 1])
+        state = self._state = np.concatenate((self._state, fresh))
+        if len(self._ids):
+            kind = np.concatenate((self._kind, kind))
+            ids = np.concatenate((self._ids, ids))
+        self._kind, self._ids = kind, ids
+
+        # the records naming a tracked request after its birth, hops and
+        # births aside, and that request's row
+        k = head + np.flatnonzero(_NAMED[kind[head:]])
+        row = self._rows_of(ids[k])
+        named = row >= 0
+        named[named] = HOP_SLOTS * k[named] > state[row[named], _BIRTH]
+        k, row = k[named], row[named]
+        at, what = HOP_SLOTS * k, kind[k]
+        gm = what == _KIND_GM
+        closing = what == _EV_DELIVER
+        # stores are terminal at the module: no reply travels back
+        closing[gm] = np.fromiter(map(buf.__getitem__, (at[gm] + 3).tolist()),
+                                  bool, np.count_nonzero(gm))
+        # a request completed in an earlier drain completes once
+        live = state[row, _END] < 0
+        closing &= live
+        # per row (positions ascend, so minima are first records and
+        # maxima last ones): where it first closes, where this drain
+        # cuts it, and where it completes — a request cut before its
+        # completion never completes
+        first = np.full(len(state), _NEVER, dtype=np.intp)
+        np.minimum.at(first, row[closing], at[closing])
+        closed = np.flatnonzero(first < _NEVER)
+        until = np.full(len(state), _NEVER, dtype=np.intp)
+        cut = self._cut(len(born), closed, first[closed])
+        until[list(cut)] = list(cut.values())
+        closes = np.where(first < until, first, _NEVER)
+        stops = np.minimum(until, closes)
+        mem = gm & live & (at <= closes[row]) & (at < until[row])
+        held = at < (stops if self.RELEASE_AT_COMPLETION else until)[row]
+        for column, rows in ((_MEM, mem), (_SVC, held & (what == _EV_GSVC)),
+                             (_SYNC, held & (what == _EV_SYNC))):
+            np.maximum.at(state[:, column], row[rows], at[rows])
+        faulty = held & (what >= _EV_TRANSIENT) & (what <= _EV_REROUTE)
+        timeouts = HOP_SLOTS * (head + np.flatnonzero(ids[head:] < 0))
+        if len(timeouts) or faulty.any():
+            self._charge(np.concatenate((at[faulty], timeouts)), stops)
+        finish = np.flatnonzero(closes < _NEVER)
+        finish = finish[np.argsort(closes[finish])]
+        self._close(finish, closes[finish])
+
+    # -- stitching steps ---------------------------------------------------
+
+    def _rows_of(self, rids: np.ndarray) -> np.ndarray:
+        """The state row of each tracked request in ``rids``, -1 for an
+        id not tracked."""
+        tracked = self._state[:, _RID]
+        order = np.argsort(tracked)
+        return _lookup(tracked[order], order, rids)
+
+    def _admit(self, births: int) -> int:
+        """How many of this drain's ``births`` to track, in order.  The
+        buffered collector admits births until ``max_requests`` are
+        tracked and counts the rest into :attr:`dropped`: it never frees
+        a row, so the earliest population is kept, which exact analyses
+        rely on."""
+        room = max(self.max_requests - len(self._state), 0)
+        self._dropped += max(births - room, 0)
+        return min(room, births)
+
+    def _cut(self, born: int, closed: np.ndarray,
+             close_at: np.ndarray) -> Dict[int, int]:
+        """``{row: index}`` of the requests this drain stops tracking
+        before they complete, given how many rows it admitted (the last
+        ``born``) and the first completing record of each request
+        (``closed`` rows, ``close_at`` indices).  The buffered collector
+        cuts none; the streaming store evicts at its cap."""
+        return {}
+
+    def _charge(self, at: np.ndarray, stops: np.ndarray) -> None:
+        """Append the fault records at ``at`` to their requests' fault
+        lists, in record order.  A sync timeout names no request: it is
+        charged to the oldest sync on its address that is tracked, born
+        before it and not completed or cut by it (``stops``: per row,
+        where this drain completes or cuts it)."""
+        buf = self._events
         faults = self._faults
-        open_syncs = self._open_syncs
-        mem, svc, sync = self._mem, self._svc, self._sync
-        hop_stages = self._hop_stages
-        cap = self.max_requests
-        for i in range(i, n, HOP_SLOTS):
-            tag = buf[i]
-            if tag in hop_stages:
-                continue  # a hop: read by position when needed
-            if tag.__class__ is str:
-                # a net.span record: only the memory module's is stitched
-                if not tag.startswith("gm["):
-                    hop_stages[tag] = _stage_of(tag)
-                    continue
-                rid = buf[i + 1]
-                if rid in requests and rid not in ends:
-                    mem[rid] = i
-                    # stores are terminal at the module: no reply
-                    # travels back
-                    if buf[i + 3]:
-                        self._finish(rid, i)
-            elif tag == _EV_BIRTH:
-                if len(requests) >= cap and not self._make_room(i):
-                    self._dropped += 1
-                else:
-                    rid = buf[i + 1]
-                    requests[rid] = i
-                    if buf[i + 2] == "sync":
-                        open_syncs.setdefault(buf[i + 4], []).append(rid)
-            elif tag == _EV_DELIVER:
-                rid = buf[i + 1]
-                if rid in requests and rid not in ends:
-                    self._finish(rid, i)
-            elif tag == _EV_GSVC:
-                if buf[i + 1] in requests:
-                    svc[buf[i + 1]] = i
-            elif tag == _EV_SYNC:
-                if buf[i + 1] in requests:
-                    sync[buf[i + 1]] = i
-            elif tag == _EV_SYNC_TIMEOUT:
-                # no packet on this signal: charge the oldest in-flight
-                # sync to the same address (the one being retried).
-                for rid in open_syncs.get(buf[i + 4], ()):
-                    if rid in requests and rid not in ends:
-                        faults.setdefault(rid, []).append(i)
+        state = self._state
+        row_of = dict(zip(state[:, _RID].tolist(), range(len(state))))
+        for i in np.sort(at).tolist():
+            rid = buf[i + 1]
+            if rid < 0:
+                for rid in self._open_syncs.get(buf[i + 4], ()):
+                    r = row_of.get(rid)
+                    if r is not None and state[r, _BIRTH] < i < stops[r]:
                         break
-            elif buf[i + 1] in requests:
-                faults.setdefault(buf[i + 1], []).append(i)
+                else:
+                    continue
+            faults.setdefault(rid, []).append(i)
 
-    # -- stitching helpers -------------------------------------------------
+    def _close(self, rows: np.ndarray, es: np.ndarray) -> None:
+        """Complete the requests in ``rows`` at the records at ``es``,
+        given in completion order."""
+        self._completed += len(rows)
+        self._close_syncs(rows)
+        self._state[rows, _END] = es
 
-    def _make_room(self, i: int) -> bool:
-        """Called when the birth record at ``i`` arrives at the
-        ``max_requests`` cap.  Return True after freeing a tracked slot
-        to admit the new request; the buffered collector never frees
-        (drop-at-cap keeps the *earliest* population, which exact
-        analyses rely on) — the streaming store overrides this to evict
-        its oldest in-flight span into the exemplar reservoir instead."""
-        return False
-
-    def _finish(self, rid: int, i: int) -> None:
-        """Complete request ``rid`` at the record at ``i``."""
-        self._completed += 1
-        self._ends[rid] = i
+    def _close_syncs(self, rows: np.ndarray) -> None:
+        """Take the sync requests among completed ``rows`` off their
+        address's open list."""
         buf = self._events
-        b = self._requests[rid]
-        if buf[b + 2] == "sync":
+        bs = self._state[rows, _BIRTH]
+        for b in bs[self._kind[bs // HOP_SLOTS] == _EV_SYNC_BIRTH].tolist():
             ids = self._open_syncs.get(buf[b + 4])
-            if ids and rid in ids:
-                ids.remove(rid)
+            if ids and buf[b + 1] in ids:
+                ids.remove(buf[b + 1])
 
-    def _hop_runs(self, bounds: Dict[int, Tuple[int, int]]
+    # -- reading the buffer ------------------------------------------------
+
+    def _hop_runs(self, bs: np.ndarray, es: np.ndarray
                   ) -> Tuple[np.ndarray, List[int]]:
-        """For ``bounds`` = ``{request id: (birth index, end index)}``:
-        the buffer indices of those requests' hop records, request by
-        request in ``bounds`` order, each in emission order, and each
-        request's hop count.  A request's hops are the non-``gm[``
-        ``net.span`` records carrying its id strictly between the two
-        indices.  C-level maps read the tag and id columns of the
-        covered range and one numpy pass picks the hops: no Python frame
-        per record."""
-        if not bounds:
+        """For requests born at buffer indices ``bs`` and ending at
+        ``es`` (a completion, or where their hops stop being read): the
+        buffer indices of their hop records, request by request, each
+        in emission order, and each request's hop count.  A request's
+        hops are the hop records naming it strictly between the two
+        indices, read off the kind and id columns in numpy."""
+        if not len(bs):
             return np.empty(0, dtype=np.intp), []
-        buf = self._events
-        bs, es = np.array(list(bounds.values())).T
-        lo = int(bs.min())
-        hi = int(es.max())
-        n = len(range(lo, hi, HOP_SLOTS))
-        rank = dict(zip(bounds, range(len(bounds))))
-        owner = np.fromiter(
-            map(rank.get, buf[lo + 1:hi:HOP_SLOTS], repeat(-1)), np.intp, n
-        )
-        named = np.flatnonzero(owner >= 0)
-        at = named * HOP_SLOTS + lo
-        owner = owner[named]
-        # every hop resource up to the cursor is in _hop_stages; the
-        # tags of other records are integers or gm[ names
-        hop = np.fromiter(
-            map(self._hop_stages.__contains__, map(buf.__getitem__, at.tolist())),
-            bool, len(at),
-        )
-        hop &= (bs[owner] < at) & (at < es[owner])
-        at = at[hop]
-        owner = owner[hop]
-        return (at[np.argsort(owner, kind="stable")],
-                np.bincount(owner, minlength=len(bounds)).tolist())
+        lo = int(bs.min()) // HOP_SLOTS
+        hi = int(es.max()) // HOP_SLOTS
+        rids = self._ids[bs // HOP_SLOTS]
+        slots = lo + np.flatnonzero(self._kind[lo:hi] == _KIND_HOP)
+        order = np.argsort(rids)
+        request = _lookup(rids[order], order, self._ids[slots])
+        at = slots[request >= 0] * HOP_SLOTS
+        request = request[request >= 0]
+        mine = (bs[request] < at) & (at < es[request])
+        at = at[mine]
+        request = request[mine]
+        return (at[np.argsort(request, kind="stable")],
+                np.bincount(request, minlength=len(bs)).tolist())
 
     def _hop_fields(self, at: np.ndarray) -> tuple:
         """The :func:`stage_segments` fields of the hop records at buffer
         indices ``at``."""
         buf = self._events
-        get = buf.__getitem__
         return (
-            list(map(self._hop_stages.__getitem__, map(get, at.tolist()))),
-            *(np.fromiter(map(get, (at + k).tolist()), float, len(at))
-              for k in (4, 5, 6, 7)),
+            list(map(_stage_of, map(buf.__getitem__, at.tolist()))),
+            *(_gather(buf, at, k) for k in (4, 5, 6, 7)),
         )
 
     def _records(self, at: np.ndarray) -> list:
@@ -674,87 +794,77 @@ class SpanCollector:
             map(slice, at.tolist(), (at + HOP_SLOTS).tolist()),
         )))
 
-    def _hop_records(self, bounds: Dict[int, Tuple[int, int]]) -> Dict[int, list]:
-        """Flat hop records per request for ``bounds`` = ``{request id:
-        (birth index, end index)}`` (see :meth:`_hop_runs`)."""
-        at, counts = self._hop_runs(bounds)
+    def _hop_records(self, bs: np.ndarray, es: np.ndarray) -> List[list]:
+        """Flat hop records per request for births ``bs`` and ends
+        ``es`` (see :meth:`_hop_runs`)."""
+        at, counts = self._hop_runs(bs, es)
         flat = self._records(at)
-        hops = {}
-        start = 0
-        for rid, count in zip(bounds, counts):
-            stop = start + count * HOP_SLOTS
-            hops[rid] = flat[start:stop]
-            start = stop
-        return hops
+        bounds = list(accumulate(counts, initial=0))
+        return [flat[HOP_SLOTS * lo:HOP_SLOTS * hi]
+                for lo, hi in zip(bounds, bounds[1:])]
 
-    def _bounds(self, rids: Sequence[int]) -> Dict[int, Tuple[int, int]]:
-        """``{request id: (birth index, end index)}`` of tracked requests
-        ``rids``; an in-flight request's hops run up to the cursor."""
-        requests = self._requests
-        ends = self._ends
-        upto = self._cursor
-        return {rid: (requests[rid], ends.get(rid, upto)) for rid in rids}
+    def _bounds(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Birth and end indices of the requests in ``rows``; an
+        in-flight request's hops run up to the cursor."""
+        state = self._state[rows]
+        ends = state[:, _END]
+        return state[:, _BIRTH], np.where(ends >= 0, ends, self._cursor)
 
-    def _span(self, b: int, e: Optional[int], g: Optional[int],
-              s: Optional[int], y: Optional[int], faults: Optional[List[int]],
-              hops: list) -> RequestSpan:
+    def _span(self, b: int, e: int, g: int, s: int, y: int,
+              faults: Optional[List[int]], hops: list) -> RequestSpan:
         """Build the :class:`RequestSpan` of a request from its record
         indices (birth, completion, ``gm[``, memory service, sync
-        outcome, faults) and its flat hop records."""
+        outcome: -1 when absent; faults) and its flat hop records."""
         buf = self._events
         _tag, rid, origin, port, address, kind, words, birth = buf[b:b + HOP_SLOTS]
         span = RequestSpan(rid, origin, port, address, kind.name, words, birth)
         span.raw_hops = hops
-        if g is not None:
+        if g >= 0:
             span.mem_enqueue = buf[g + 5]
             span.mem_depart = buf[g + 7]
-        if s is not None:
+        if s >= 0:
             span.mem_module = buf[s + 2]
             span.mem_cycles = buf[s + 4]
             span.mem_service_end = buf[s + 6]
-        if y is not None:
+        if y >= 0:
             span.sync_success = buf[y + 2]
             span.sync_op = format_sync_op(buf[y + 3])
         if faults:
             span.faults = [_fault_dict(buf, j) for j in faults]
-        if e is not None:
+        if e >= 0:
             span.end = buf[e + 7]
             span.complete = True
         return span
 
-    def _hop_columns(self, rids: Sequence[int]) -> Tuple[tuple, List[int]]:
-        """The :func:`stage_segments` fields of tracked requests
-        ``rids``' hops and each one's hop count, read from the buffer
-        without building records."""
-        at, counts = self._hop_runs(self._bounds(rids))
+    def _hop_columns(self, rows: np.ndarray) -> Tuple[tuple, List[int]]:
+        """The :func:`stage_segments` fields of the requests in ``rows``'
+        hops and each one's hop count, read from the buffer without
+        building records."""
+        at, counts = self._hop_runs(*self._bounds(rows))
         return self._hop_fields(at), counts
 
-    def _spans_for(self, rids: Sequence[int]) -> List[RequestSpan]:
-        """:class:`RequestSpan` objects for tracked requests ``rids``."""
-        requests = self._requests
-        ends = self._ends
-        mem, svc, sync, faults = self._mem, self._svc, self._sync, self._faults
-        hops = self._hop_records(self._bounds(rids))
+    def _spans_at(self, rows: np.ndarray) -> List[RequestSpan]:
+        """:class:`RequestSpan` objects for the requests in ``rows``."""
+        buf = self._events
+        faults = self._faults
+        hops = self._hop_records(*self._bounds(rows))
         return [
-            self._span(requests[rid], ends.get(rid), mem.get(rid),
-                       svc.get(rid), sync.get(rid), faults.get(rid), hops[rid])
-            for rid in rids
+            self._span(b, e, g, s, y, faults.get(buf[b + 1]), raw)
+            for (_rid, b, e, g, s, y), raw in zip(self._state[rows].tolist(), hops)
         ]
 
-    def _rows(self) -> Tuple[List[int], List[list]]:
-        """``(request ids, columns)`` of the complete requests with a
-        memory timeline, in admission order (see ``_phase_columns``)."""
+    def _latency_rows(self) -> tuple:
+        """``(rows, origins, latencies, phases)`` of the complete
+        requests with a memory timeline, in admission order (see
+        :func:`_phase_columns`)."""
         self._drain()
-        requests, ends, mem, svc = self._requests, self._ends, self._mem, self._svc
-        rids = [rid for rid in requests
-                if rid in ends and rid in mem and rid in svc]
-        return rids, _phase_columns(
-            self._events,
-            [requests[rid] for rid in rids],
-            [ends[rid] for rid in rids],
-            [mem[rid] for rid in rids],
-            [svc[rid] for rid in rids],
-        )
+        state = self._state
+        rows = np.flatnonzero((state[:, _END] >= 0) & (state[:, _MEM] >= 0)
+                              & (state[:, _SVC] >= 0))
+        picked = state[rows]
+        return (rows, *_phase_columns(self._events, picked[:, _BIRTH],
+                                      picked[:, _END], picked[:, _MEM],
+                                      picked[:, _SVC]))
 
     # -- results (every accessor drains first) -----------------------------
 
@@ -764,13 +874,19 @@ class SpanCollector:
         each read, O(requests) per read.  Edits to the returned spans do
         not persist; read it once outside a loop."""
         self._drain()
-        rids = list(self._requests)
-        return dict(zip(rids, self._spans_for(rids)))
+        spans = self._spans_at(np.arange(len(self._state)))
+        return {span.request_id: span for span in spans}
 
     @property
     def completed(self) -> int:
         self._drain()
         return self._completed
+
+    @property
+    def incomplete(self) -> int:
+        """Traced requests not completed (still in flight at the read)."""
+        self._drain()
+        return len(self._state) - self._completed
 
     @property
     def dropped(self) -> int:
@@ -784,29 +900,25 @@ class SpanCollector:
 
     def complete_spans(self) -> List[RequestSpan]:
         self._drain()
-        ends = self._ends
-        return self._spans_for([rid for rid in self._requests if rid in ends])
+        return self._spans_at(np.flatnonzero(self._state[:, _END] >= 0))
 
     def incomplete_spans(self) -> List[RequestSpan]:
         """Requests still in flight — a simulation that drains fully
         should leave none; orphans point at lost replies."""
         self._drain()
-        ends = self._ends
-        return self._spans_for(
-            [rid for rid in self._requests if rid not in ends]
-        )
+        return self._spans_at(np.flatnonzero(self._state[:, _END] < 0))
 
     def spans(self) -> dict:
         """The JSON-serializable spans document (schema versioned;
         checked by :func:`validate_spans`)."""
         self._drain()
         ordered = sorted(
-            self._spans_for(list(self._requests)), key=lambda s: s.birth
+            self._spans_at(np.arange(len(self._state))), key=lambda s: s.birth
         )
         return {
             "version": SPANS_VERSION,
             "complete": self._completed,
-            "incomplete": len(self._requests) - self._completed,
+            "incomplete": self.incomplete,
             "dropped": self._dropped,
             "requests": [span.to_dict() for span in ordered],
         }
@@ -821,20 +933,36 @@ class SpanCollector:
 # latency analysis
 
 
+class _SpanList:
+    """Spans answering the two collector reads :class:`LatencyAnalysis`
+    makes, keyed by position instead of request id."""
+
+    def __init__(self, spans: Sequence[RequestSpan]) -> None:
+        self._spans = spans
+
+    def _spans_at(self, keys: np.ndarray) -> List[RequestSpan]:
+        return [self._spans[k] for k in keys.tolist()]
+
+    def _hop_columns(self, keys: np.ndarray) -> Tuple[tuple, List[int]]:
+        return concat_hops([self._spans[k].raw_hops for k in keys.tolist()])
+
+
 class LatencyAnalysis:
     """Latency decomposition, percentiles and bottleneck attribution
     over completed requests.
 
     One implementation over per-request rows ``(origin, latency,
-    *phases)`` held column-wise: :meth:`from_collector` folds them
-    straight from a :class:`SpanCollector`'s buffer, building no
-    :class:`RequestSpan`; ``LatencyAnalysis(spans)`` converts spans into
-    the same rows.  Spans are built only where a method returns them
-    (:attr:`spans`, :meth:`tail_cohort`, :meth:`slowest`).
+    *phases)`` held as arrays: :meth:`from_collectors` folds them
+    straight from :class:`SpanCollector` buffers, one collector's rows
+    after another, building no :class:`RequestSpan`;
+    ``LatencyAnalysis(spans)`` converts spans into the same rows.  Spans
+    are built only where a method returns them (:attr:`spans`,
+    :meth:`tail_cohort`, :meth:`slowest`), and hops are read only for
+    the rows a stage table or the tail cohort covers.
 
     Percentiles run through :class:`Histogrammer` (the paper's 64K
     hardware counters) with within-bin interpolation; means, shares and
-    the reconciliation check use exact arithmetic.
+    the reconciliation check use exact arithmetic, added left to right.
     """
 
     QUANTILES = (0.5, 0.9, 0.95, 0.99)
@@ -843,40 +971,78 @@ class LatencyAnalysis:
                  dropped: int = 0) -> None:
         spans = [s for s in spans if s.complete and s.phases() is not None]
         phases = [s.phases() for s in spans]
-        columns = [[s.origin for s in spans], [s.latency for s in spans]]
-        columns += [[p[phase] for p in phases] for phase in PHASES]
         self._set_rows(
-            columns, bins, dropped,
-            lambda rows: [spans[i] for i in rows],
-            lambda rows: concat_hops([spans[i].raw_hops for i in rows]),
+            [(_SpanList(spans), np.arange(len(spans)), [s.origin for s in spans],
+              np.array([s.latency for s in spans], dtype=float),
+              [np.array([p[phase] for p in phases], dtype=float)
+               for phase in PHASES])],
+            bins, dropped,
         )
 
     @classmethod
-    def from_collector(cls, collector: SpanCollector,
-                       bins: int = 2048) -> "LatencyAnalysis":
-        rids, columns = collector._rows()
+    def from_collectors(cls, collectors: Sequence[SpanCollector],
+                        bins: int = 2048) -> "LatencyAnalysis":
+        """The analysis of several collectors' complete requests (one per
+        machine, say), read from their buffers."""
         analysis = cls.__new__(cls)
-        analysis._set_rows(
-            columns, bins, collector.dropped,
-            lambda rows: collector._spans_for([rids[i] for i in rows]),
-            lambda rows: collector._hop_columns([rids[i] for i in rows]),
-        )
+        analysis._set_rows([(c, *c._latency_rows()) for c in collectors], bins,
+                           sum(c.dropped for c in collectors))
         return analysis
 
-    def _set_rows(self, columns: List[list], bins: int, dropped: int,
-                  spans_of, hops_of) -> None:
-        # rows held column-wise: origins, latencies, then each phase
-        self._origins = columns[0]
-        self._latencies = columns[1]
-        self._phases = dict(zip(PHASES, columns[2:]))
-        #: row indices -> their spans / (stage_segments fields, hop counts)
-        self._spans_of = spans_of
-        self._hops_of = hops_of
+    def _set_rows(self, parts: Sequence[tuple], bins: int, dropped: int) -> None:
+        """``parts``: per source, ``(source, keys, origins, latencies,
+        phases)`` — a source answers ``_spans_at(keys)`` and
+        ``_hop_columns(keys)`` for a key array of its rows."""
+        #: per source, (source, its row keys); rows run source by source
+        self._sources = [(part[0], part[1]) for part in parts]
+        self._offsets = np.cumsum([0] + [len(part[1]) for part in parts])
+        self._origins = [origin for part in parts for origin in part[2]]
+        self._latencies = np.concatenate(
+            [part[3] for part in parts] or [np.empty(0)]
+        )
+        self._phases = {
+            phase: np.concatenate([part[4][k] for part in parts] or [np.empty(0)])
+            for k, phase in enumerate(PHASES)
+        }
+        self._all: Optional[Histogrammer] = None
         self.bins = bins
         #: births the collector refused at its cap — the analyzed
         #: population is silently truncated when this is non-zero, so
         #: renderers surface it next to the quantile tables.
         self.dropped = dropped
+
+    def _split(self, rows: np.ndarray):
+        """``(source, keys, positions)`` per source holding some of
+        ``rows``: its keys for them, and where they sit in ``rows``."""
+        which = np.searchsorted(self._offsets, rows, side="right") - 1
+        for k, (source, keys) in enumerate(self._sources):
+            picked = np.flatnonzero(which == k)
+            if len(picked):
+                yield source, keys[rows[picked] - self._offsets[k]], picked.tolist()
+
+    def _spans_of(self, rows) -> List[RequestSpan]:
+        """The spans of ``rows``, in the order given."""
+        rows = np.asarray(rows, dtype=np.intp)
+        spans: List[Optional[RequestSpan]] = [None] * len(rows)
+        for source, keys, picked in self._split(rows):
+            for j, span in zip(picked, source._spans_at(keys)):
+                spans[j] = span
+        return spans
+
+    def _hops_of(self, rows: np.ndarray) -> Tuple[tuple, List[int]]:
+        """The :func:`stage_segments` fields and hop counts of ascending
+        ``rows``."""
+        parts = [source._hop_columns(keys)
+                 for source, keys, _ in self._split(rows)]
+        if not parts:
+            return ([], *[np.empty(0)] * 4), []
+        if len(parts) == 1:
+            return parts[0]
+        fields = tuple(zip(*(fields for fields, _ in parts)))
+        return (
+            [stage for stages in fields[0] for stage in stages],
+            *(np.concatenate(column) for column in fields[1:]),
+        ), [count for _, counts in parts for count in counts]
 
     @property
     def requests(self) -> int:
@@ -887,42 +1053,51 @@ class LatencyAnalysis:
 
     @property
     def spans(self) -> List[RequestSpan]:
-        """The analyzed spans in admission order (built on each read)."""
-        return self._spans_of(range(self.requests))
+        """The analyzed spans in row order (built on each read)."""
+        return self._spans_of(np.arange(self.requests))
 
     # -- percentile machinery ----------------------------------------------
 
-    def _histogram(self, values: Sequence[float]) -> Histogrammer:
+    def _histogram(self, values: np.ndarray) -> Histogrammer:
         # filled from a {value: count} table in first-seen order: the
         # same bank state as recording each value in turn.
-        hi = max(max(values), 1e-9)
+        hi = max(values.max().item(), 1e-9)
         return Histogrammer.from_counts(
-            Counter(values), 0.0, hi * (1.0 + 1e-6), self.bins
+            _first_seen_counts(values), 0.0, hi * (1.0 + 1e-6), self.bins
         )
 
-    def _stats_row(self, values: Sequence[float]) -> dict:
-        hist = self._histogram(values)
+    def _latency_histogram(self) -> Histogrammer:
+        """The histogram of every end-to-end latency: the ``all`` row,
+        the tail threshold and the quantile curve share it."""
+        if self._all is None:
+            self._all = self._histogram(self._latencies)
+        return self._all
+
+    def _stats_row(self, values: np.ndarray,
+                   hist: Optional[Histogrammer] = None) -> dict:
+        if hist is None:
+            hist = self._histogram(values)
         p50, p90, p95, p99 = hist.quantiles(self.QUANTILES)
         return {
             "count": len(values),
             "mean": chained_sum(values) / len(values),
             "p50": p50, "p90": p90, "p95": p95, "p99": p99,
-            "max": max(values),
+            # argmax keeps the first of equal maxima, as max() does
+            "max": values[values.argmax()].item(),
         }
 
     # -- decompositions ----------------------------------------------------
 
     def end_to_end(self) -> Dict[str, dict]:
         """Latency statistics per origin class plus ``"all"``."""
-        by_origin: Dict[str, List[float]] = {}
-        for origin, latency in zip(self._origins, self._latencies):
-            by_origin.setdefault(origin, []).append(latency)
+        latencies = self._latencies
+        groups = _groups(self._origins)
         out = {
-            origin: self._stats_row(values)
-            for origin, values in sorted(by_origin.items())
+            origin: self._stats_row(latencies[groups[origin]])
+            for origin in sorted(groups)
         }
-        if self._latencies:
-            out["all"] = self._stats_row(self._latencies)
+        if len(latencies):
+            out["all"] = self._stats_row(latencies, self._latency_histogram())
         return out
 
     def phase_decomposition(self) -> Dict[str, dict]:
@@ -931,25 +1106,25 @@ class LatencyAnalysis:
         total = chained_sum(self._latencies) or 1.0
         out = {}
         for phase, values in self._phases.items():
-            if not values:
+            if not len(values):
                 continue
             row = self._stats_row(values)
             row["share"] = chained_sum(values) / total
             out[phase] = row
         return out
 
-    def _segments(self, rows: Sequence[int]) -> tuple:
-        """``(fields, counts, memory)`` of ``rows``, as
+    def _segments(self, rows: np.ndarray) -> tuple:
+        """``(fields, counts, memory)`` of ascending ``rows``, as
         :func:`stage_segments` takes them."""
         phases = self._phases
-        memory = [[phases[phase][i] for i in rows] for phase in MEMORY_PHASES]
+        memory = [phases[phase][rows] for phase in MEMORY_PHASES]
         return (*self._hops_of(rows), memory)
 
     def stage_decomposition(self) -> Dict[str, dict]:
         """Queue-wait / service / blocked cycles per network stage (and
         the memory modules), averaged per traversal, with each stage's
         share of total end-to-end latency."""
-        segments = stage_segments(*self._segments(range(self.requests)))
+        segments = stage_segments(*self._segments(np.arange(self.requests)))
         total = chained_sum(self._latencies) or 1.0
         out = {}
         for stage in sorted(segments):
@@ -966,13 +1141,13 @@ class LatencyAnalysis:
 
     # -- bottleneck attribution --------------------------------------------
 
-    def _cohort(self, q: float) -> List[int]:
+    def _cohort(self, q: float) -> np.ndarray:
         """Rows at or above the ``q`` end-to-end percentile."""
         latencies = self._latencies
-        if not latencies:
-            return []
-        threshold = self._histogram(latencies).percentile(q)
-        return [i for i, latency in enumerate(latencies) if latency >= threshold]
+        if not len(latencies):
+            return np.empty(0, dtype=np.intp)
+        threshold = self._latency_histogram().percentile(q)
+        return np.flatnonzero(latencies >= threshold)
 
     def tail_cohort(self, q: float = 0.95) -> List[RequestSpan]:
         """Requests at or above the ``q`` end-to-end percentile."""
@@ -983,24 +1158,21 @@ class LatencyAnalysis:
         ``q``-cohort's summed latency, worst first.  The headline
         reading is "<stage> contributes N% of p95 latency"."""
         cohort = self._cohort(q)
-        if not cohort:
+        if not len(cohort):
             return []
-        latencies = self._latencies
-        return rank_stages([latencies[i] for i in cohort],
-                           *self._segments(cohort))
+        return rank_stages(self._latencies[cohort], *self._segments(cohort))
 
     def slowest(self, n: int = 5) -> List[RequestSpan]:
-        """The ``n`` slowest completed requests (waterfall exemplars)."""
-        latencies = self._latencies
-        order = sorted(range(len(latencies)), key=latencies.__getitem__,
-                       reverse=True)
+        """The ``n`` slowest completed requests (waterfall exemplars);
+        equal latencies keep row order."""
+        order = np.argsort(-self._latencies, kind="stable")
         return self._spans_of(order[:n])
 
     def quantile_curve(self, qs: Sequence[float]) -> List[float]:
         """End-to-end latency at each quantile in ``qs`` — the shared
         protocol surface the distribution chart renders from (the
         streaming analysis answers it from its sketch)."""
-        hist = self._histogram(self._latencies)
+        hist = self._latency_histogram()
         return [hist.percentile(q) for q in qs]
 
     # -- integrity ---------------------------------------------------------
@@ -1009,7 +1181,9 @@ class LatencyAnalysis:
         """Worst |sum(phases) - end-to-end| across requests; the phases
         are a timeline segmentation, so this is floating-point noise —
         the acceptance bound is one cycle per request."""
-        return max([0.0] + _drifts(self._latencies, self._phases.values()))
+        if not self.requests:
+            return 0.0
+        return max(0.0, _drifts(self._latencies, self._phases.values()).max().item())
 
     def summary(self) -> dict:
         """The compact dict embedded in run reports."""

@@ -57,9 +57,10 @@ Trade-offs versus the buffered collector (by design):
 from __future__ import annotations
 
 import json
-from itertools import accumulate, compress, repeat
-from operator import eq
-from typing import Dict, List, Sequence
+from itertools import accumulate, chain, repeat
+from typing import Dict, List, Optional, Sequence
+
+import numpy as np
 
 from repro.monitor.sketch import (
     DEFAULT_RELATIVE_ERROR,
@@ -75,7 +76,14 @@ from repro.monitor.spans import (
     RequestSpan,
     STREAM_SPANS_VERSION,
     SpanCollector,
+    _BIRTH,
+    _MEM,
+    _RID,
+    _SVC,
+    _SYNC,
     _drifts,
+    _gather,
+    _groups,
     _phase_columns,
     concat_hops,
     rank_stages,
@@ -101,14 +109,16 @@ class StreamingSpanStore(SpanCollector):
     #: drain the event buffer whenever it holds this many unstitched
     #: slots (checked on birth/deliver — the cheap, per-request signals —
     #: so the buffer stays bounded without touching the per-hop fast path).
-    #: 2048 records: a drain folds its completions in columns (one
-    #: ``record_many`` per sketch, one numpy pass over all their hops,
+    #: 2048 records: a drain stitches and folds in columns (one
+    #: ``record_many`` per sketch, one numpy pass over all its hops,
     #: no per-request hop list), so the batch size sets both the peak
     #: of those columns and how many calls a run's fold makes.
     DRAIN_THRESHOLD = 16_384
 
     #: default exemplar reservoir size (slowest K + most recent K).
     DEFAULT_EXEMPLARS = 64
+
+    RELEASE_AT_COMPLETION = True
 
     def __init__(self, relative_error: float = DEFAULT_RELATIVE_ERROR,
                  exemplars: int = DEFAULT_EXEMPLARS,
@@ -138,10 +148,14 @@ class StreamingSpanStore(SpanCollector):
         self.reconciliation_checked = 0
         self.reconciliation_violations = 0
         self.reconciliation_worst = 0.0
-        #: this drain's completions, seven flat slots each: request id
-        #: and its birth, completion, gm[, service and sync record
-        #: indices, then its fault record indices (None when absent).
-        self._pending: list = []
+        #: this drain's completions in completion order: request ids,
+        #: their birth, completion, gm[, memory-service and sync indices
+        #: (-1 when absent), and fault lists (None when absent).
+        self._pending: Optional[tuple] = None
+        #: state rows this drain completes, and ``{row: index}`` of the
+        #: ones it evicts, in eviction order.
+        self._closing = np.empty(0, dtype=np.intp)
+        self._evicting: Dict[int, int] = {}
 
     # -- bounded event buffer ---------------------------------------------
 
@@ -157,38 +171,84 @@ class StreamingSpanStore(SpanCollector):
 
     def _drain(self) -> None:
         super()._drain()
+        self._release()
         self._fold()
         self._compact()
 
     # -- bounded tracked set ----------------------------------------------
 
-    def _make_room(self, i: int) -> bool:
-        """At the in-flight cap, evict the oldest in-flight span into
-        the reservoir's incomplete side (tree-buffer semantics: recent
-        history wins) and admit the new birth at ``i``."""
-        requests = self._requests
-        oldest = next(iter(requests), None)
-        if oldest is None:
-            return False
-        b = requests.pop(oldest)
-        hops = self._hop_records({oldest: (b, i)})[oldest]
-        self.exemplars.offer_incomplete(self._span(
-            b, None, self._mem.pop(oldest, None), self._svc.pop(oldest, None),
-            self._sync.pop(oldest, None), self._faults.pop(oldest, None), hops,
-        ))
-        self.evicted += 1
-        return True
+    def _admit(self, births: int) -> int:
+        """Admit every birth: at the cap the oldest in-flight request is
+        evicted instead (:meth:`_cut`)."""
+        return births
+
+    def _cut(self, born: int, closed: np.ndarray,
+             close_at: np.ndarray) -> Dict[int, int]:
+        """At the in-flight cap a birth evicts the oldest in-flight
+        request (tree-buffer semantics: recent history wins).  Only when
+        this drain's births can reach the cap are they walked, with the
+        completions, in record order."""
+        state = self._state
+        cap = self.max_requests
+        cut = self._evicting
+        if len(state) <= cap:
+            return cut
+        live = dict.fromkeys(range(len(state) - born))
+        births = zip(state[len(state) - born:, _BIRTH].tolist(),
+                     range(len(state) - born, len(state)), repeat(True))
+        for i, row, birth in sorted(chain(births, zip(
+            close_at.tolist(), closed.tolist(), repeat(False)
+        ))):
+            if not birth:  # a completion; void if evicted already
+                live.pop(row, None)
+                continue
+            if len(live) >= cap:
+                oldest = next(iter(live))
+                del live[oldest]
+                cut[oldest] = i
+            live[row] = None
+        return cut
+
+    def _release(self) -> None:
+        """Offer this drain's evicted requests to the reservoir's
+        incomplete side, in eviction order, with what they held when
+        evicted; then drop them and this drain's completions from the
+        state."""
+        state = self._state
+        cut = self._evicting
+        if not cut and not len(self._closing):
+            return
+        if cut:
+            self._evicting = {}
+            rows = np.fromiter(cut, np.intp, len(cut))
+            hops = self._hop_records(state[rows, _BIRTH],
+                                     np.fromiter(cut.values(), np.intp, len(cut)))
+            buf = self._events
+            for (_rid, b, _e, g, s, y), raw in zip(state[rows].tolist(), hops):
+                self.exemplars.offer_incomplete(self._span(
+                    b, -1, g, s, y, self._faults.pop(buf[b + 1], None), raw,
+                ))
+            self.evicted += len(cut)
+        keep = np.ones(len(state), dtype=bool)
+        keep[self._closing] = False
+        keep[list(cut)] = False
+        self._state = state[keep]
+        self._closing = self._closing[:0]
 
     # -- fold-and-release --------------------------------------------------
 
-    def _finish(self, rid: int, i: int) -> None:
-        super()._finish(rid, i)
-        del self._ends[rid]
-        self._pending += (
-            rid, self._requests.pop(rid), i, self._mem.pop(rid, None),
-            self._svc.pop(rid, None), self._sync.pop(rid, None),
-            self._faults.pop(rid, None),
+    def _close(self, rows: np.ndarray, es: np.ndarray) -> None:
+        """Release completed requests at once, handing their state to
+        this drain's fold."""
+        self._completed += len(rows)
+        self._close_syncs(rows)
+        picked = self._state[rows]
+        rids = picked[:, _RID].tolist()
+        self._pending = (
+            rids, picked[:, _BIRTH], es, picked[:, _MEM], picked[:, _SVC],
+            picked[:, _SYNC], list(map(self._faults.pop, rids, repeat(None))),
         )
+        self._closing = rows
 
     def _fold(self) -> None:
         """Fold this drain's completions, in completion order, into the
@@ -196,35 +256,32 @@ class StreamingSpanStore(SpanCollector):
         the exemplar reservoir — column by column: one
         :meth:`QuantileSketch.record_many` per sketch, one numpy pass
         over the drain's hops (:func:`stage_segments`)."""
-        pending = self._pending
-        if not pending:
+        if self._pending is None:
             return
-        columns = [pending[j::7] for j in range(7)]
-        del pending[:]
-        phased = [k for k, (g, s) in enumerate(zip(columns[3], columns[4]))
-                  if g is not None and s is not None]
-        self.completed_without_phases += len(columns[0]) - len(phased)
-        if not phased:
+        rids, bs, es, gs, ss, ys, fs = self._pending
+        self._pending = None
+        phased = np.flatnonzero((gs >= 0) & (ss >= 0))
+        self.completed_without_phases += len(rids) - len(phased)
+        if not len(phased):
             return
-        rids, bs, es, gs, ss, ys, fs = (
-            [column[k] for k in phased] for column in columns
-        )
-        origins, latencies, *phases = _phase_columns(self._events, bs, es, gs, ss)
+        picked = phased.tolist()
+        rids, fs = [rids[k] for k in picked], [fs[k] for k in picked]
+        bs, es, gs, ss, ys = (column[phased] for column in (bs, es, gs, ss, ys))
+        origins, latencies, phases = _phase_columns(self._events, bs, es, gs, ss)
+        values = latencies.tolist()
         sketches = self.latency_sketches
-        sketches["all"].record_many(latencies)
-        for origin in dict.fromkeys(origins):
+        sketches["all"].record_many(values)
+        for origin, rows in _groups(origins).items():
             sketch = sketches.get(origin)
             if sketch is None:
                 sketch = sketches[origin] = QuantileSketch(self.relative_error)
-            sketch.record_many(
-                list(compress(latencies, map(eq, origins, repeat(origin))))
-            )
-        for phase, values in zip(PHASES, phases):
-            self.phase_sketches[phase].record_many(values)
+            sketch.record_many(latencies[rows].tolist())
+        for phase, column in zip(PHASES, phases):
+            self.phase_sketches[phase].record_many(column.tolist())
         # exact stage sums: each stage's traversals in completion order
         # (each request's hops in emission order, then its memory term),
         # added left to right onto the running totals
-        at, counts = self._hop_runs(dict(zip(rids, zip(bs, es))))
+        at, counts = self._hop_runs(bs, es)
         segments = stage_segments(self._hop_fields(at), counts, phases[1:4])
         totals = self.stage_totals
         for stage, rows in segments.items():
@@ -237,16 +294,18 @@ class StreamingSpanStore(SpanCollector):
             self.stage_sketches[stage].record_many(traversal_cycles(rows))
         # the exact reconciliation invariant, checked at fold time
         # instead of held for a post-hoc pass
-        for drift in _drifts(latencies, phases):
-            if drift > RECONCILE_TOLERANCE:
-                self.reconciliation_violations += 1
-            if drift > self.reconciliation_worst:
-                self.reconciliation_worst = drift
-        self.reconciliation_checked += len(latencies)
+        drifts = _drifts(latencies, phases)
+        self.reconciliation_violations += int(
+            np.count_nonzero(drifts > RECONCILE_TOLERANCE)
+        )
+        self.reconciliation_worst = max(self.reconciliation_worst,
+                                        drifts.max().item())
+        self.reconciliation_checked += len(values)
         # a span (and its hop list) is built only when the reservoir
         # keeps it
         offsets = list(accumulate(counts, initial=0))
-        self.exemplars.offer_ranked_many(latencies, rids, lambda k: self._span(
+        bs, es, gs, ss, ys = (column.tolist() for column in (bs, es, gs, ss, ys))
+        self.exemplars.offer_ranked_many(values, rids, lambda k: self._span(
             bs[k], es[k], gs[k], ss[k], ys[k], fs[k],
             self._records(at[offsets[k]:offsets[k + 1]]),
         ))
@@ -254,35 +313,36 @@ class StreamingSpanStore(SpanCollector):
     def _compact(self) -> None:
         """Shrink the buffer to the records of the requests still in
         flight (their birth and every later record naming them, plus the
-        sync timeouts charged to them), and re-point their state."""
+        sync timeouts charged to them), and re-point their state and the
+        kind and id columns."""
         buf = self._events
-        requests = self._requests
-        if not requests:
+        state = self._state
+        if not len(state):
             del buf[:]
             self._cursor = 0
+            self._kind = self._kind[:0]
+            self._ids = self._ids[:0]
             return
-        named = compress(
-            range(0, len(buf), HOP_SLOTS),
-            map(requests.__contains__, buf[1::HOP_SLOTS]),
-        )
-        keep = [i for i in named if i >= requests[buf[i + 1]]]
-        timeouts = [j for idx in self._faults.values() for j in idx
-                    if buf[j + 1] is None]
-        if timeouts:
-            keep = sorted(set(keep).union(timeouts))
-        moved = {}
-        carried = []
-        for old in keep:
-            moved[old] = len(carried)
-            carried += buf[old:old + HOP_SLOTS]
+        ids = self._ids
+        row = self._rows_of(ids)
+        named = np.flatnonzero(row >= 0)
+        keep = np.zeros(len(ids), dtype=bool)
+        keep[named] = named * HOP_SLOTS >= state[row[named], _BIRTH]
+        keep[[j // HOP_SLOTS for idx in self._faults.values() for j in idx
+              if buf[j + 1] < 0]] = True
+        keep = np.flatnonzero(keep)
+        carried = self._records(keep * HOP_SLOTS)
+        renumber = np.full(len(ids), -1, dtype=np.intp)
+        renumber[keep] = np.arange(0, len(carried), HOP_SLOTS)
         del buf[:]  # clears in place: no copy of the old buffer
         buf += carried
         self._cursor = len(carried)
-        for table in (requests, self._mem, self._svc, self._sync):
-            for rid, old in table.items():
-                table[rid] = moved[old]
+        self._kind = self._kind[keep]
+        self._ids = ids[keep]
+        at = state[:, _BIRTH:]
+        state[:, _BIRTH:] = np.where(at >= 0, renumber[at // HOP_SLOTS], -1)
         for rid, idx in self._faults.items():
-            self._faults[rid] = [moved[j] for j in idx]
+            self._faults[rid] = renumber[np.array(idx) // HOP_SLOTS].tolist()
 
     # -- results -----------------------------------------------------------
 
@@ -291,6 +351,13 @@ class StreamingSpanStore(SpanCollector):
         slowest K, not the full population (which was released)."""
         self._drain()
         return self.exemplars.slowest()
+
+    @property
+    def incomplete(self) -> int:
+        """Requests traced but not completed: in flight at the read, or
+        evicted at the cap."""
+        self._drain()
+        return len(self._state) + self.evicted
 
     def tracing_footprint(self) -> int:
         """Resident traced-state size in *items* (sketch buckets,
@@ -302,7 +369,7 @@ class StreamingSpanStore(SpanCollector):
                           self.stage_sketches)
             for s in group.values()
         )
-        return (buckets + len(self.exemplars) + len(self._requests)
+        return (buckets + len(self.exemplars) + len(self._state)
                 + len(self._events))
 
     def _incomplete_exemplars(self) -> List[RequestSpan]:
@@ -310,19 +377,19 @@ class StreamingSpanStore(SpanCollector):
         the reservoir merged with the current in-flight tail.  A
         non-mutating snapshot — an in-flight span that completes after
         this call folds normally.  The caller drains first."""
-        buf = self._events
-        requests = self._requests
-        k = self.exemplars.k
-        recent = sorted(
-            requests, key=lambda rid: (buf[requests[rid] + 7], rid),
-            reverse=True,
-        )[:k]
+        state = self._state
+        rids = state[:, _RID]
+        # in-flight rows by (birth time, request id), latest first
+        recent = np.lexsort(
+            (rids, _gather(self._events, state[:, _BIRTH], 7))
+        )[::-1][:self.exemplars.k]
+        inflight = set(rids.tolist())
         merged = {
             span.request_id: span
             for span in self.exemplars.incompletes()
-            if span.request_id not in requests
+            if span.request_id not in inflight
         }
-        merged.update(zip(recent, self._spans_for(recent)))
+        merged.update(zip(rids[recent].tolist(), self._spans_at(recent)))
         ordered = sorted(
             merged.values(), key=lambda s: (s.birth, s.request_id),
             reverse=True,
@@ -337,7 +404,7 @@ class StreamingSpanStore(SpanCollector):
             "version": STREAM_SPANS_VERSION,
             "mode": "streaming",
             "complete": self._completed,
-            "incomplete": len(self._requests) + self.evicted,
+            "incomplete": self.incomplete,
             "dropped": self._dropped,
             "evicted": self.evicted,
             "completed_without_phases": self.completed_without_phases,

@@ -622,7 +622,9 @@ def _write_json(doc: dict, path, sliced: str) -> None:
     through ``json.dumps``.  ``json.dump`` encodes with the pure-Python
     encoder, several times slower on a million items, and one
     ``json.dumps`` of the whole document would hold it all in memory a
-    second time."""
+    second time.  ``doc[sliced]`` may also be an iterable of lists,
+    written as the one list they concatenate to, each made only when
+    the one before it is written."""
     with open(path, "w") as fh:
         fh.write("{")
         for i, (key, value) in enumerate(doc.items()):
@@ -631,10 +633,12 @@ def _write_json(doc: dict, path, sliced: str) -> None:
                 fh.write(json.dumps(value))
                 continue
             fh.write("[")
-            for start in range(0, len(value), _WRITE_CHUNK):
-                if start:
-                    fh.write(", ")
-                fh.write(json.dumps(value[start:start + _WRITE_CHUNK])[1:-1])
+            sep = ""
+            for part in [value] if isinstance(value, list) else value:
+                for start in range(0, len(part), _WRITE_CHUNK):
+                    fh.write(sep)
+                    fh.write(json.dumps(part[start:start + _WRITE_CHUNK])[1:-1])
+                    sep = ", "
             fh.write("]")
         fh.write("}")
 

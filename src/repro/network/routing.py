@@ -18,7 +18,8 @@ the exact conflict structure of the network.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from functools import lru_cache
+from typing import List, Sequence, Tuple
 
 
 def stage_radices(n_ports: int, max_radix: int = 8) -> List[int]:
@@ -82,10 +83,17 @@ def delta_path(src: int, dst: int, radices: Sequence[int]) -> List[int]:
     destination digits ``0..i`` followed by source digits ``i+1..``;
     after the final stage the identifier equals ``dst``.  Two paths
     conflict at stage ``i`` iff their identifiers there are equal.
+    Paths are computed once per port pair and radix tuple in a process
+    (:func:`_delta_path`); each call returns a fresh list.
 
     >>> delta_path(0, 13, [8, 4])[-1]
     13
     """
+    return list(_delta_path(src, dst, tuple(radices)))
+
+
+@lru_cache(maxsize=1 << 16)
+def _delta_path(src: int, dst: int, radices: Tuple[int, ...]) -> Tuple[int, ...]:
     src_digits = mixed_radix_digits(src, radices)
     dst_digits = mixed_radix_digits(dst, radices)
     path: List[int] = []
@@ -96,4 +104,4 @@ def delta_path(src: int, dst: int, radices: Sequence[int]) -> List[int]:
         for radix, d in zip(radices, current):
             value = value * radix + d
         path.append(value)
-    return path
+    return tuple(path)

@@ -10,13 +10,16 @@ an oracle should be: ``tests/test_span_oracle.py`` feeds the same
 signal programs to these classes and to the real collectors and
 requires identical summaries and documents.  ``PerRequestFoldStore`` is
 the real streaming store with the request-by-request fold its column
-fold replaced.
+fold replaced, and ``PerRecordStitch`` is the record-by-record stitching
+loop the column stitch replaced.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from typing import Dict, Iterator, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.gmemory.sync import format_sync_op
 from repro.monitor.histogram import Histogrammer
@@ -25,6 +28,7 @@ from repro.monitor.sketch import (
     ExemplarReservoir,
     QuantileSketch,
 )
+from repro.monitor import spans as flat
 from repro.monitor.spans import (
     HOP_SLOTS,
     PHASES,
@@ -32,8 +36,6 @@ from repro.monitor.spans import (
     STREAM_SPANS_VERSION,
     SPANS_VERSION,
     RequestSpan,
-    _drifts,
-    _phase_columns,
     _stage_of,
 )
 from repro.monitor.streamstore import StreamingSpanStore
@@ -53,6 +55,38 @@ def hop_segments(raw_hops: Sequence) -> Iterator[Tuple[str, float, float, float]
             svc,
             max(0.0, raw_hops[j + 7] - service_end),
         )
+
+
+def phase_columns(buf: list, bs, es, gs, ss) -> List[list]:
+    """``[origins, latencies, *phase columns]`` of complete requests whose
+    birth, completion, ``gm[`` and memory-service records sit at the
+    indices in ``bs``, ``es``, ``gs`` and ``ss``, one request at a time."""
+    births = [buf[b + 7] for b in bs]
+    ends = [buf[e + 7] for e in es]
+    enqueues = [buf[g + 5] for g in gs]
+    departs = [buf[g + 7] for g in gs]
+    cycles = [buf[s + 4] for s in ss]
+    served = [buf[s + 6] for s in ss]
+    return [
+        [buf[b + 2] for b in bs],
+        [end - birth for end, birth in zip(ends, births)],
+        [enqueue - birth for enqueue, birth in zip(enqueues, births)],
+        [(done - c) - enqueue
+         for done, c, enqueue in zip(served, cycles, enqueues)],
+        cycles,
+        [depart - done for depart, done in zip(departs, served)],
+        [end - depart for end, depart in zip(ends, departs)],
+    ]
+
+
+def drifts(latencies, phases) -> List[float]:
+    """``abs(sum(phases) - latency)`` per request, the phases added left
+    to right."""
+    return [
+        abs(forward + wait + service + block + reverse - latency)
+        for latency, forward, wait, service, block, reverse
+        in zip(latencies, *phases)
+    ]
 
 
 def loop_sum(values, start=0.0):
@@ -373,21 +407,20 @@ class PerRequestFoldStore(StreamingSpanStore):
     ``+=`` at a time.  Everything else is the real store's."""
 
     def _fold(self) -> None:
-        pending = self._pending
-        if not pending:
+        if self._pending is None:
             return
-        columns = [pending[j::7] for j in range(7)]
-        del pending[:]
-        phased = [k for k, (g, s) in enumerate(zip(columns[3], columns[4]))
-                  if g is not None and s is not None]
-        self.completed_without_phases += len(columns[0]) - len(phased)
+        rids, bs, es, gs, ss, ys, fs = self._pending
+        self._pending = None
+        bs, es, gs, ss, ys = (column.tolist() for column in (bs, es, gs, ss, ys))
+        phased = [k for k in range(len(rids)) if gs[k] >= 0 and ss[k] >= 0]
+        self.completed_without_phases += len(rids) - len(phased)
         if not phased:
             return
         rids, bs, es, gs, ss, ys, fs = (
-            [column[k] for k in phased] for column in columns
+            [column[k] for k in phased] for column in (rids, bs, es, gs, ss, ys, fs)
         )
-        hops = self._hop_records(dict(zip(rids, zip(bs, es))))
-        origins, latencies, *phases = _phase_columns(self._events, bs, es, gs, ss)
+        hops = dict(zip(rids, self._hop_records(np.array(bs), np.array(es))))
+        origins, latencies, *phases = phase_columns(self._events, bs, es, gs, ss)
         sketches = self.latency_sketches
         phase_sketches = [self.phase_sketches[phase] for phase in PHASES]
         for origin, latency, *values in zip(origins, latencies, *phases):
@@ -413,7 +446,7 @@ class PerRequestFoldStore(StreamingSpanStore):
                 entry[2] += blocked
                 entry[3] += 1
                 self.stage_sketches[stage].record(wait + service + blocked)
-        for drift in _drifts(latencies, phases):
+        for drift in drifts(latencies, phases):
             if drift > RECONCILE_TOLERANCE:
                 self.reconciliation_violations += 1
             if drift > self.reconciliation_worst:
@@ -425,6 +458,112 @@ class PerRequestFoldStore(StreamingSpanStore):
             self.exemplars.offer_ranked(
                 latency, rid, lambda: self._span(b, e, g, s, y, f, hops[rid])
             )
+
+
+# ---------------------------------------------------------------------------
+# the per-record stitch
+
+
+class PerRecordStitch:
+    """The stitching loop the column stitch replaced: one pass over a
+    collector's unstitched records, one branch per record, starting from
+    a copy of the collector's state.  ``release`` gives the streaming
+    store's rules: a request is dropped from every table at completion
+    (collected in :attr:`closed`, in completion order) and at the cap the
+    oldest in-flight request is evicted (collected in :attr:`evicted`)
+    instead of the birth being dropped."""
+
+    def __init__(self, collector, release: bool) -> None:
+        self.buf = collector._events
+        self.cursor = collector._cursor
+        self.max_requests = collector.max_requests
+        self.release = release
+        state = collector._state.tolist()
+        self.requests = {rid: b for rid, b, *_ in state}
+        self.ends, self.mem, self.svc, self.sync = (
+            {row[0]: row[k] for row in state if row[k] >= 0} for k in range(2, 6)
+        )
+        self.faults = {rid: list(idx) for rid, idx in collector._faults.items()}
+        self.open_syncs = {a: list(ids) for a, ids in collector._open_syncs.items()}
+        self.dropped = collector._dropped
+        self.completed = collector._completed
+        #: (rid, birth, end, gm[, service, sync, faults) per completion
+        self.closed: List[tuple] = []
+        #: (birth, evicted at, gm[, service, sync, faults) per eviction
+        self.evicted: List[tuple] = []
+        self._run()
+
+    def _run(self) -> None:
+        buf = self.buf
+        requests, ends, faults = self.requests, self.ends, self.faults
+        for i in range(self.cursor, len(buf), HOP_SLOTS):
+            tag, rid = buf[i], buf[i + 1]
+            if tag.__class__ is str:
+                if tag.startswith("gm[") and rid in requests and rid not in ends:
+                    self.mem[rid] = i
+                    if buf[i + 3]:
+                        self._finish(rid, i)
+            elif tag in (flat._EV_BIRTH, flat._EV_SYNC_BIRTH):
+                if len(requests) >= self.max_requests and not self._make_room(i):
+                    self.dropped += 1
+                else:
+                    requests[rid] = i
+                    if buf[i + 2] == "sync":
+                        self.open_syncs.setdefault(buf[i + 4], []).append(rid)
+            elif tag == flat._EV_DELIVER:
+                if rid in requests and rid not in ends:
+                    self._finish(rid, i)
+            elif tag == flat._EV_GSVC:
+                if rid in requests:
+                    self.svc[rid] = i
+            elif tag == flat._EV_SYNC:
+                if rid in requests:
+                    self.sync[rid] = i
+            elif tag == flat._EV_SYNC_TIMEOUT:
+                # the oldest open sync on the timeout's address
+                for rid in self.open_syncs.get(buf[i + 4], ()):
+                    if rid in requests and rid not in ends:
+                        faults.setdefault(rid, []).append(i)
+                        break
+            elif rid in requests:
+                faults.setdefault(rid, []).append(i)
+
+    def _release(self, rid: int) -> tuple:
+        return (self.requests.pop(rid), self.mem.pop(rid, None),
+                self.svc.pop(rid, None), self.sync.pop(rid, None),
+                self.faults.pop(rid, None))
+
+    def _make_room(self, i: int) -> bool:
+        if not self.release or not self.requests:
+            return False
+        b, *held = self._release(next(iter(self.requests)))
+        self.evicted.append((b, i, *held))
+        return True
+
+    def _finish(self, rid: int, i: int) -> None:
+        self.completed += 1
+        self.ends[rid] = i
+        b = self.requests[rid]
+        if self.buf[b + 2] == "sync":
+            ids = self.open_syncs.get(self.buf[b + 4])
+            if ids and rid in ids:
+                ids.remove(rid)
+        if self.release:
+            del self.ends[rid]
+            b, g, s, y, f = self._release(rid)
+            self.closed.append((rid, b, i, g, s, y, f))
+
+
+def hop_pick(buf: list, bounds) -> List[List[int]]:
+    """Per ``(rid, birth, end)`` in ``bounds``: the indices of the hop
+    records (``net.span`` records off the memory modules) naming ``rid``
+    strictly between ``birth`` and ``end``, record by record."""
+    return [
+        [i for i in range(b + HOP_SLOTS, e, HOP_SLOTS)
+         if buf[i].__class__ is str and not buf[i].startswith("gm[")
+         and buf[i + 1] == rid]
+        for rid, b, e in bounds
+    ]
 
 
 # ---------------------------------------------------------------------------

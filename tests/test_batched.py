@@ -394,7 +394,7 @@ def _observed(monkeypatch, engine_cls, run):
             "snapshot": registry.snapshot(now=engine.now),
             "spans": spans.spans(),
             "streaming": stream.spans(),
-            "latency": LatencyAnalysis.from_collector(spans).summary(),
+            "latency": LatencyAnalysis.from_collectors([spans]).summary(),
             "blocked_cycles": sum(link.stats.blocked_cycles for link in links),
         })
         detach_monitors(monitors)

@@ -160,6 +160,27 @@ class TestObservabilityCommands:
         assert "bottleneck" in stdout and "p95" in stdout
         assert str(out) in stdout
 
+    def test_buffered_analyze_builds_only_the_spans_it_prints(
+        self, capsys, monkeypatch
+    ):
+        """The tables, the tail attribution and the reconciliation check
+        read the collectors' columns; spans are built only for the
+        ``--top`` waterfalls."""
+        from repro.monitor.spans import RequestSpan
+
+        built = []
+        init = RequestSpan.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args[0])
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(RequestSpan, "__init__", counting_init)
+        assert main(["analyze", "characterization", "--top", "3"]) == 0
+        stdout = capsys.readouterr().out
+        assert "slowest 3 requests" in stdout and "bottleneck" in stdout
+        assert len(built) == 3
+
     def test_analyze_unknown_experiment_rejected(self, capsys):
         assert main(["analyze", "not-an-experiment"]) == 1
         err = capsys.readouterr().err

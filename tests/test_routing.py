@@ -99,3 +99,22 @@ class TestDeltaPath:
             assert p1[-1] != p2[-1]
         else:
             assert p1[-1] == p2[-1]
+
+
+def test_memoized_paths_equal_fresh_ones():
+    """Every port pair's memoized path, for each radix tuple a machine
+    uses, is the path computed afresh, and callers get their own list."""
+    from repro.network.routing import _delta_path
+
+    for radices in ([8, 4], [4, 4, 2], [2, 2, 2, 2]):
+        ports = 1
+        for radix in radices:
+            ports *= radix
+        for src in range(ports):
+            for dst in range(ports):
+                fresh = list(_delta_path.__wrapped__(src, dst, tuple(radices)))
+                assert delta_path(src, dst, radices) == fresh
+                assert delta_path(src, dst, radices) == fresh
+    path = delta_path(3, 17, [8, 4])
+    path.append(99)
+    assert delta_path(3, 17, [8, 4]) == path[:-1]

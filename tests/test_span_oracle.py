@@ -12,12 +12,17 @@ summaries and documents.  One machine-level case runs CG under faults.
 The streaming store's column fold is also held against
 ``PerRequestFoldStore``, the per-request fold it replaced, down to the
 insertion order of its stage totals and sketch buckets, on the same
-programs and on hypothesis machine floods.
+programs and on hypothesis machine floods.  The column stitch of both
+collectors is held, drain by drain, against ``PerRecordStitch``, the
+record-by-record loop it replaced, and the hop pick against a
+record-by-record scan.
 """
 
 import itertools
 import json
 import random
+
+import numpy as np
 
 from hypothesis import given, settings, strategies as st
 
@@ -39,7 +44,9 @@ from repro.network.packet import PacketKind
 from tests.span_oracle import (
     OracleSpanCollector,
     OracleStreamingSpanStore,
+    PerRecordStitch,
     PerRequestFoldStore,
+    hop_pick,
     oracle_streaming_summary,
     oracle_summary,
 )
@@ -233,7 +240,7 @@ def _check_buffered(program, mine, oracle) -> None:
     _play(program, [oracle])
     _same(mine.spans(), oracle.spans())
     expected = oracle_summary(oracle.complete_spans(), oracle.dropped)
-    _same(LatencyAnalysis.from_collector(mine).summary(), expected)
+    _same(LatencyAnalysis.from_collectors([mine]).summary(), expected)
     _same(LatencyAnalysis(mine.complete_spans(), dropped=mine.dropped).summary(),
           expected)
 
@@ -296,6 +303,109 @@ def test_streaming_store_matches_oracle(program, cap, exemplars, seed):
                                  seed=seed),
         PerRequestFoldStore(max_requests=cap, exemplars=exemplars, seed=seed),
     )
+
+
+def _absent(index: int):
+    return None if index < 0 else index
+
+
+def _same_state(mine, ref: PerRecordStitch) -> None:
+    """The column stitch left the state the per-record loop leaves: the
+    same requests in admission order, the same completion, gm[,
+    memory-service and sync indices, the same fault lists (in the order
+    their first fault arrived), open syncs and counts."""
+    state = mine._state.tolist()
+    assert [(rid, b) for rid, b, *_ in state] == list(ref.requests.items())
+    for k, theirs in enumerate((ref.ends, ref.mem, ref.svc, ref.sync), 2):
+        assert {row[0]: row[k] for row in state if row[k] >= 0} == theirs
+    assert list(mine._faults.items()) == list(ref.faults.items())
+    assert mine._open_syncs == ref.open_syncs
+    assert (mine._dropped, mine._completed) == (ref.dropped, ref.completed)
+
+
+class _CheckedCollector(SpanCollector):
+    """Every drain is also stitched record by record from the same state."""
+
+    def _drain(self) -> None:
+        ref = PerRecordStitch(self, release=False)
+        super()._drain()
+        _same_state(self, ref)
+
+
+class _CheckedStore(StreamingSpanStore):
+    """Every drain is also stitched record by record from the same state,
+    and its completions and evictions compared before the fold."""
+
+    def _drain(self) -> None:
+        ref = PerRecordStitch(self, release=True)
+        SpanCollector._drain(self)
+        buf = self._events
+        evicted = [
+            (b, x, _absent(g), _absent(s), _absent(y),
+             self._faults.get(buf[b + 1]))
+            for (_rid, b, _e, g, s, y), x in zip(
+                self._state[list(self._evicting)].tolist(),
+                self._evicting.values())
+        ]
+        closed = []
+        if self._pending is not None:
+            rids, bs, es, gs, ss, ys, fs = self._pending
+            closed = [
+                (rid, b, e, _absent(g), _absent(s), _absent(y), f)
+                for rid, b, e, g, s, y, f in zip(
+                    rids, bs.tolist(), es.tolist(), gs.tolist(), ss.tolist(),
+                    ys.tolist(), fs)
+            ]
+        self._release()
+        assert evicted == ref.evicted
+        assert closed == ref.closed
+        _same_state(self, ref)
+        self._fold()
+        self._compact()
+
+
+def _same_hops(collector, rows) -> None:
+    """The hop pick for state ``rows`` is the record-by-record scan's."""
+    bs, es = collector._bounds(rows)
+    at, counts = collector._hop_runs(bs, es)
+    picked = at.tolist()
+    runs = []
+    for count in counts:
+        runs.append(picked[:count])
+        picked = picked[count:]
+    rids = collector._state[rows, 0].tolist()
+    assert runs == hop_pick(collector._events,
+                            zip(rids, bs.tolist(), es.tolist()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(program=_programs(), cap=st.sampled_from((1, 2, 4, 1000)))
+def test_column_stitch_matches_per_record_loop(program, cap):
+    """Drain by drain, the buffered collector's column stitch leaves the
+    requests (admission order), completions (completion order), gm[,
+    memory-service, sync and fault indices, open syncs and drop count
+    the per-record loop leaves; the hop pick of every request and of the
+    p95 cohort is the record-by-record scan's."""
+    mine = _CheckedCollector(max_requests=cap)
+    _play(program, [mine])
+    mine._drain()
+    _same_hops(mine, np.arange(len(mine._state)))
+    analysis = LatencyAnalysis.from_collectors([mine])
+    _same_hops(mine, analysis._sources[0][1][analysis._cohort(0.95)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(program=_programs(), cap=st.sampled_from((1, 2, 4, 1000)),
+       records=st.sampled_from((1, 5, 1000)))
+def test_streaming_column_stitch_matches_per_record_loop(program, cap, records):
+    """Drain by drain, the streaming store's column stitch completes,
+    evicts and releases what the per-record loop does, with the same
+    state carried across its compactions."""
+    mine = _CheckedStore(max_requests=cap)
+    mine.DRAIN_THRESHOLD = records * 8
+    _play(program, [mine])
+    mine._drain()
+    _same_hops(mine, np.arange(len(mine._state)))
 
 
 def _overlapping_program():
@@ -446,7 +556,7 @@ def test_cg_under_faults_matches_oracle(monkeypatch):
     assert doc["complete"] > 0
     assert any("faults" in r for r in doc["requests"])
     _same(doc, oracle.spans())
-    _same(LatencyAnalysis.from_collector(mine).summary(),
+    _same(LatencyAnalysis.from_collectors([mine]).summary(),
           oracle_summary(oracle.complete_spans(), oracle.dropped))
     _same(stream.spans(), stream_oracle.spans())
     _same(StreamingLatencyAnalysis.from_store(stream).summary(),

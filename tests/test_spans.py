@@ -259,7 +259,7 @@ class TestSpansSchema:
 class TestLatencyAnalysis:
     def test_phase_shares_partition_end_to_end(self):
         _machine, collector = _traced_run()
-        analysis = LatencyAnalysis.from_collector(collector)
+        analysis = LatencyAnalysis.from_collectors([collector])
         decomposition = analysis.phase_decomposition()
         assert sum(row["share"] for row in decomposition.values()) == (
             pytest.approx(1.0)
@@ -268,7 +268,7 @@ class TestLatencyAnalysis:
 
     def test_bottleneck_attribution_ranks_stages(self):
         _machine, collector = _traced_run()
-        analysis = LatencyAnalysis.from_collector(collector)
+        analysis = LatencyAnalysis.from_collectors([collector])
         ranked = analysis.bottleneck_attribution(q=0.95)
         assert ranked
         shares = [row["share"] for row in ranked]
@@ -277,7 +277,7 @@ class TestLatencyAnalysis:
 
     def test_slowest_orders_by_latency(self):
         _machine, collector = _traced_run()
-        analysis = LatencyAnalysis.from_collector(collector)
+        analysis = LatencyAnalysis.from_collectors([collector])
         slowest = analysis.slowest(3)
         assert len(slowest) == 3
         latencies = [s.latency for s in slowest]
@@ -286,7 +286,7 @@ class TestLatencyAnalysis:
 
     def test_summary_is_json_serializable(self):
         _machine, collector = _traced_run()
-        summary = LatencyAnalysis.from_collector(collector).summary()
+        summary = LatencyAnalysis.from_collectors([collector]).summary()
         assert summary["requests"] == collector.completed
         json.dumps(summary)  # the report embeds this
 
@@ -327,7 +327,7 @@ class TestLatencyAnalysis:
         from repro.monitor.analysis import latency_report
 
         _machine, collector = _traced_run()
-        text = latency_report(LatencyAnalysis.from_collector(collector))
+        text = latency_report(LatencyAnalysis.from_collectors([collector]))
         for phase in PHASES:
             assert phase in text
         assert "bottleneck" in text

@@ -69,7 +69,7 @@ def _exact_quantile(values, q):
 class TestAgreementWithBuffered:
     def test_counts_means_and_maxima_are_exact(self):
         _machine, buffered, store, _cycles = _dual_run()
-        exact = LatencyAnalysis.from_collector(buffered)
+        exact = LatencyAnalysis.from_collectors([buffered])
         streaming = StreamingLatencyAnalysis.from_store(store)
         assert streaming.requests == exact.requests > 0
         latencies = [s.latency for s in exact.spans]
@@ -94,7 +94,7 @@ class TestAgreementWithBuffered:
 
     def test_phase_and_stage_accumulators_are_exact(self):
         _machine, buffered, store, _cycles = _dual_run()
-        exact = LatencyAnalysis.from_collector(buffered)
+        exact = LatencyAnalysis.from_collectors([buffered])
         spans = exact.spans
         for phase in PHASES:
             expected = sum(s.phases()[phase] for s in spans)
@@ -120,7 +120,7 @@ class TestAgreementWithBuffered:
 class TestFoldAndRelease:
     def test_completed_spans_are_released(self):
         _machine, _buffered, store, _cycles = _dual_run(exemplars=8)
-        assert store._requests == {}  # nothing retained past completion
+        assert len(store._state) == 0  # nothing retained past completion
         assert len(store.complete_spans()) <= 8
 
     def test_footprint_is_smaller_than_the_population(self):
