@@ -18,13 +18,14 @@ so cache entries are valid across interpreter sessions.
 Hardening
 ---------
 
-``run_all`` is built for partial results: each experiment runs in its
-own worker process (plain ``multiprocessing.Process``, not a shared
-pool, so one worker's death cannot poison the others), an optional
-per-experiment wall-clock ``timeout_s`` terminates runaways, failures
-retry up to ``retries`` times with exponential backoff, and whatever
-happens every selected experiment comes back as an
-:class:`ExperimentResult` — failed ones carry ``error`` instead of
+``run_all`` is built for partial results.  One scheduler drives every
+cache miss: at ``jobs=1`` each attempt runs in-process; otherwise each
+runs in its own worker process (plain ``multiprocessing.Process``, not
+a shared pool, so one worker's death cannot poison the others), and an
+optional per-experiment wall-clock ``timeout_s`` terminates runaways.
+On both paths failures retry up to ``retries`` times with exponential
+backoff, and whatever happens every selected experiment comes back as
+an :class:`ExperimentResult` — failed ones carry ``error`` instead of
 output.
 
 Cache entries live in the sharded, crash-safe
@@ -347,7 +348,9 @@ def cache_key(
         "kwargs": kwargs,
         "config": config.stable_hash(),
         # streaming report collection changes the stored report's
-        # shape, so streamed and buffered entries must not collide
+        # shape, so streamed and buffered entries must not collide;
+        # without a report stream changes nothing, and the runners
+        # pass False
         "stream": stream,
     }
     # timeline collection adds per-machine sections to the stored
@@ -522,39 +525,8 @@ def observe(
             undo()
 
 
-def _execute_with_report(
-    name: str,
-    kwargs: Dict[str, object],
-    stream: bool = False,
-    timeline: Optional[float] = None,
-) -> tuple:
-    """Run one experiment under a :class:`ReportCollector`: returns
-    ``(output, machine_dicts)``.  The run goes through :func:`observe`,
-    so a worker's warm memo entries from an earlier experiment cannot
-    hide machines from the collector.  ``stream`` selects
-    bounded-memory streaming span collection (sketch-backed latency
-    summaries) instead of the buffered collector; ``timeline`` (an
-    interval in simulated cycles) adds interval-sampled metric
-    timelines to each machine record."""
-    from repro.monitor.report import ReportCollector
-
-    collector = ReportCollector(stream=stream, timeline=timeline)
-    with observe(collector):
-        output = REGISTRY[name].runner(**kwargs)
-    return output, collector.machine_dicts()
-
-
-def _build_report(
-    name: str, kwargs: Dict[str, object], machines: List[Dict]
-) -> Dict:
-    from repro.monitor.report import RunReport
-
-    return RunReport(
-        experiment=name,
-        title=REGISTRY[name].title,
-        kwargs=dict(kwargs),
-        machines=machines,
-    ).to_dict()
+def _silent(*args, **fields) -> None:
+    """The event callback of a run without telemetry."""
 
 
 def _compute(
@@ -566,30 +538,90 @@ def _compute(
 ) -> tuple:
     """Run one experiment: ``(output, report dict or None, elapsed_s)``.
 
-    The worker entry point and the in-process paths alike.  Elapsed
-    time covers the run and its report, measured where the run happens,
-    so it never charges an experiment for time spent queued or for
-    worker start-up; it feeds run-all's headers and telemetry, never
-    the report."""
+    With ``collect_report`` the run goes through :func:`observe` under a
+    :class:`ReportCollector`, so warm memo entries from an earlier
+    experiment cannot hide machines from it; ``stream`` selects
+    bounded-memory streaming span collection instead of the buffered
+    collector, and ``timeline`` (an interval in simulated cycles) adds
+    interval-sampled metric timelines to each machine record.
+
+    Elapsed time covers the run and its report, measured where the run
+    happens, so it never charges an experiment for time spent queued or
+    for worker start-up; it feeds run-all's headers and telemetry,
+    never the report."""
     start = time.perf_counter()
-    if collect_report:
-        output, machines = _execute_with_report(
-            name, kwargs, stream=stream, timeline=timeline
-        )
-        report = _build_report(name, kwargs, machines)
-    else:
-        output, report = REGISTRY[name].runner(**kwargs), None
+    exp = REGISTRY[name]
+    if not collect_report:
+        return exp.runner(**kwargs), None, time.perf_counter() - start
+    from repro.monitor.report import ReportCollector, RunReport
+
+    collector = ReportCollector(stream=stream, timeline=timeline)
+    with observe(collector):
+        output = exp.runner(**kwargs)
+    machines = collector.machine_dicts()
+    # the collector holds every machine and span buffer it saw: let
+    # them go before the report is serialized on top of them
+    del collector
+    report = RunReport(
+        experiment=name, title=exp.title, kwargs=dict(kwargs), machines=machines
+    ).to_dict()
     return output, report, time.perf_counter() - start
 
 
-def _computed(
-    name: str, key: str, payload: tuple, cache_dir: Optional[Path], attempts: int = 1
+def _outcome(
+    name: str, kwargs: Dict[str, object], collect_report: bool, stream: bool
+) -> tuple:
+    """One try at one experiment: ``("ok", payload)`` with the
+    :func:`_compute` payload, or ``("error", "Type: message")``.  A
+    worker sends this over its pipe; the inline path calls it
+    in-process."""
+    try:
+        return "ok", _compute(name, kwargs, collect_report, stream=stream)
+    except Exception as exc:  # noqa: BLE001 - isolate each artifact
+        return "error", f"{type(exc).__name__}: {exc}"
+
+
+def _replay(
+    name: str,
+    key: str,
+    cache_dir: Optional[Path],
+    collect_report: bool,
+    emit: Callable = _silent,
+) -> Optional[ExperimentResult]:
+    """The cached result for ``key`` (emitting ``cache_hit``), or
+    ``None`` when the experiment must run: no cache, no usable entry,
+    or an entry without the stored report a report-collecting run
+    needs."""
+    if cache_dir is None:
+        return None
+    hit = cache_lookup(cache_dir, name, key)
+    if hit is None or hit.entry.get("output") is None:
+        return None
+    report = hit.entry.get("report") if collect_report else None
+    if collect_report and report is None:
+        return None
+    emit("cache_hit", name, key=key[:16], shard=hit.shard, verified=hit.verified)
+    return ExperimentResult(
+        name, REGISTRY[name].title, hit.entry["output"], 0.0, cached=True,
+        report=report,
+    )
+
+
+def _succeed(
+    name: str,
+    key: str,
+    payload: tuple,
+    cache_dir: Optional[Path],
+    attempt: int = 1,
+    emit: Callable = _silent,
 ) -> ExperimentResult:
     """Commit one :func:`_compute` payload to the cache (when there is
-    one) and wrap it as the experiment's fresh result."""
+    one), emit ``completed`` and wrap it as the experiment's fresh
+    result."""
     output, report, elapsed = payload
     if cache_dir is not None:
         cache_store(cache_dir, name, key, output, report=report)
+    emit("completed", name, attempt=attempt, elapsed_s=round(elapsed, 3), cached=False)
     return ExperimentResult(
         name,
         REGISTRY[name].title,
@@ -597,7 +629,7 @@ def _computed(
         elapsed,
         cached=False,
         report=report,
-        attempts=attempts,
+        attempts=attempt,
     )
 
 
@@ -605,39 +637,29 @@ def run_experiment(
     name: str,
     fast: bool = False,
     cache_dir: Optional[Path] = None,
-    config: CedarConfig = DEFAULT_CONFIG,
     collect_report: bool = False,
     stream: bool = False,
     timeline: Optional[float] = None,
 ) -> ExperimentResult:
-    """Run (or replay from cache) a single registered experiment.
+    """Run (or replay from cache) a single registered experiment; an
+    exception the experiment raises propagates.
 
     ``stream`` (with ``collect_report``) collects the per-machine
     latency summary through the bounded-memory streaming store;
     ``timeline`` (an interval in simulated cycles, with
     ``collect_report``) adds interval-sampled metric timelines to each
-    machine record.  Both are part of the cache key, so instrumented
-    and bare entries never collide.
+    machine record.  Both are part of the cache key (``stream`` only
+    with ``collect_report``), so instrumented and bare entries never
+    collide.
     """
-    exp = experiment(name)
-    kwargs = exp.arguments(fast)
-    key = cache_key(name, kwargs, config, stream=stream, timeline=timeline)
-    if cache_dir is not None:
-        hit = cache_lookup(cache_dir, name, key)
-        if hit is not None and hit.entry.get("output") is not None:
-            report = hit.entry.get("report") if collect_report else None
-            if not collect_report or report is not None:
-                return ExperimentResult(
-                    name, exp.title, hit.entry["output"], 0.0, cached=True,
-                    report=report,
-                )
-            # cached output but no stored report: fall through and re-run
-    return _computed(
-        name,
-        key,
-        _compute(name, kwargs, collect_report, stream=stream, timeline=timeline),
-        cache_dir,
-    )
+    kwargs = experiment(name).arguments(fast)
+    stream = stream and collect_report
+    key = cache_key(name, kwargs, stream=stream, timeline=timeline)
+    cached = _replay(name, key, cache_dir, collect_report)
+    if cached is not None:
+        return cached
+    payload = _compute(name, kwargs, collect_report, stream=stream, timeline=timeline)
+    return _succeed(name, key, payload, cache_dir)
 
 
 def _subprocess_main(
@@ -648,10 +670,10 @@ def _subprocess_main(
     stream: bool = False,
     heartbeat_s: Optional[float] = None,
 ) -> None:
-    """Worker-process entry point: run one experiment, ship the outcome
-    back over ``conn``.  Every failure becomes an ``("error", reason)``
-    message; only a hard crash (segfault, kill) leaves the pipe silent,
-    which the manager detects as worker death.
+    """Worker-process entry point: send one :func:`_outcome` outcome
+    back over ``conn``.  Only a hard crash (segfault, kill, exit)
+    leaves the pipe silent, which the scheduler detects as worker
+    death.
 
     With ``heartbeat_s`` set the run is observed by a
     :class:`HeartbeatEmitter`: every engine the experiment builds
@@ -668,13 +690,8 @@ def _subprocess_main(
         emitter.beat()
     try:
         with observe(emitter) if emitter is not None else nullcontext():
-            payload = _compute(name, kwargs, collect_report, stream=stream)
-        conn.send(("ok", payload))
-    except BaseException as exc:  # noqa: BLE001 - isolate *any* worker failure
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
+            outcome = _outcome(name, kwargs, collect_report, stream)
+        conn.send(outcome)
     finally:
         conn.close()
 
@@ -689,24 +706,27 @@ def _mp_context():
 
 @dataclass
 class _Attempt:
-    """One in-flight worker: process + pipe + deadline bookkeeping."""
+    """One attempt at one experiment.  A worker attempt also holds its
+    process and pipe, plus heartbeat bookkeeping (telemetry runs only):
+    when a beat last showed *progress* (more events processed than any
+    earlier beat) and the last payload — what stall and retry messages
+    report."""
 
     name: str
-    attempt: int
-    process: multiprocessing.Process
-    conn: object
-    kwargs: Dict
+    number: int
     started: float
-    deadline: Optional[float]
-    #: heartbeat bookkeeping (telemetry runs only): wall time of the
-    #: last beat, wall time of the last beat that showed *progress*
-    #: (more events processed than any earlier beat), beat count, and
-    #: the last payload — what retry/stall messages report.
-    last_beat: Optional[float] = None
+    process: Optional[multiprocessing.Process] = None
+    conn: object = None
     last_progress: Optional[float] = None
-    beats: int = 0
     events_seen: int = -1
     progress: Optional[Dict] = None
+
+    def beat(self, payload: Dict) -> None:
+        events = payload.get("events_processed", 0)
+        if events > self.events_seen:
+            self.events_seen = events
+            self.last_progress = time.perf_counter()
+        self.progress = payload
 
     def progress_note(self) -> str:
         """Last-known progress, for stall and retry annotations."""
@@ -719,93 +739,54 @@ class _Attempt:
         )
 
 
-def _run_isolated(
-    misses: List[str],
+def _drive(
+    misses: Dict[str, tuple],
     jobs: int,
-    fast: bool,
     cache_dir: Optional[Path],
-    config: CedarConfig,
     collect_reports: bool,
     timeout_s: Optional[float],
     retries: int,
     retry_backoff_s: float,
-    stream: bool = False,
-    emit=None,
-    heartbeat_s: Optional[float] = None,
+    stream: bool,
+    emit: Callable,
+    heartbeat_s: Optional[float],
 ) -> Dict[str, ExperimentResult]:
-    """Run ``misses`` in per-experiment worker processes.
+    """Run every cache miss (``name -> (kwargs, cache key)``) to a
+    result: the one scheduler behind ``run_all``.
 
-    Up to ``jobs`` workers run at once; each failure (exception,
-    timeout, crash) is retried with exponential backoff until its
-    attempts are exhausted, then recorded as a failed result.  One
-    worker's fate never affects another's.
-
-    ``emit`` (a ``FleetTelemetry``-style callback taking ``(type,
-    name, attempt=..., **extra)``) receives every lifecycle
-    transition.  With ``heartbeat_s`` set, workers beat engine
-    self-metrics over their pipes and ``timeout_s`` changes meaning:
-    instead of a flat wall-clock deadline it becomes a **stall
-    budget** — a worker is killed only after ``timeout_s`` seconds
-    without a heartbeat showing forward progress, so slow-but-alive
-    workers run on while hung ones die fast.
+    Each failure (exception, and in a worker also timeout or crash) is
+    retried with exponential backoff until its attempts are exhausted,
+    then recorded as a failed result; one experiment's fate never
+    affects another's.  At ``jobs=1`` without ``timeout_s`` each attempt
+    runs in-process; otherwise up to ``jobs`` worker processes run at
+    once.  Workers alone beat, and are reaped on a flat wall-clock
+    ``timeout_s`` or, with ``heartbeat_s`` set, on a **stall budget**:
+    ``timeout_s`` seconds without a heartbeat showing forward progress,
+    so slow-but-alive workers run on while hung ones die fast.
     """
-    ctx = _mp_context()
+    isolated = jobs > 1 or timeout_s is not None
+    ctx = _mp_context() if isolated else None
     results: Dict[str, ExperimentResult] = {}
-    #: (name, attempt, not_before) — attempts awaiting a worker slot.
+    #: (name, attempt number, not_before) — attempts awaiting a slot.
     pending: deque = deque((name, 1, 0.0) for name in misses)
     running: Dict[object, _Attempt] = {}
 
-    def _spawn(name: str, attempt: int) -> None:
-        kwargs = REGISTRY[name].arguments(fast)
-        recv_conn, send_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(
-            target=_subprocess_main,
-            args=(send_conn, name, kwargs, collect_reports, stream, heartbeat_s),
-        )
-        process.start()
-        send_conn.close()  # manager keeps only the read end
-        now = time.perf_counter()
-        running[recv_conn] = _Attempt(
-            name=name,
-            attempt=attempt,
-            process=process,
-            conn=recv_conn,
-            kwargs=kwargs,
-            started=now,
-            deadline=(now + timeout_s) if timeout_s is not None else None,
-        )
-        if emit is not None:
-            emit("worker_started", name, attempt=attempt, pid=process.pid)
-
-    def _beat(attempt: _Attempt, payload: Dict) -> None:
-        now = time.perf_counter()
-        attempt.beats += 1
-        attempt.last_beat = now
-        events = payload.get("events_processed", 0)
-        if events > attempt.events_seen:
-            attempt.events_seen = events
-            attempt.last_progress = now
-        attempt.progress = payload
-        if emit is not None:
-            emit("heartbeat", attempt.name, attempt=attempt.attempt, **payload)
-
     def _settle(attempt: _Attempt, error: str) -> None:
         """Record a failed attempt: retry with backoff or final failure."""
-        if attempt.attempt <= retries:
-            delay = retry_backoff_s * (2 ** (attempt.attempt - 1))
+        if attempt.number <= retries:
+            delay = retry_backoff_s * (2 ** (attempt.number - 1))
             pending.append(
-                (attempt.name, attempt.attempt + 1, time.perf_counter() + delay)
+                (attempt.name, attempt.number + 1, time.perf_counter() + delay)
             )
-            if emit is not None:
-                emit(
-                    "retry",
-                    attempt.name,
-                    attempt=attempt.attempt,
-                    error=error,
-                    next_attempt=attempt.attempt + 1,
-                    backoff_s=delay,
-                    last_known=attempt.progress_note(),
-                )
+            emit(
+                "retry",
+                attempt.name,
+                attempt=attempt.number,
+                error=error,
+                next_attempt=attempt.number + 1,
+                backoff_s=delay,
+                last_known=attempt.progress_note(),
+            )
             return
         results[attempt.name] = ExperimentResult(
             attempt.name,
@@ -814,55 +795,61 @@ def _run_isolated(
             time.perf_counter() - attempt.started,
             cached=False,
             error=error,
-            attempts=attempt.attempt,
+            attempts=attempt.number,
         )
-        if emit is not None:
-            emit(
-                "failed",
-                attempt.name,
-                attempt=attempt.attempt,
-                error=error,
-            )
+        emit("failed", attempt.name, attempt=attempt.number, error=error)
 
-    def _succeed(attempt: _Attempt, payload) -> None:
-        key = cache_key(attempt.name, attempt.kwargs, config, stream=stream)
-        result = results[attempt.name] = _computed(
-            attempt.name, key, payload, cache_dir, attempt.attempt
+    def _finish(attempt: _Attempt, status: str, payload) -> None:
+        if status != "ok":
+            _settle(attempt, payload)
+            return
+        name = attempt.name
+        results[name] = _succeed(
+            name, misses[name][1], payload, cache_dir, attempt.number, emit
         )
-        if emit is not None:
-            emit(
-                "completed",
-                attempt.name,
-                attempt=attempt.attempt,
-                elapsed_s=round(result.elapsed_s, 3),
-                cached=False,
-            )
 
-    def _reap(attempt: _Attempt, error: str) -> None:
-        process = attempt.process
-        if process.is_alive():
-            process.terminate()
-        process.join()
+    def _start(name: str, number: int) -> None:
+        kwargs = misses[name][0]
+        if not isolated:
+            attempt = _Attempt(name, number, time.perf_counter())
+            emit("worker_started", name, attempt=number, inline=True)
+            _finish(attempt, *_outcome(name, kwargs, collect_reports, stream))
+            return
+        recv_conn, send_conn = ctx.Pipe(duplex=False)
+        process = ctx.Process(
+            target=_subprocess_main,
+            args=(send_conn, name, kwargs, collect_reports, stream, heartbeat_s),
+        )
+        process.start()
+        send_conn.close()  # the scheduler keeps only the read end
+        running[recv_conn] = _Attempt(
+            name, number, time.perf_counter(), process, recv_conn
+        )
+        emit("worker_started", name, attempt=number, pid=process.pid)
+
+    def _retire(attempt: _Attempt, kill: bool = False) -> None:
+        if kill:
+            attempt.process.terminate()
+        attempt.process.join()
         attempt.conn.close()
         del running[attempt.conn]
-        _settle(attempt, error)
 
     while pending or running:
-        # fill free worker slots with attempts whose backoff has elapsed
-        now = time.perf_counter()
-        deferred = []
-        while pending and len(running) < max(1, jobs):
-            name, attempt_no, not_before = pending.popleft()
-            if not_before > now:
-                deferred.append((name, attempt_no, not_before))
+        # start the attempts whose backoff has elapsed, up to the slots
+        for _ in range(len(pending)):
+            if len(running) >= max(1, jobs):
+                break
+            entry = pending.popleft()
+            if entry[2] > time.perf_counter():
+                pending.append(entry)
                 continue
-            _spawn(name, attempt_no)
-        pending.extend(deferred)
+            _start(*entry[:2])
 
         if not running:
-            # everything pending is backing off: sleep to the earliest
-            wake = min(entry[2] for entry in pending)
-            time.sleep(max(0.0, wake - time.perf_counter()))
+            if pending:
+                # everything pending is backing off: sleep to the earliest
+                wake = min(entry[2] for entry in pending)
+                time.sleep(max(0.0, wake - time.perf_counter()))
             continue
 
         for conn in _conn_wait(list(running), timeout=0.05):
@@ -871,116 +858,34 @@ def _run_isolated(
                 status, payload = conn.recv()
             except (EOFError, OSError):
                 # pipe closed with no message: the worker died hard
-                attempt.process.join()
-                code = attempt.process.exitcode
-                conn.close()
-                del running[conn]
-                _settle(attempt, f"worker crashed (exit {code})")
+                _retire(attempt)
+                _settle(attempt, f"worker crashed (exit {attempt.process.exitcode})")
                 continue
             if status == "hb":
                 # heartbeat: bookkeeping only, the worker stays running
-                _beat(attempt, payload)
+                attempt.beat(payload)
+                emit("heartbeat", attempt.name, attempt=attempt.number, **payload)
                 continue
-            attempt.process.join()
-            conn.close()
-            del running[conn]
-            if status == "ok":
-                _succeed(attempt, payload)
-            else:
-                _settle(attempt, payload)
+            _retire(attempt)
+            _finish(attempt, status, payload)
 
         if timeout_s is not None:
             now = time.perf_counter()
-            if heartbeat_s is not None:
-                # stall budget: a worker dies only after timeout_s with
-                # no heartbeat *progress* (silence, or beats whose event
-                # count has frozen) — slow-but-beating workers live on.
-                for attempt in [
-                    a
-                    for a in running.values()
-                    if now - (a.last_progress or a.started) > timeout_s
-                ]:
-                    _reap(
+            for attempt in list(running.values()):
+                # without heartbeats last_progress stays None: a flat
+                # wall-clock deadline from the worker's start
+                if now - (attempt.last_progress or attempt.started) <= timeout_s:
+                    continue
+                _retire(attempt, kill=True)
+                if heartbeat_s is None:
+                    _settle(attempt, f"timeout after {timeout_s:g}s")
+                else:
+                    _settle(
                         attempt,
                         f"stalled: no heartbeat progress for {timeout_s:g}s "
                         f"({attempt.progress_note()})",
                     )
-            else:
-                # telemetry off: the original flat wall-clock deadline
-                for attempt in [
-                    a
-                    for a in running.values()
-                    if a.deadline is not None and now > a.deadline
-                ]:
-                    _reap(attempt, f"timeout after {timeout_s:g}s")
 
-    return results
-
-
-def _run_inline(
-    misses: List[str],
-    fast: bool,
-    cache_dir: Optional[Path],
-    config: CedarConfig,
-    collect_reports: bool,
-    retries: int,
-    retry_backoff_s: float,
-    stream: bool = False,
-    emit=None,
-) -> Dict[str, ExperimentResult]:
-    """Single-process path (no timeout enforcement or heartbeats, but
-    the same failure isolation, retry policy, and lifecycle telemetry
-    as the worker path)."""
-    results: Dict[str, ExperimentResult] = {}
-    for name in misses:
-        for attempt in range(1, retries + 2):
-            start = time.perf_counter()
-            if emit is not None:
-                emit("worker_started", name, attempt=attempt, inline=True)
-            try:
-                kwargs = REGISTRY[name].arguments(fast)
-                result = results[name] = _computed(
-                    name,
-                    cache_key(name, kwargs, config, stream=stream),
-                    _compute(name, kwargs, collect_reports, stream=stream),
-                    cache_dir,
-                    attempt,
-                )
-                if emit is not None:
-                    emit(
-                        "completed",
-                        name,
-                        attempt=attempt,
-                        elapsed_s=round(result.elapsed_s, 3),
-                        cached=False,
-                    )
-                break
-            except Exception as exc:  # noqa: BLE001 - isolate each artifact
-                error = f"{type(exc).__name__}: {exc}"
-                if attempt <= retries:
-                    delay = retry_backoff_s * (2 ** (attempt - 1))
-                    if emit is not None:
-                        emit(
-                            "retry",
-                            name,
-                            attempt=attempt,
-                            error=error,
-                            next_attempt=attempt + 1,
-                            backoff_s=delay,
-                        )
-                    time.sleep(delay)
-                    continue
-                results[name] = ExperimentResult(
-                    name,
-                    REGISTRY[name].title,
-                    "",
-                    time.perf_counter() - start,
-                    cached=False,
-                    error=error,
-                    attempts=attempt,
-                )
-                if emit is not None:
-                    emit("failed", name, attempt=attempt, error=error)
     return results
 
 
@@ -989,7 +894,6 @@ def run_all(
     jobs: int = 1,
     fast: bool = False,
     cache_dir: Optional[Path] = None,
-    config: CedarConfig = DEFAULT_CONFIG,
     collect_reports: bool = False,
     timeout_s: Optional[float] = None,
     retries: int = 0,
@@ -999,13 +903,15 @@ def run_all(
 ) -> List[ExperimentResult]:
     """Run a set of experiments (default: every registered one).
 
-    Cache hits are resolved in-process; the misses fan out across up to
-    ``jobs`` worker processes (one process per experiment — a crash is
-    contained to its artifact).  ``timeout_s`` bounds each experiment's
-    wall clock (the worker is terminated past it; requires the worker
-    path, so it forces process isolation even at ``jobs=1``), and each
-    failure retries up to ``retries`` times with exponential backoff
-    starting at ``retry_backoff_s``.
+    Cache hits are resolved in-process; the misses go to one scheduler
+    (:func:`_drive`).  At ``jobs=1`` they run in-process one attempt at
+    a time; with ``jobs > 1`` they fan out across up to ``jobs`` worker
+    processes (one process per experiment — a crash is contained to its
+    artifact).  ``timeout_s`` bounds each experiment's wall clock (the
+    worker is terminated past it; requires the worker path, so it
+    forces process isolation even at ``jobs=1``).  On either path each
+    failure retries up to ``retries`` times (``>= 0``) with exponential
+    backoff starting at ``retry_backoff_s``.
 
     ``telemetry`` (a :class:`~repro.monitor.telemetry.FleetTelemetry`)
     turns on fleet telemetry: every lifecycle transition is emitted as
@@ -1024,79 +930,44 @@ def run_all(
     ``collect_reports`` every non-cached run is instrumented and its
     :class:`ExperimentResult` carries a RunReport dict (cache hits
     replay a stored report when the entry has one; entries without one
-    are re-run).
+    are re-run).  ``stream`` only matters, and only keys the cache,
+    when reports are collected.
     """
+    if retries < 0:
+        raise ValueError("retries must be >= 0")
     selected = list(names) if names is not None else experiment_names()
     for name in selected:
         experiment(name)  # validate up front
 
-    emit = telemetry.event if telemetry is not None else None
-    heartbeat_s = telemetry.heartbeat_s if telemetry is not None else None
-
+    emit = telemetry.event if telemetry is not None else _silent
+    stream = stream and collect_reports
     results: Dict[str, ExperimentResult] = {}
-    misses: List[str] = []
+    misses: Dict[str, tuple] = {}
     for name in selected:
-        exp = REGISTRY[name]
-        kwargs = exp.arguments(fast)
-        key = cache_key(name, kwargs, config, stream=stream)
-        hit = cache_lookup(cache_dir, name, key) if cache_dir is not None else None
-        output = hit.entry.get("output") if hit is not None else None
-        report = hit.entry.get("report") if hit is not None else None
-        if output is not None and (not collect_reports or report is not None):
-            results[name] = ExperimentResult(
-                name,
-                exp.title,
-                output,
-                0.0,
-                cached=True,
-                report=report if collect_reports else None,
-            )
-            if emit is not None:
-                emit(
-                    "cache_hit",
-                    name,
-                    key=key[:16],
-                    shard=hit.shard,
-                    verified=hit.verified,
-                )
+        kwargs = REGISTRY[name].arguments(fast)
+        key = cache_key(name, kwargs, stream=stream)
+        cached = _replay(name, key, cache_dir, collect_reports, emit)
+        if cached is not None:
+            results[name] = cached
         else:
-            misses.append(name)
-            if emit is not None:
-                emit("run_queued", name)
+            misses[name] = (kwargs, key)
+            emit("run_queued", name)
 
     if misses:
-        if jobs > 1 or timeout_s is not None:
-            results.update(
-                _run_isolated(
-                    misses,
-                    jobs,
-                    fast,
-                    cache_dir,
-                    config,
-                    collect_reports,
-                    timeout_s,
-                    retries,
-                    retry_backoff_s,
-                    stream=stream,
-                    emit=emit,
-                    heartbeat_s=heartbeat_s,
-                )
+        results.update(
+            _drive(
+                misses,
+                jobs,
+                cache_dir,
+                collect_reports,
+                timeout_s,
+                retries,
+                retry_backoff_s,
+                stream,
+                emit,
+                telemetry.heartbeat_s if telemetry is not None else None,
             )
-        else:
-            results.update(
-                _run_inline(
-                    misses,
-                    fast,
-                    cache_dir,
-                    config,
-                    collect_reports,
-                    retries,
-                    retry_backoff_s,
-                    stream=stream,
-                    emit=emit,
-                )
-            )
-
+        )
     return [results[name] for name in selected]
 
 

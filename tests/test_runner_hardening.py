@@ -219,3 +219,108 @@ class TestHardenedCLI:
     def test_healthy_batch_exits_zero(self, capsys):
         assert main(["run-all", "topology", "--no-reports"]) == 0
         assert "Cedar" in capsys.readouterr().out
+
+
+class TestOneDriver:
+    """The inline loop (``jobs=1``) and the worker pool (``jobs=2``)
+    are one scheduler: the same results, retry policy and lifecycle
+    events on both paths."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_negative_retries_rejected_before_anything_runs(
+        self, jobs, scratch_registry, tmp_path
+    ):
+        marker = tmp_path / "attempts"
+        scratch_registry(
+            Experiment(
+                f"never-{jobs}", "must not run", _flaky_file,
+                kwargs={"path": str(marker)},
+            )
+        )
+        with pytest.raises(ValueError, match="retries must be >= 0"):
+            run_all(names=[f"never-{jobs}"], jobs=jobs, retries=-1)
+        assert not marker.exists()
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_cli_negative_retries_is_one_error_line(self, jobs, capsys):
+        argv = ["run-all", "topology", "--no-reports", "--jobs", jobs]
+        assert main(argv + ["--retries", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: retries must be >= 0\n"
+
+    # (succeed_on, retries) -> (ok, error, attempts, output, event types)
+    SCENARIOS = {
+        "always-raises": (
+            99, 0,
+            (False, "RuntimeError: transient", 1, ""),
+            ["run_queued", "worker_started", "failed"],
+        ),
+        "fails-once": (
+            2, 1,
+            (True, None, 2, "file flaky ok"),
+            ["run_queued", "worker_started", "retry", "worker_started",
+             "completed"],
+        ),
+        "retries-exhausted": (
+            3, 1,
+            (False, "RuntimeError: transient", 2, ""),
+            ["run_queued", "worker_started", "retry", "worker_started",
+             "failed"],
+        ),
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_inline_and_pool_agree(
+        self, jobs, scenario, scratch_registry, tmp_path
+    ):
+        from repro.monitor.telemetry import FleetTelemetry, validate_telemetry
+
+        succeed_on, retries, expected, types = self.SCENARIOS[scenario]
+        name = f"parity-{scenario}-{jobs}"
+        scratch_registry(
+            Experiment(
+                name, "file-marker flaky", _flaky_file,
+                kwargs={"path": str(tmp_path / "n"), "succeed_on": succeed_on},
+            )
+        )
+        events = []
+        (result,) = run_all(
+            names=[name], jobs=jobs, retries=retries, retry_backoff_s=0.01,
+            telemetry=FleetTelemetry(on_event=events.append, heartbeat_s=0.05),
+        )
+        assert (result.ok, result.error, result.attempts, result.output) == (
+            expected
+        )
+        validate_telemetry(events)
+        assert [e["type"] for e in events if e["type"] != "heartbeat"] == types
+        for retry in (e for e in events if e["type"] == "retry"):
+            assert set(retry) == {
+                "v", "type", "experiment", "config_hash", "t_wall", "attempt",
+                "error", "next_attempt", "backoff_s", "last_known",
+            }
+            assert retry["error"] == "RuntimeError: transient"
+            assert (retry["attempt"], retry["next_attempt"]) == (1, 2)
+            assert retry["backoff_s"] == 0.01
+        (started, *_) = [e for e in events if e["type"] == "worker_started"]
+        if jobs == 1:
+            assert started["inline"] is True and "pid" not in started
+        else:
+            assert started["pid"] > 0 and "inline" not in started
+
+
+class TestStreamKey:
+    def test_bare_stream_run_reuses_a_bare_entry(self, tmp_path):
+        (cold,) = run_all(names=["topology"], cache_dir=tmp_path)
+        (warm,) = run_all(names=["topology"], cache_dir=tmp_path, stream=True)
+        assert not cold.cached and warm.cached
+        assert warm.output == cold.output
+
+    def test_reported_stream_run_keeps_its_own_entry(self, tmp_path):
+        run_all(names=["topology"], cache_dir=tmp_path, collect_reports=True)
+        (streamed,) = run_all(
+            names=["topology"], cache_dir=tmp_path, collect_reports=True,
+            stream=True,
+        )
+        assert not streamed.cached and streamed.report is not None
