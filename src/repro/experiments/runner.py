@@ -559,8 +559,9 @@ def _compute(
     with observe(collector):
         output = exp.runner(**kwargs)
     machines = collector.machine_dicts()
-    # the collector holds every machine and span buffer it saw: let
-    # them go before the report is serialized on top of them
+    # the collector holds every machine, registry and folded span part
+    # it saw, and the last machine's buffer: let them go before the
+    # report is serialized on top of them
     del collector
     report = RunReport(
         experiment=name, title=exp.title, kwargs=dict(kwargs), machines=machines
@@ -662,6 +663,23 @@ def run_experiment(
     return _succeed(name, key, payload, cache_dir)
 
 
+def _heartbeats(send: Callable[[tuple], None], heartbeat_s: Optional[float]):
+    """The context one attempt runs in.  With ``heartbeat_s`` set the
+    run is observed by a :class:`HeartbeatEmitter`: every engine the
+    experiment builds pulses cumulative self-metrics to ``send`` as
+    ``("hb", payload)`` messages, at most one per ``heartbeat_s`` wall
+    seconds, after a hello beat that goes out at once (so a worker's
+    parent can tell "alive, simulation not started" from a dead pipe).
+    Without it, nothing is armed."""
+    if heartbeat_s is None:
+        return nullcontext()
+    from repro.monitor.telemetry import HeartbeatEmitter
+
+    emitter = HeartbeatEmitter(send, min_interval_s=heartbeat_s)
+    emitter.beat()
+    return observe(emitter)
+
+
 def _subprocess_main(
     conn,
     name: str,
@@ -671,25 +689,11 @@ def _subprocess_main(
     heartbeat_s: Optional[float] = None,
 ) -> None:
     """Worker-process entry point: send one :func:`_outcome` outcome
-    back over ``conn``.  Only a hard crash (segfault, kill, exit)
-    leaves the pipe silent, which the scheduler detects as worker
-    death.
-
-    With ``heartbeat_s`` set the run is observed by a
-    :class:`HeartbeatEmitter`: every engine the experiment builds
-    pulses cumulative self-metrics back as ``("hb", payload)``
-    messages, interleaved ahead of the final outcome, at most one per
-    ``heartbeat_s`` wall seconds.  A hello beat goes out before the run
-    so the parent can tell "worker alive, simulation not started" from
-    a dead pipe."""
-    emitter = None
-    if heartbeat_s is not None:
-        from repro.monitor.telemetry import HeartbeatEmitter
-
-        emitter = HeartbeatEmitter(conn.send, min_interval_s=heartbeat_s)
-        emitter.beat()
+    back over ``conn``, after the heartbeats of :func:`_heartbeats`.
+    Only a hard crash (segfault, kill, exit) leaves the pipe silent,
+    which the scheduler detects as worker death."""
     try:
-        with observe(emitter) if emitter is not None else nullcontext():
+        with _heartbeats(conn.send, heartbeat_s):
             outcome = _outcome(name, kwargs, collect_report, stream)
         conn.send(outcome)
     finally:
@@ -707,10 +711,10 @@ def _mp_context():
 @dataclass
 class _Attempt:
     """One attempt at one experiment.  A worker attempt also holds its
-    process and pipe, plus heartbeat bookkeeping (telemetry runs only):
-    when a beat last showed *progress* (more events processed than any
-    earlier beat) and the last payload — what stall and retry messages
-    report."""
+    process and pipe.  Every attempt keeps heartbeat bookkeeping
+    (telemetry runs only): when a beat last showed *progress* (more
+    events processed than any earlier beat) and the last payload — what
+    stall and retry messages report."""
 
     name: str
     number: int
@@ -759,10 +763,12 @@ def _drive(
     then recorded as a failed result; one experiment's fate never
     affects another's.  At ``jobs=1`` without ``timeout_s`` each attempt
     runs in-process; otherwise up to ``jobs`` worker processes run at
-    once.  Workers alone beat, and are reaped on a flat wall-clock
-    ``timeout_s`` or, with ``heartbeat_s`` set, on a **stall budget**:
-    ``timeout_s`` seconds without a heartbeat showing forward progress,
-    so slow-but-alive workers run on while hung ones die fast.
+    once.  With ``heartbeat_s`` set, attempts on either path beat
+    (:func:`_heartbeats`).  Workers alone are reaped: on a flat
+    wall-clock ``timeout_s`` or, with ``heartbeat_s`` set, on a **stall
+    budget** of ``timeout_s`` seconds without a heartbeat showing
+    forward progress, so slow-but-alive workers run on while hung ones
+    die fast.
     """
     isolated = jobs > 1 or timeout_s is not None
     ctx = _mp_context() if isolated else None
@@ -808,12 +814,19 @@ def _drive(
             name, misses[name][1], payload, cache_dir, attempt.number, emit
         )
 
+    def _beat(attempt: _Attempt, payload: Dict) -> None:
+        attempt.beat(payload)
+        emit("heartbeat", attempt.name, attempt=attempt.number, **payload)
+
     def _start(name: str, number: int) -> None:
         kwargs = misses[name][0]
         if not isolated:
             attempt = _Attempt(name, number, time.perf_counter())
             emit("worker_started", name, attempt=number, inline=True)
-            _finish(attempt, *_outcome(name, kwargs, collect_reports, stream))
+            with _heartbeats(lambda message: _beat(attempt, message[1]),
+                             heartbeat_s):
+                outcome = _outcome(name, kwargs, collect_reports, stream)
+            _finish(attempt, *outcome)
             return
         recv_conn, send_conn = ctx.Pipe(duplex=False)
         process = ctx.Process(
@@ -863,8 +876,7 @@ def _drive(
                 continue
             if status == "hb":
                 # heartbeat: bookkeeping only, the worker stays running
-                attempt.beat(payload)
-                emit("heartbeat", attempt.name, attempt=attempt.number, **payload)
+                _beat(attempt, payload)
                 continue
             _retire(attempt)
             _finish(attempt, status, payload)
@@ -916,8 +928,9 @@ def run_all(
     ``telemetry`` (a :class:`~repro.monitor.telemetry.FleetTelemetry`)
     turns on fleet telemetry: every lifecycle transition is emitted as
     a schema-valid event (JSONL sink and/or in-process listener), and
-    isolated workers heartbeat engine self-metrics over their pipes at
-    ``telemetry.heartbeat_s``.  With heartbeats flowing, ``timeout_s``
+    every attempt heartbeats engine self-metrics at
+    ``telemetry.heartbeat_s`` (a worker over its pipe, an inline attempt
+    straight to the event callback).  With heartbeats flowing, ``timeout_s``
     becomes a **no-heartbeat stall budget** — a worker making visible
     progress is never killed for being slow; a silent one dies after
     ``timeout_s`` seconds without progress.  With telemetry off the

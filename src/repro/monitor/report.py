@@ -18,6 +18,13 @@ monitor set: in-place accounting armed on its links, memory modules and
 cluster banks as they are assembled (read back when the report is
 built), and subscribers on its cold signals.  Monitors only observe, so
 the simulated results are bit-identical with or without collection.
+
+Each machine's span collector buffers one record per signal.  Building
+a machine folds the buffers of the earlier machines whose engines are
+idle (:meth:`~repro.monitor.spans.SpanCollector.fold`): nothing is in
+flight there, so the latency summary stays exact while one raw buffer is
+alive at a time.  Contexts and registries live until the report is
+built.
 """
 
 from __future__ import annotations
@@ -82,6 +89,12 @@ class ReportCollector:
         self.timeline = timeline
 
     def __call__(self, ctx) -> Callable[[], None]:
+        if not self.stream:
+            # an idle engine has nothing in flight, so no later record
+            # can name a request its machine traced: fold its buffer
+            for earlier, _registry, spans, _timeline in self._records:
+                if earlier.engine.pending() == 0:
+                    spans.fold()
         registry = MetricsRegistry()
         monitors = attach_standard_monitors(ctx, registry)
         if self.stream:
@@ -112,7 +125,10 @@ class ReportCollector:
         return len(self._records)
 
     def machine_dicts(self) -> List[Dict[str, object]]:
-        """One JSON-ready record per machine built during collection."""
+        """One JSON-ready record per machine built during collection.
+        A machine not folded yet (the last one built) is read from its
+        buffer in place: folding it first would give the same summary
+        and only add the fold's working memory to the peak."""
         out = []
         for ctx, registry, spans, timeline in self._records:
             engine = ctx.engine

@@ -418,12 +418,20 @@ def _drifts(latencies: np.ndarray, phases: Sequence[np.ndarray]) -> np.ndarray:
     return np.abs(forward + wait + service + block + reverse - latencies)
 
 
+def _encode(labels: Sequence) -> Tuple[list, np.ndarray]:
+    """``(names, codes)``: the distinct labels in first-seen order, and
+    each label's index among them (fewer than 32,768 distinct labels:
+    origins, stages and resource names)."""
+    code = {label: k for k, label in enumerate(dict.fromkeys(labels))}
+    return list(code), np.fromiter(map(code.__getitem__, labels), np.int16,
+                                   len(labels))
+
+
 def _groups(labels: Sequence[str]) -> Dict[str, np.ndarray]:
     """The row indices of each distinct label, labels in first-seen
     order, each one's rows ascending."""
-    code = {label: k for k, label in enumerate(dict.fromkeys(labels))}
-    codes = np.fromiter(map(code.__getitem__, labels), np.intp, len(labels))
-    return {label: np.flatnonzero(codes == k) for label, k in code.items()}
+    names, codes = _encode(labels)
+    return {label: np.flatnonzero(codes == k) for k, label in enumerate(names)}
 
 
 def _first_seen_counts(values: np.ndarray) -> Dict[float, int]:
@@ -448,6 +456,66 @@ _RID, _BIRTH, _END, _MEM, _SVC, _SYNC = range(6)
 _NAMED = np.zeros(_KIND_HOP + 1, dtype=bool)
 _NAMED[[_KIND_GM, _EV_DELIVER, _EV_GSVC, _EV_SYNC, _EV_TRANSIENT, _EV_ECC,
         _EV_REROUTE]] = True
+
+
+#: what the per-request reads of a folded collector raise.
+_FOLDED = ("this collector's records were folded (SpanCollector.fold): "
+           "its spans are gone; LatencyAnalysis.from_collectors still reads it")
+
+
+class _FoldedRows:
+    """The complete requests with a memory timeline that one
+    :meth:`SpanCollector.fold` moved out of the record buffer, in
+    admission order: the report columns (origin, latency, the five
+    phases) and each request's hops as :func:`stage_segments` takes them
+    (a stage code and four floats per hop): about 260 bytes per request
+    of six hops.  It answers the hop read of :class:`LatencyAnalysis`;
+    its spans are gone."""
+
+    def __init__(self, buf: list, origins: list, latencies: np.ndarray,
+                 phases: Sequence[np.ndarray], at: np.ndarray,
+                 counts: List[int]) -> None:
+        self._origin_names, self._origins = _encode(origins)
+        self._latencies = latencies
+        self._phases = np.array(phases)
+        self._offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
+        # the hop records at buffer indices ``at``, slot by slot: one
+        # slice of the buffer per slot, picked in numpy (cheaper than a
+        # gather per slot once most records are hops)
+        records = at // HOP_SLOTS
+        resources, codes = _encode(
+            np.array(buf[0::HOP_SLOTS], dtype=object)[records].tolist()
+        )
+        self._stage_names, stage_of = _encode(list(map(_stage_of, resources)))
+        self._stages = stage_of[codes]
+        #: svc, enqueue, service_end and depart of each hop
+        self._hops = np.empty((4, len(records)))
+        for k, slot in enumerate((4, 5, 6, 7)):
+            self._hops[k] = np.array(buf[slot::HOP_SLOTS], dtype=object)[records]
+
+    def rows(self) -> tuple:
+        """``(self, keys, origins, latencies, phases)``: every row, as
+        :meth:`LatencyAnalysis._set_rows` takes a source."""
+        names = self._origin_names
+        return (self, np.arange(len(self._latencies)),
+                list(map(names.__getitem__, self._origins.tolist())),
+                self._latencies, self._phases)
+
+    def _spans_at(self, keys: np.ndarray) -> List[RequestSpan]:
+        raise RuntimeError(_FOLDED)
+
+    def _hop_columns(self, keys: np.ndarray) -> Tuple[tuple, List[int]]:
+        """The :func:`stage_segments` fields of the rows ``keys``' hops
+        and each one's hop count."""
+        lo = self._offsets[keys]
+        counts = self._offsets[keys + 1] - lo
+        # row j's hops sit at lo[j]...; in the output they start where
+        # the earlier rows' hops end
+        at = np.arange(counts.sum()) + np.repeat(lo - np.cumsum(counts) + counts,
+                                                 counts)
+        names = self._stage_names
+        return ((list(map(names.__getitem__, self._stages[at].tolist())),
+                 *self._hops[:, at]), counts.tolist())
 
 
 class SpanCollector:
@@ -492,6 +560,21 @@ class SpanCollector:
 
     Occupancies still in flight when the run ends have not departed and
     therefore produce no hop record.
+
+    Folding at idle points
+    ----------------------
+
+    :meth:`fold` moves the complete requests with a memory timeline out
+    of the buffer into a compact columnar part and empties the buffer,
+    so a collector that outlives its machine's run keeps only what the
+    latency summary reads.  It is exact when the engine is idle: nothing
+    is in flight, so no later record can name a folded request.  The
+    admitted count (the ``max_requests`` cap), :attr:`dropped`,
+    :attr:`completed` and :attr:`incomplete` carry across folds, and
+    :meth:`LatencyAnalysis.from_collectors` reads the folded parts and
+    then the buffer, in admission order.  The per-request reads
+    (:attr:`requests`, :meth:`spans`, :meth:`complete_spans`,
+    :meth:`incomplete_spans`) raise once a fold has released requests.
     """
 
     SIGNALS = (
@@ -537,6 +620,10 @@ class SpanCollector:
         self._ids = np.empty(0, dtype=np.intp)
         self._dropped = 0
         self._completed = 0
+        #: the parts :meth:`fold` made, and how many admitted requests
+        #: it released from the state.
+        self._folds: List[_FoldedRows] = []
+        self._folded = 0
         self._subscriptions: List[tuple] = []
 
     # -- attachment --------------------------------------------------------
@@ -701,7 +788,7 @@ class SpanCollector:
         tracked and counts the rest into :attr:`dropped`: it never frees
         a row, so the earliest population is kept, which exact analyses
         rely on."""
-        room = max(self.max_requests - len(self._state), 0)
+        room = max(self.max_requests - self._folded - len(self._state), 0)
         self._dropped += max(births - room, 0)
         return min(room, births)
 
@@ -866,6 +953,45 @@ class SpanCollector:
                                       picked[:, _END], picked[:, _MEM],
                                       picked[:, _SVC]))
 
+    def _row_sources(self) -> List[tuple]:
+        """``(source, keys, origins, latencies, phases)`` per source of
+        the complete requests with a memory timeline: each folded part,
+        then the buffer (see :meth:`LatencyAnalysis._set_rows`)."""
+        return [part.rows() for part in self._folds] + [
+            (self, *self._latency_rows())
+        ]
+
+    # -- folding -----------------------------------------------------------
+
+    def fold(self) -> None:
+        """Move the complete requests with a memory timeline into a
+        compact columnar part and empty the buffer and the stitching
+        state.  Exact at an idle point, where nothing is in flight: a
+        request still incomplete then never completes, so it stays
+        counted in :attr:`incomplete` and its records go.  (The
+        streaming store folds each drain on its own and never calls
+        this.)"""
+        rows, origins, latencies, phases = self._latency_rows()
+        if len(rows):
+            at, counts = self._hop_runs(*self._bounds(rows))
+            self._folds.append(_FoldedRows(self._events, origins, latencies,
+                                           phases, at, counts))
+        self._folded += len(self._state)
+        del self._events[:]  # in place: the bus holds its extend
+        self._cursor = 0
+        # fresh arrays: an empty view would keep the old ones alive
+        self._state = np.empty((0, 6), dtype=np.intp)
+        self._kind = np.empty(0, dtype=np.int8)
+        self._ids = np.empty(0, dtype=np.intp)
+        self._faults.clear()
+        self._open_syncs.clear()
+
+    def _unfolded(self) -> None:
+        """Drain, or raise when a fold has released requests."""
+        if self._folded:
+            raise RuntimeError(_FOLDED)
+        self._drain()
+
     # -- results (every accessor drains first) -----------------------------
 
     @property
@@ -873,7 +999,7 @@ class SpanCollector:
         """Stitched spans keyed by request id: a fresh snapshot built on
         each read, O(requests) per read.  Edits to the returned spans do
         not persist; read it once outside a loop."""
-        self._drain()
+        self._unfolded()
         spans = self._spans_at(np.arange(len(self._state)))
         return {span.request_id: span for span in spans}
 
@@ -884,9 +1010,10 @@ class SpanCollector:
 
     @property
     def incomplete(self) -> int:
-        """Traced requests not completed (still in flight at the read)."""
+        """Traced requests not completed (still in flight at the read,
+        or at a fold)."""
         self._drain()
-        return len(self._state) - self._completed
+        return self._folded + len(self._state) - self._completed
 
     @property
     def dropped(self) -> int:
@@ -899,19 +1026,19 @@ class SpanCollector:
         return (len(self._events) - self._cursor) // HOP_SLOTS
 
     def complete_spans(self) -> List[RequestSpan]:
-        self._drain()
+        self._unfolded()
         return self._spans_at(np.flatnonzero(self._state[:, _END] >= 0))
 
     def incomplete_spans(self) -> List[RequestSpan]:
         """Requests still in flight — a simulation that drains fully
         should leave none; orphans point at lost replies."""
-        self._drain()
+        self._unfolded()
         return self._spans_at(np.flatnonzero(self._state[:, _END] < 0))
 
     def spans(self) -> dict:
         """The JSON-serializable spans document (schema versioned;
         checked by :func:`validate_spans`)."""
-        self._drain()
+        self._unfolded()
         ordered = sorted(
             self._spans_at(np.arange(len(self._state))), key=lambda s: s.birth
         )
@@ -983,10 +1110,10 @@ class LatencyAnalysis:
     def from_collectors(cls, collectors: Sequence[SpanCollector],
                         bins: int = 2048) -> "LatencyAnalysis":
         """The analysis of several collectors' complete requests (one per
-        machine, say), read from their buffers."""
+        machine, say), read from their folded parts and buffers."""
         analysis = cls.__new__(cls)
-        analysis._set_rows([(c, *c._latency_rows()) for c in collectors], bins,
-                           sum(c.dropped for c in collectors))
+        analysis._set_rows([part for c in collectors for part in c._row_sources()],
+                           bins, sum(c.dropped for c in collectors))
         return analysis
 
     def _set_rows(self, parts: Sequence[tuple], bins: int, dropped: int) -> None:

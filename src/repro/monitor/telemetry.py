@@ -16,8 +16,9 @@ The per-run observability stack (metrics, spans, sketches) answers
   against the schema (the sibling of ``validate_spans`` /
   ``validate_chrome_trace``).
 
-* **Worker heartbeats** — :class:`HeartbeatEmitter` runs inside the
-  isolated worker process.  It observes every machine the experiment
+* **Heartbeats** — :class:`HeartbeatEmitter` runs around each
+  attempt, in the isolated worker process or in-process at
+  ``--jobs 1``.  It observes every machine the experiment
   builds (through :func:`repro.experiments.runner.observe`, as the
   report collector does) and arms an engine *pulse* — a read-only
   hook riding the Watchdog's check cadence
@@ -25,8 +26,9 @@ The per-run observability stack (metrics, spans, sketches) answers
   hot path stays untouched.  At most every
   ``min_interval_s`` wall seconds the pulse ships engine self-metrics
   (events processed, sim cycles, events/sec, peak RSS) back over the
-  worker's existing result pipe.  The parent uses heartbeat *silence*
-  — not just wall clock — to tell a hung worker from a slow one.
+  worker's existing result pipe, or straight to the event callback
+  inline.  The parent uses heartbeat *silence* — not just wall clock —
+  to tell a hung worker from a slow one.
 
 Everything here is clock-injectable (``clock=``) so tests drive the
 plumbing deterministically.
@@ -194,9 +196,9 @@ class FleetTelemetry:
     hash and wall clock, fans them out to the JSONL sink and any
     in-process listener (the live progress renderer).
 
-    ``heartbeat_s`` is the worker-side beat floor the runner passes
-    into each worker; the parent also uses it as the granularity of
-    stall accounting.
+    ``heartbeat_s`` is the beat floor the runner arms around each
+    attempt, in a worker or inline; the parent also uses it as the
+    granularity of stall accounting.
     """
 
     def __init__(
@@ -258,15 +260,16 @@ def peak_rss_kb() -> Optional[int]:
 
 
 class HeartbeatEmitter:
-    """Worker-side heartbeat source.
+    """Per-attempt heartbeat source.
 
-    Passed (inside the worker process) to
-    :func:`~repro.experiments.runner.observe`: every machine the
-    experiment builds gets an engine pulse
+    Passed (inside the worker process, or in-process for an inline
+    attempt) to :func:`~repro.experiments.runner.observe`: every machine
+    the experiment builds gets an engine pulse
     (:meth:`~repro.core.engine.Engine.attach_pulse`) that rides the
     watchdog check cadence.  The pulse is wall-clock rate-limited to
     ``min_interval_s`` and ships cumulative engine self-metrics through
-    ``send`` — in the runner, the worker's result pipe.
+    ``send`` — in the runner, the worker's result pipe or the inline
+    attempt's event callback.
 
     A beat therefore only flows while an engine is actually processing
     events: a worker wedged inside one event (or hung before building a

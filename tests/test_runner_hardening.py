@@ -59,6 +59,20 @@ def _flaky_file(path, succeed_on=2):
     return "file flaky ok"
 
 
+def _engine_work(events=20_000):
+    from repro.core.context import SimContext
+
+    engine = SimContext().engine
+    for i in range(events):
+        engine.schedule_after(float(i + 1), _noop)
+    engine.run()
+    return f"{engine.events_processed} events"
+
+
+def _noop():
+    pass
+
+
 @pytest.fixture
 def scratch_registry():
     """Register throwaway experiments; deregister them afterwards."""
@@ -308,6 +322,31 @@ class TestOneDriver:
             assert started["inline"] is True and "pid" not in started
         else:
             assert started["pid"] > 0 and "inline" not in started
+
+
+class TestInlineHeartbeats:
+    def test_inline_attempt_streams_heartbeats(self, scratch_registry):
+        """At ``jobs=1`` the in-process attempt beats like a worker: a
+        hello beat, then engine pulses, all between its start and its
+        completion."""
+        from repro.monitor.telemetry import FleetTelemetry, validate_telemetry
+
+        scratch_registry(Experiment("inline-beats", "engine work", _engine_work))
+        events = []
+        (result,) = run_all(
+            names=["inline-beats"], jobs=1,
+            telemetry=FleetTelemetry(on_event=events.append, heartbeat_s=0.0),
+        )
+        assert result.ok and result.output == "20000 events"
+        validate_telemetry(events)
+        types = [e["type"] for e in events]
+        assert types[:2] == ["run_queued", "worker_started"]
+        assert types[-1] == "completed"
+        beats = [e for e in events if e["type"] == "heartbeat"]
+        assert len(beats) == len(types) - 3 >= 2
+        assert all(e["attempt"] == 1 for e in beats)
+        assert beats[0]["events_processed"] == 0
+        assert beats[-1]["events_processed"] > 0
 
 
 class TestStreamKey:

@@ -15,7 +15,9 @@ insertion order of its stage totals and sketch buckets, on the same
 programs and on hypothesis machine floods.  The column stitch of both
 collectors is held, drain by drain, against ``PerRecordStitch``, the
 record-by-record loop it replaced, and the hop pick against a
-record-by-record scan.
+record-by-record scan.  Folds at idle points are held against a
+collector that never folds, on programs of several quiescent runs and
+on the report path's machines.
 """
 
 import itertools
@@ -23,6 +25,7 @@ import json
 import random
 
 import numpy as np
+import pytest
 
 from hypothesis import given, settings, strategies as st
 
@@ -102,19 +105,20 @@ _noise = st.one_of(
 
 
 @st.composite
-def _lifecycle(draw, rid):
+def _lifecycle(draw, rid, complete=False):
     """One request's signals in order: birth, forward hops, the memory
     module (``gm[`` record and service, either first, either possibly
     missing), sync timeouts and outcome, reverse hops, the deliver (or
     none: a lost reply, or a store completing at ``gm[``), then stray
-    repeats."""
+    repeats.  A ``complete`` request always completes: a store reaches
+    ``gm[``, any other request is delivered."""
     origin = draw(st.sampled_from(ORIGINS))
     script = [("birth", rid, origin)]
     for hop in draw(st.lists(_hop, max_size=3)):
         script += [("hop", rid, *hop), draw(_advance)]
     module = draw(st.integers(0, 2))
     memory = []
-    if draw(st.integers(0, 9)):
+    if (complete and origin == "store") or draw(st.integers(0, 9)):
         memory.append(("gm", rid, module, origin == "store", draw(_cycles),
                        draw(_cycles), draw(_cycles)))
     if draw(st.integers(0, 9)):
@@ -129,7 +133,7 @@ def _lifecycle(draw, rid):
         script.append(("sync", rid, draw(st.booleans())))
     for hop in draw(st.lists(_hop, max_size=2)):
         script += [draw(_advance), ("hop", rid, *hop)]
-    if origin != "store" and draw(st.integers(0, 9)):
+    if origin != "store" and (complete or draw(st.integers(0, 9))):
         script.append(("deliver", rid))
     script += draw(st.lists(st.one_of(
         st.just(("deliver", rid)),
@@ -142,11 +146,8 @@ def _lifecycle(draw, rid):
     return script
 
 
-@st.composite
-def _programs(draw):
-    """Interleaved request lifecycles plus stray signals."""
-    queues = [draw(_lifecycle(rid)) for rid in range(draw(st.integers(0, 9)))]
-    queues += [[op] for op in draw(st.lists(_noise, max_size=15))]
+def _interleave(draw, queues) -> list:
+    """The ops of ``queues`` merged, each queue keeping its order."""
     program = []
     while queues:
         k = draw(st.integers(0, len(queues) - 1))
@@ -156,10 +157,51 @@ def _programs(draw):
     return program
 
 
-def _play(program, collectors) -> None:
+@st.composite
+def _programs(draw):
+    """Interleaved request lifecycles plus stray signals."""
+    queues = [draw(_lifecycle(rid)) for rid in range(draw(st.integers(0, 9)))]
+    queues += [[op] for op in draw(st.lists(_noise, max_size=15))]
+    return _interleave(draw, queues)
+
+
+#: the ops whose second field is a request id.
+_NAMING = {"birth", "hop", "gm", "gsvc", "deliver", "sync", "transient", "ecc",
+           "reroute"}
+
+
+@st.composite
+def _quiescent_run(draw, first):
+    """One run that ends idle: lifecycles of request ids ``first`` to
+    ``first + 9`` that all complete, interleaved with stray signals that
+    name only those ids (a stray birth may leave a request that never
+    completes), so no record after the run names a request it traced."""
+    queues = [draw(_lifecycle(first + rid, complete=True))
+              for rid in range(draw(st.integers(0, 9)))]
+    queues += [
+        [(op[0], first + op[1], *op[2:]) if op[0] in _NAMING else op]
+        for op in draw(st.lists(_noise, max_size=15))
+    ]
+    return _interleave(draw, queues)
+
+
+@st.composite
+def _idle_programs(draw):
+    """Several quiescent runs on one machine, a fold after each run
+    (``("fold",)``), the last one's optional."""
+    program = []
+    for k in range(draw(st.integers(1, 4))):
+        program += draw(_quiescent_run(10 * k)) + [("fold",)]
+    if draw(st.booleans()):
+        program.pop()
+    return program
+
+
+def _play(program, collectors, fold=False) -> None:
     """Emit ``program`` on a fresh bus the ``collectors`` listen to.
     Request ids are born once each (as the process-wide counter
-    guarantees)."""
+    guarantees).  A ``("fold",)`` op folds the collectors when ``fold``
+    is set and drains them otherwise."""
     bus = SignalBus()
     for collector in collectors:
         collector.attach(bus)
@@ -224,6 +266,9 @@ def _play(program, collectors) -> None:
             bus.signal("fault.sync_timeout").emit(2, address, now, cycles)
         elif kind == "advance":
             now += op[1]
+        elif kind == "fold" and fold:
+            for collector in collectors:
+                collector.fold()
         else:
             for collector in collectors:
                 collector._drain()
@@ -303,6 +348,34 @@ def test_streaming_store_matches_oracle(program, cap, exemplars, seed):
                                  seed=seed),
         PerRequestFoldStore(max_requests=cap, exemplars=exemplars, seed=seed),
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(program=_idle_programs(), cap=st.sampled_from((1, 2, 4, 1000)))
+def test_idle_folds_match_oracle(program, cap):
+    """Folding at the idle point after each run leaves the summary, the
+    stage decomposition and the counts of the collector that never
+    folds, and the summary of the tuple-buffer oracle; once a fold has
+    released requests, the per-request reads raise."""
+    folded, plain = SpanCollector(max_requests=cap), SpanCollector(max_requests=cap)
+    oracle = OracleSpanCollector(max_requests=cap)
+    _play(program, [folded], fold=True)
+    _play(program, [plain])
+    _play(program, [oracle])
+    mine = LatencyAnalysis.from_collectors([folded])
+    theirs = LatencyAnalysis.from_collectors([plain])
+    _same(mine.summary(), theirs.summary())
+    _same(mine.summary(), oracle_summary(oracle.complete_spans(), oracle.dropped))
+    _same(mine.stage_decomposition(), theirs.stage_decomposition())
+    assert ((folded.dropped, folded.completed, folded.incomplete)
+            == (plain.dropped, plain.completed, plain.incomplete))
+    if not folded._folded:
+        _same(folded.spans(), plain.spans())
+        return
+    for read in (folded.spans, folded.complete_spans, folded.incomplete_spans,
+                 lambda: folded.requests):
+        with pytest.raises(RuntimeError, match="folded"):
+            read()
 
 
 def _absent(index: int):
@@ -594,3 +667,46 @@ def test_report_path_builds_no_request_spans(monkeypatch):
     assert record["latency"]["requests"] > 0
     assert record["latency"]["bottleneck"] is not None
     assert built == []
+
+
+def _report_program(port):
+    stream = yield StartPrefetch(length=8, stride=1, address=64 * port)
+    yield AwaitStream(stream)
+    yield GlobalLoad(length=4, stride=1, address=4096 + 64 * port)
+    yield GlobalStore(length=2, stride=1, address=8192 + 64 * port)
+    yield SyncInstruction(address=port % 3)
+
+
+@pytest.mark.parametrize("again", [False, True])
+def test_report_path_folds_idle_machines(again):
+    """Building a machine folds every earlier idle one: its buffer is
+    empty from then on, and every machine's reported latency summary is
+    the one an unfolded collector on the same bus gives — also when the
+    first machine runs again after the second is built."""
+    from repro.experiments.runner import observe
+    from repro.monitor.report import ReportCollector
+
+    references = []
+
+    def reference(ctx):
+        references.append(SpanCollector(max_requests=ReportCollector.SPAN_CAP)
+                          .attach(ctx.bus))
+
+    def run(machine, ports=range(8)):
+        machine.run_programs({port: _report_program(port) for port in ports})
+
+    collector = ReportCollector()
+    with observe(collector, reference):
+        first = CedarMachine(CedarConfig())
+        run(first)
+        second = CedarMachine(CedarConfig())
+        folded = collector._records[0][2]
+        assert folded._events == [] and folded._folded > 0
+        if again:  # on CEs that have not run yet
+            run(first, range(8, 16))
+        run(second)
+        records = collector.machine_dicts()
+    assert len(records) == len(references) == 2
+    for record, ref in zip(records, references):
+        assert record["latency"]["requests"] > 0
+        _same(record["latency"], LatencyAnalysis.from_collectors([ref]).summary())
