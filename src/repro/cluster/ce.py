@@ -265,6 +265,7 @@ class CE:
             raise SimulationError(f"CE {self.port} is already running a program")
         self._program = program
         self._on_done = on_done
+        self.done = False
         self.engine.schedule_after(0.0, self._step, None)
 
     def _step(self, value: Any) -> None:
@@ -272,6 +273,8 @@ class CE:
         try:
             op = self._program.send(value)
         except StopIteration:
+            # finished: the CE takes a new program from here on
+            self._program = None
             self.done = True
             self.stats.finished_at = self.engine.now
             sig = self._sig_done

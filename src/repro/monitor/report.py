@@ -21,10 +21,10 @@ the simulated results are bit-identical with or without collection.
 
 Each machine's span collector buffers one record per signal.  Building
 a machine folds the buffers of the earlier machines whose engines are
-idle (:meth:`~repro.monitor.spans.SpanCollector.fold`): nothing is in
-flight there, so the latency summary stays exact while one raw buffer is
-alive at a time.  Contexts and registries live until the report is
-built.
+idle (:meth:`~repro.monitor.spans.SpanCollector.fold`; a streaming
+store answers with one more drain): nothing is in flight there, so the
+latency summary stays exact while one raw buffer is alive at a time.
+Contexts and registries live until the report is built.
 """
 
 from __future__ import annotations
@@ -89,12 +89,11 @@ class ReportCollector:
         self.timeline = timeline
 
     def __call__(self, ctx) -> Callable[[], None]:
-        if not self.stream:
-            # an idle engine has nothing in flight, so no later record
-            # can name a request its machine traced: fold its buffer
-            for earlier, _registry, spans, _timeline in self._records:
-                if earlier.engine.pending() == 0:
-                    spans.fold()
+        # an idle engine has nothing in flight, so no later record can
+        # name a request its machine traced: fold its buffer
+        for earlier, _registry, spans, _timeline in self._records:
+            if earlier.engine.pending() == 0:
+                spans.fold()
         registry = MetricsRegistry()
         monitors = attach_standard_monitors(ctx, registry)
         if self.stream:

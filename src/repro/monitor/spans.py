@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -389,28 +389,6 @@ def _lookup(keys: np.ndarray, values: np.ndarray, probe: np.ndarray) -> np.ndarr
     return np.where(keys[at] == probe, values[at], -1)
 
 
-def _phase_columns(buf: list, bs: np.ndarray, es: np.ndarray, gs: np.ndarray,
-                   ss: np.ndarray) -> Tuple[list, np.ndarray, List[np.ndarray]]:
-    """``(origins, latencies, phases)`` of complete requests whose birth,
-    completion, ``gm[`` and memory-service records sit at the buffer
-    indices ``bs``, ``es``, ``gs`` and ``ss``: an origin list, a latency
-    array and the five phase arrays, one entry per request, with
-    :meth:`RequestSpan.phases`' arithmetic done elementwise."""
-    births = _gather(buf, bs, 7)
-    ends = _gather(buf, es, 7)
-    enqueues = _gather(buf, gs, 5)
-    departs = _gather(buf, gs, 7)
-    cycles = _gather(buf, ss, 4)
-    served = _gather(buf, ss, 6)
-    return list(map(buf.__getitem__, (bs + 2).tolist())), ends - births, [
-        enqueues - births,
-        (served - cycles) - enqueues,
-        cycles,
-        departs - served,
-        ends - departs,
-    ]
-
-
 def _drifts(latencies: np.ndarray, phases: Sequence[np.ndarray]) -> np.ndarray:
     """``abs(sum(phases) - latency)`` per request, given the five phase
     arrays, added left to right as a ``+=`` loop adds them."""
@@ -464,34 +442,25 @@ _FOLDED = ("this collector's records were folded (SpanCollector.fold): "
 
 
 class _FoldedRows:
-    """The complete requests with a memory timeline that one
-    :meth:`SpanCollector.fold` moved out of the record buffer, in
-    admission order: the report columns (origin, latency, the five
-    phases) and each request's hops as :func:`stage_segments` takes them
-    (a stage code and four floats per hop): about 260 bytes per request
-    of six hops.  It answers the hop read of :class:`LatencyAnalysis`;
-    its spans are gone."""
+    """The complete requests with a memory timeline that one buffered
+    fold (:meth:`SpanCollector.fold`) kept, in admission order: the
+    report columns (origin, latency, the five phases) and each request's
+    hops as :func:`stage_segments` takes them (a stage code and four
+    floats per hop): about 260 bytes per request of six hops.  It
+    answers the hop read of :class:`LatencyAnalysis`; its spans are
+    gone."""
 
-    def __init__(self, buf: list, origins: list, latencies: np.ndarray,
-                 phases: Sequence[np.ndarray], at: np.ndarray,
-                 counts: List[int]) -> None:
+    def __init__(self, origins: list, latencies: np.ndarray,
+                 phases: Sequence[np.ndarray], counts: List[int],
+                 fields: tuple) -> None:
         self._origin_names, self._origins = _encode(origins)
         self._latencies = latencies
         self._phases = np.array(phases)
         self._offsets = np.concatenate(([0], np.cumsum(counts, dtype=np.intp)))
-        # the hop records at buffer indices ``at``, slot by slot: one
-        # slice of the buffer per slot, picked in numpy (cheaper than a
-        # gather per slot once most records are hops)
-        records = at // HOP_SLOTS
-        resources, codes = _encode(
-            np.array(buf[0::HOP_SLOTS], dtype=object)[records].tolist()
-        )
-        self._stage_names, stage_of = _encode(list(map(_stage_of, resources)))
-        self._stages = stage_of[codes]
+        stages, *hops = fields
+        self._stage_names, self._stages = _encode(stages)
         #: svc, enqueue, service_end and depart of each hop
-        self._hops = np.empty((4, len(records)))
-        for k, slot in enumerate((4, 5, 6, 7)):
-            self._hops[k] = np.array(buf[slot::HOP_SLOTS], dtype=object)[records]
+        self._hops = hops
 
     def rows(self) -> tuple:
         """``(self, keys, origins, latencies, phases)``: every row, as
@@ -515,7 +484,7 @@ class _FoldedRows:
                                                  counts)
         names = self._stage_names
         return ((list(map(names.__getitem__, self._stages[at].tolist())),
-                 *self._hops[:, at]), counts.tolist())
+                 *(column[at] for column in self._hops)), counts.tolist())
 
 
 class SpanCollector:
@@ -561,14 +530,17 @@ class SpanCollector:
     Occupancies still in flight when the run ends have not departed and
     therefore produce no hop record.
 
-    Folding at idle points
-    ----------------------
+    One fold, two accumulators
+    --------------------------
 
-    :meth:`fold` moves the complete requests with a memory timeline out
-    of the buffer into a compact columnar part and empties the buffer,
-    so a collector that outlives its machine's run keeps only what the
-    latency summary reads.  It is exact when the engine is idle: nothing
-    is in flight, so no later record can name a folded request.  The
+    A fold (:meth:`_fold`) builds the report columns of the final rows
+    once, hands them to the collector's accumulator
+    (:meth:`_accumulate`), releases the rows and compacts the buffer to
+    the records still in flight.  This collector folds at idle points
+    (:meth:`fold`), where every row is final: its accumulator keeps the
+    columns exactly, in admission order, and the buffer empties.  The
+    streaming store folds its completions into sketches at each drain.
+    The
     admitted count (the ``max_requests`` cap), :attr:`dropped`,
     :attr:`completed` and :attr:`incomplete` carry across folds, and
     :meth:`LatencyAnalysis.from_collectors` reads the folded parts and
@@ -620,8 +592,8 @@ class SpanCollector:
         self._ids = np.empty(0, dtype=np.intp)
         self._dropped = 0
         self._completed = 0
-        #: the parts :meth:`fold` made, and how many admitted requests
-        #: it released from the state.
+        #: the parts the buffered accumulator kept, and how many admitted
+        #: requests folds released from the state.
         self._folds: List[_FoldedRows] = []
         self._folded = 0
         self._subscriptions: List[tuple] = []
@@ -770,8 +742,9 @@ class SpanCollector:
         if len(timeouts) or faulty.any():
             self._charge(np.concatenate((at[faulty], timeouts)), stops)
         finish = np.flatnonzero(closes < _NEVER)
-        finish = finish[np.argsort(closes[finish])]
-        self._close(finish, closes[finish])
+        self._completed += len(finish)
+        self._close_syncs(finish)
+        state[finish, _END] = closes[finish]
 
     # -- stitching steps ---------------------------------------------------
 
@@ -822,16 +795,9 @@ class SpanCollector:
                     continue
             faults.setdefault(rid, []).append(i)
 
-    def _close(self, rows: np.ndarray, es: np.ndarray) -> None:
-        """Complete the requests in ``rows`` at the records at ``es``,
-        given in completion order."""
-        self._completed += len(rows)
-        self._close_syncs(rows)
-        self._state[rows, _END] = es
-
     def _close_syncs(self, rows: np.ndarray) -> None:
-        """Take the sync requests among completed ``rows`` off their
-        address's open list."""
+        """Take the sync requests among ``rows`` (completed or released)
+        off their address's open list."""
         buf = self._events
         bs = self._state[rows, _BIRTH]
         for b in bs[self._kind[bs // HOP_SLOTS] == _EV_SYNC_BIRTH].tolist():
@@ -867,12 +833,16 @@ class SpanCollector:
 
     def _hop_fields(self, at: np.ndarray) -> tuple:
         """The :func:`stage_segments` fields of the hop records at buffer
-        indices ``at``."""
+        indices ``at``: one slice of the buffer per slot, picked in numpy
+        (a gather per slot peaked higher on a machine-sized fold)."""
         buf = self._events
-        return (
-            list(map(_stage_of, map(buf.__getitem__, at.tolist()))),
-            *(_gather(buf, at, k) for k in (4, 5, 6, 7)),
-        )
+        records = at // HOP_SLOTS
+
+        def column(slot: int) -> np.ndarray:
+            return np.array(buf[slot::HOP_SLOTS], dtype=object)[records]
+
+        return (list(map(_stage_of, column(0).tolist())),
+                *(column(k).astype(float) for k in (4, 5, 6, 7)))
 
     def _records(self, at: np.ndarray) -> list:
         """The flat records at buffer indices ``at``, concatenated."""
@@ -940,51 +910,110 @@ class SpanCollector:
             for (_rid, b, e, g, s, y), raw in zip(self._state[rows].tolist(), hops)
         ]
 
-    def _latency_rows(self) -> tuple:
-        """``(rows, origins, latencies, phases)`` of the complete
-        requests with a memory timeline, in admission order (see
-        :func:`_phase_columns`)."""
-        self._drain()
-        state = self._state
-        rows = np.flatnonzero((state[:, _END] >= 0) & (state[:, _MEM] >= 0)
-                              & (state[:, _SVC] >= 0))
-        picked = state[rows]
-        return (rows, *_phase_columns(self._events, picked[:, _BIRTH],
-                                      picked[:, _END], picked[:, _MEM],
-                                      picked[:, _SVC]))
+    def _report_columns(self, rows: np.ndarray) -> tuple:
+        """``(rows, origins, latencies, phases)`` of the complete requests
+        with a memory timeline among ``rows``, in the order given, with
+        :meth:`RequestSpan.phases`' arithmetic done elementwise."""
+        picked = self._state[rows]
+        phased = ((picked[:, _END] >= 0) & (picked[:, _MEM] >= 0)
+                  & (picked[:, _SVC] >= 0))
+        buf = self._events
+        bs, es, gs, ss = picked[phased][:, [_BIRTH, _END, _MEM, _SVC]].T
+        births = _gather(buf, bs, 7)
+        ends = _gather(buf, es, 7)
+        enqueues = _gather(buf, gs, 5)
+        departs = _gather(buf, gs, 7)
+        cycles = _gather(buf, ss, 4)
+        served = _gather(buf, ss, 6)
+        origins = list(map(buf.__getitem__, (bs + 2).tolist()))
+        return rows[phased], origins, ends - births, [
+            enqueues - births,
+            (served - cycles) - enqueues,
+            cycles,
+            departs - served,
+            ends - departs,
+        ]
 
     def _row_sources(self) -> List[tuple]:
         """``(source, keys, origins, latencies, phases)`` per source of
         the complete requests with a memory timeline: each folded part,
-        then the buffer (see :meth:`LatencyAnalysis._set_rows`)."""
+        then the buffer, in admission order (see
+        :meth:`LatencyAnalysis._set_rows`)."""
+        self._drain()
         return [part.rows() for part in self._folds] + [
-            (self, *self._latency_rows())
+            (self, *self._report_columns(np.arange(len(self._state))))
         ]
 
     # -- folding -----------------------------------------------------------
 
     def fold(self) -> None:
-        """Move the complete requests with a memory timeline into a
-        compact columnar part and empty the buffer and the stitching
-        state.  Exact at an idle point, where nothing is in flight: a
-        request still incomplete then never completes, so it stays
-        counted in :attr:`incomplete` and its records go.  (The
-        streaming store folds each drain on its own and never calls
-        this.)"""
-        rows, origins, latencies, phases = self._latency_rows()
-        if len(rows):
-            at, counts = self._hop_runs(*self._bounds(rows))
-            self._folds.append(_FoldedRows(self._events, origins, latencies,
-                                           phases, at, counts))
-        self._folded += len(self._state)
-        del self._events[:]  # in place: the bus holds its extend
-        self._cursor = 0
-        # fresh arrays: an empty view would keep the old ones alive
-        self._state = np.empty((0, 6), dtype=np.intp)
-        self._kind = np.empty(0, dtype=np.int8)
-        self._ids = np.empty(0, dtype=np.intp)
-        self._faults.clear()
-        self._open_syncs.clear()
+        """Fold every request at an idle point, where nothing is in
+        flight.  A request still incomplete then never completes, so it
+        stays counted in :attr:`incomplete` and its records go."""
+        self._drain()
+        self._fold(np.arange(len(self._state)))
+
+    def _fold(self, rows: np.ndarray) -> None:
+        """The one fold, over the final ``rows`` in the order given: the
+        report columns, hop pick and hop fields of the complete ones with
+        a memory timeline go to :meth:`_accumulate`, then ``rows`` are
+        released and the buffer compacted."""
+        phased, *columns = self._report_columns(rows)
+        if len(phased):
+            at, counts = self._hop_runs(*self._bounds(phased))
+            self._accumulate(phased, *columns, at, counts, self._hop_fields(at))
+        self._release(rows)
+        self._compact()
+
+    def _accumulate(self, rows: np.ndarray, origins: list,
+                    latencies: np.ndarray, phases: List[np.ndarray],
+                    at: np.ndarray, counts: List[int], fields: tuple) -> None:
+        """Take a fold's columns (hop records at buffer indices ``at``,
+        ``counts`` per row).  The buffered collector keeps them exactly,
+        as one part that :meth:`LatencyAnalysis.from_collectors` reads."""
+        self._folds.append(_FoldedRows(origins, latencies, phases, counts,
+                                       fields))
+
+    def _release(self, rows: np.ndarray) -> None:
+        """Drop the requests in ``rows`` from the state, with their fault
+        lists and their places on the open sync lists."""
+        state = self._state
+        self._close_syncs(rows)
+        if self._faults:
+            for rid in state[rows, _RID].tolist():
+                self._faults.pop(rid, None)
+        self._state = np.delete(state, rows, axis=0)
+        self._folded += len(rows)
+
+    def _compact(self) -> None:
+        """Shrink the buffer to the records of the requests still tracked
+        (their birth and every later record naming them, plus the sync
+        timeouts charged to them) and re-point their indices; the kind
+        and id columns become fresh arrays (a view keeps the old alive)."""
+        buf = self._events
+        state = self._state
+        ids = self._ids
+        keep = np.zeros(len(ids), dtype=bool)
+        if len(state):  # no buffer-sized lookup when the fold took all
+            row = self._rows_of(ids)
+            named = np.flatnonzero(row >= 0)
+            keep[named] = named * HOP_SLOTS >= state[row[named], _BIRTH]
+            keep[[j // HOP_SLOTS for idx in self._faults.values() for j in idx
+                  if buf[j + 1] < 0]] = True
+        keep = np.flatnonzero(keep)
+        carried = self._records(keep * HOP_SLOTS)
+        del buf[:]  # in place: the bus holds its extend
+        buf += carried
+        self._cursor = len(carried)
+        self._kind = self._kind[keep]
+        self._ids = ids[keep]
+        # every index the state and fault lists hold is a kept record's
+        at = state[:, _BIRTH:]
+        state[:, _BIRTH:] = np.where(
+            at >= 0, HOP_SLOTS * np.searchsorted(keep, at // HOP_SLOTS), -1)
+        for rid, idx in self._faults.items():
+            self._faults[rid] = (HOP_SLOTS * np.searchsorted(
+                keep, np.array(idx) // HOP_SLOTS)).tolist()
 
     def _unfolded(self) -> None:
         """Drain, or raise when a fold has released requests."""
@@ -1010,8 +1039,9 @@ class SpanCollector:
 
     @property
     def incomplete(self) -> int:
-        """Traced requests not completed (still in flight at the read,
-        or at a fold)."""
+        """Traced requests not completed: still in flight at the read,
+        or at the fold that released them (an idle point, or the
+        streaming store's eviction at its cap)."""
         self._drain()
         return self._folded + len(self._state) - self._completed
 

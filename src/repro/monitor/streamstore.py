@@ -1,11 +1,18 @@
 """Streaming span store: bounded-memory observability for unbounded runs.
 
 The buffered :class:`~repro.monitor.spans.SpanCollector` keeps every
-stitched span until read time — exact, but O(requests) memory, so a
-week-long soak run either hits the ``max_requests`` cap (silent
-truncation) or grows without bound.  :class:`StreamingSpanStore`
-subscribes to the *same* signals and flat records, but folds each
-request into constant-size state at the drain after it completes:
+stitched record until its machine goes idle — exact, but O(requests)
+memory while it runs, so a week-long soak run either hits the
+``max_requests`` cap (silent truncation) or grows without bound.
+:class:`StreamingSpanStore` subscribes to the *same* signals and flat
+records and runs the *same* fold — stitch, fold the final rows, release
+them, compact the buffer — with another accumulator, at another time.
+The buffered collector folds at idle points: every row, in admission
+order, kept exactly as report columns and hop fields, and then every
+row released.  The store folds at every drain (each
+``DRAIN_THRESHOLD`` slots, and at any read): its completions, in
+completion order, into constant-size state, and then it releases them
+and its cap evictions:
 
 * end-to-end latency into per-origin :class:`QuantileSketch` banks,
 * the five-phase decomposition into per-phase sketches,
@@ -13,7 +20,7 @@ request into constant-size state at the drain after it completes:
   accumulators plus per-stage sketches,
 * the request offered to an :class:`ExemplarReservoir` (K slowest
   completes, K most recent incompletes) — a span is built only when
-  the reservoir keeps it — then **released**,
+  the reservoir keeps it — before the fold releases it,
 
 and the record buffer is compacted to the requests still in flight —
 
@@ -58,7 +65,7 @@ from __future__ import annotations
 
 import json
 from itertools import accumulate, chain, repeat
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -69,7 +76,6 @@ from repro.monitor.sketch import (
     chained_sum,
 )
 from repro.monitor.spans import (
-    HOP_SLOTS,
     MEMORY_PHASES,
     PHASES,
     RECONCILE_TOLERANCE,
@@ -77,14 +83,11 @@ from repro.monitor.spans import (
     STREAM_SPANS_VERSION,
     SpanCollector,
     _BIRTH,
-    _MEM,
+    _END,
     _RID,
-    _SVC,
-    _SYNC,
     _drifts,
     _gather,
     _groups,
-    _phase_columns,
     concat_hops,
     rank_stages,
     stage_segments,
@@ -95,24 +98,18 @@ from repro.monitor.spans import (
 class StreamingSpanStore(SpanCollector):
     """Full tracing with streaming folds: every request is traced, none
     is retained past completion.  ``max_requests`` bounds the *in-flight*
-    set only (completed spans are released immediately); at the cap the
+    set only (completed spans are released at once); at the cap the
     oldest in-flight span is evicted into the exemplar reservoir rather
-    than dropping the new birth.
-
-    A completion releases the request's stitching state at once (later
-    records for it are ignored, and it no longer counts against the
-    in-flight cap); each drain then folds that drain's completions in
-    completion order, and compacts the buffer down to the records of the
-    requests still in flight.
+    than dropping the new birth.  Each drain is one fold
+    (:meth:`SpanCollector._fold`); a completed request reads no later
+    record and no longer counts against the in-flight cap.
     """
 
-    #: drain the event buffer whenever it holds this many unstitched
-    #: slots (checked on birth/deliver — the cheap, per-request signals —
-    #: so the buffer stays bounded without touching the per-hop fast path).
-    #: 2048 records: a drain stitches and folds in columns (one
-    #: ``record_many`` per sketch, one numpy pass over all its hops,
-    #: no per-request hop list), so the batch size sets both the peak
-    #: of those columns and how many calls a run's fold makes.
+    #: drain (and fold) whenever the buffer holds this many unstitched
+    #: slots, 2048 records, checked on birth/deliver — the cheap,
+    #: per-request signals — so the per-hop fast path is untouched.  The
+    #: batch size sets both the peak of a fold's columns and how many
+    #: calls a run's folds make.
     DRAIN_THRESHOLD = 16_384
 
     #: default exemplar reservoir size (slowest K + most recent K).
@@ -141,21 +138,19 @@ class StreamingSpanStore(SpanCollector):
         self.exemplars = ExemplarReservoir(k=exemplars, seed=seed)
         #: in-flight spans evicted at the cap (their completion is lost).
         self.evicted = 0
-        #: completed spans with no memory timeline (excluded from the
-        #: sketches, exactly as LatencyAnalysis excludes them).
-        self.completed_without_phases = 0
         #: the running reconciliation invariant.
         self.reconciliation_checked = 0
         self.reconciliation_violations = 0
         self.reconciliation_worst = 0.0
-        #: this drain's completions in completion order: request ids,
-        #: their birth, completion, gm[, memory-service and sync indices
-        #: (-1 when absent), and fault lists (None when absent).
-        self._pending: Optional[tuple] = None
-        #: state rows this drain completes, and ``{row: index}`` of the
-        #: ones it evicts, in eviction order.
-        self._closing = np.empty(0, dtype=np.intp)
+        #: ``{row: index}`` of the requests the last stitch evicted, in
+        #: eviction order.
         self._evicting: Dict[int, int] = {}
+
+    @property
+    def completed_without_phases(self) -> int:
+        """Completed spans with no memory timeline: every completion is
+        folded at its drain, and only the phased ones are checked."""
+        return self._completed - self.reconciliation_checked
 
     # -- bounded event buffer ---------------------------------------------
 
@@ -170,10 +165,28 @@ class StreamingSpanStore(SpanCollector):
             self._drain()
 
     def _drain(self) -> None:
+        """Stitch, offer the cap evictions to the reservoir's incomplete
+        side with what they held when evicted, then fold the completions
+        in completion order and release both."""
+        if len(self._events) == self._cursor:
+            return
         super()._drain()
-        self._release()
-        self._fold()
-        self._compact()
+        state = self._state
+        cut = self._evicting
+        evicted = np.fromiter(cut, np.intp, len(cut))
+        hops = self._hop_records(state[evicted, _BIRTH],
+                                 np.fromiter(cut.values(), np.intp, len(cut)))
+        for row, raw in zip(state[evicted].tolist(), hops):
+            self.exemplars.offer_incomplete(
+                self._span(*row[_BIRTH:], self._faults.get(row[_RID]), raw)
+            )
+        self.evicted += len(cut)
+        done = np.flatnonzero(state[:, _END] >= 0)
+        self._fold(np.concatenate((done[np.argsort(state[done, _END])], evicted)))
+
+    def fold(self) -> None:
+        """The store folds at every drain: an idle point is one more."""
+        self._drain()
 
     # -- bounded tracked set ----------------------------------------------
 
@@ -190,7 +203,7 @@ class StreamingSpanStore(SpanCollector):
         completions, in record order."""
         state = self._state
         cap = self.max_requests
-        cut = self._evicting
+        cut = self._evicting = {}
         if len(state) <= cap:
             return cut
         live = dict.fromkeys(range(len(state) - born))
@@ -209,89 +222,38 @@ class StreamingSpanStore(SpanCollector):
             live[row] = None
         return cut
 
-    def _release(self) -> None:
-        """Offer this drain's evicted requests to the reservoir's
-        incomplete side, in eviction order, with what they held when
-        evicted; then drop them and this drain's completions from the
-        state."""
-        state = self._state
-        cut = self._evicting
-        if not cut and not len(self._closing):
-            return
-        if cut:
-            self._evicting = {}
-            rows = np.fromiter(cut, np.intp, len(cut))
-            hops = self._hop_records(state[rows, _BIRTH],
-                                     np.fromiter(cut.values(), np.intp, len(cut)))
-            buf = self._events
-            for (_rid, b, _e, g, s, y), raw in zip(state[rows].tolist(), hops):
-                self.exemplars.offer_incomplete(self._span(
-                    b, -1, g, s, y, self._faults.pop(buf[b + 1], None), raw,
-                ))
-            self.evicted += len(cut)
-        keep = np.ones(len(state), dtype=bool)
-        keep[self._closing] = False
-        keep[list(cut)] = False
-        self._state = state[keep]
-        self._closing = self._closing[:0]
+    # -- the streaming accumulator -----------------------------------------
 
-    # -- fold-and-release --------------------------------------------------
-
-    def _close(self, rows: np.ndarray, es: np.ndarray) -> None:
-        """Release completed requests at once, handing their state to
-        this drain's fold."""
-        self._completed += len(rows)
-        self._close_syncs(rows)
-        picked = self._state[rows]
-        rids = picked[:, _RID].tolist()
-        self._pending = (
-            rids, picked[:, _BIRTH], es, picked[:, _MEM], picked[:, _SVC],
-            picked[:, _SYNC], list(map(self._faults.pop, rids, repeat(None))),
-        )
-        self._closing = rows
-
-    def _fold(self) -> None:
+    def _accumulate(self, rows: np.ndarray, origins: list,
+                    latencies: np.ndarray, phases: List[np.ndarray],
+                    at: np.ndarray, counts: List[int], fields: tuple) -> None:
         """Fold this drain's completions, in completion order, into the
         sketches, the exact stage sums, the reconciliation counters and
         the exemplar reservoir — column by column: one
         :meth:`QuantileSketch.record_many` per sketch, one numpy pass
         over the drain's hops (:func:`stage_segments`)."""
-        if self._pending is None:
-            return
-        rids, bs, es, gs, ss, ys, fs = self._pending
-        self._pending = None
-        phased = np.flatnonzero((gs >= 0) & (ss >= 0))
-        self.completed_without_phases += len(rids) - len(phased)
-        if not len(phased):
-            return
-        picked = phased.tolist()
-        rids, fs = [rids[k] for k in picked], [fs[k] for k in picked]
-        bs, es, gs, ss, ys = (column[phased] for column in (bs, es, gs, ss, ys))
-        origins, latencies, phases = _phase_columns(self._events, bs, es, gs, ss)
         values = latencies.tolist()
         sketches = self.latency_sketches
         sketches["all"].record_many(values)
-        for origin, rows in _groups(origins).items():
+        for origin, picked in _groups(origins).items():
             sketch = sketches.get(origin)
             if sketch is None:
                 sketch = sketches[origin] = QuantileSketch(self.relative_error)
-            sketch.record_many(latencies[rows].tolist())
+            sketch.record_many(latencies[picked].tolist())
         for phase, column in zip(PHASES, phases):
             self.phase_sketches[phase].record_many(column.tolist())
         # exact stage sums: each stage's traversals in completion order
         # (each request's hops in emission order, then its memory term),
         # added left to right onto the running totals
-        at, counts = self._hop_runs(bs, es)
-        segments = stage_segments(self._hop_fields(at), counts, phases[1:4])
         totals = self.stage_totals
-        for stage, rows in segments.items():
+        for stage, segments in stage_segments(fields, counts, phases[1:4]).items():
             entry = totals.get(stage)
             if entry is None:
                 entry = totals[stage] = [0.0, 0.0, 0.0, 0]
                 self.stage_sketches[stage] = QuantileSketch(self.relative_error)
-            entry[:3] = chained_sum(rows, entry[:3])
-            entry[3] += len(rows)
-            self.stage_sketches[stage].record_many(traversal_cycles(rows))
+            entry[:3] = chained_sum(segments, entry[:3])
+            entry[3] += len(segments)
+            self.stage_sketches[stage].record_many(traversal_cycles(segments))
         # the exact reconciliation invariant, checked at fold time
         # instead of held for a post-hoc pass
         drifts = _drifts(latencies, phases)
@@ -302,47 +264,14 @@ class StreamingSpanStore(SpanCollector):
                                         drifts.max().item())
         self.reconciliation_checked += len(values)
         # a span (and its hop list) is built only when the reservoir
-        # keeps it
+        # keeps it, before the fold releases the rows
+        state = self._state[rows]
+        rids = state[:, _RID].tolist()
         offsets = list(accumulate(counts, initial=0))
-        bs, es, gs, ss, ys = (column.tolist() for column in (bs, es, gs, ss, ys))
         self.exemplars.offer_ranked_many(values, rids, lambda k: self._span(
-            bs[k], es[k], gs[k], ss[k], ys[k], fs[k],
+            *state[k, _BIRTH:].tolist(), self._faults.get(rids[k]),
             self._records(at[offsets[k]:offsets[k + 1]]),
         ))
-
-    def _compact(self) -> None:
-        """Shrink the buffer to the records of the requests still in
-        flight (their birth and every later record naming them, plus the
-        sync timeouts charged to them), and re-point their state and the
-        kind and id columns."""
-        buf = self._events
-        state = self._state
-        if not len(state):
-            del buf[:]
-            self._cursor = 0
-            self._kind = self._kind[:0]
-            self._ids = self._ids[:0]
-            return
-        ids = self._ids
-        row = self._rows_of(ids)
-        named = np.flatnonzero(row >= 0)
-        keep = np.zeros(len(ids), dtype=bool)
-        keep[named] = named * HOP_SLOTS >= state[row[named], _BIRTH]
-        keep[[j // HOP_SLOTS for idx in self._faults.values() for j in idx
-              if buf[j + 1] < 0]] = True
-        keep = np.flatnonzero(keep)
-        carried = self._records(keep * HOP_SLOTS)
-        renumber = np.full(len(ids), -1, dtype=np.intp)
-        renumber[keep] = np.arange(0, len(carried), HOP_SLOTS)
-        del buf[:]  # clears in place: no copy of the old buffer
-        buf += carried
-        self._cursor = len(carried)
-        self._kind = self._kind[keep]
-        self._ids = ids[keep]
-        at = state[:, _BIRTH:]
-        state[:, _BIRTH:] = np.where(at >= 0, renumber[at // HOP_SLOTS], -1)
-        for rid, idx in self._faults.items():
-            self._faults[rid] = renumber[np.array(idx) // HOP_SLOTS].tolist()
 
     # -- results -----------------------------------------------------------
 
@@ -351,13 +280,6 @@ class StreamingSpanStore(SpanCollector):
         slowest K, not the full population (which was released)."""
         self._drain()
         return self.exemplars.slowest()
-
-    @property
-    def incomplete(self) -> int:
-        """Requests traced but not completed: in flight at the read, or
-        evicted at the cap."""
-        self._drain()
-        return len(self._state) + self.evicted
 
     def tracing_footprint(self) -> int:
         """Resident traced-state size in *items* (sketch buckets,
@@ -376,23 +298,16 @@ class StreamingSpanStore(SpanCollector):
         """The K most recent incomplete spans: cap-evicted ones held in
         the reservoir merged with the current in-flight tail.  A
         non-mutating snapshot — an in-flight span that completes after
-        this call folds normally.  The caller drains first."""
+        this call folds normally.  The caller drains first.  (An evicted
+        request left the state for good: the two sets are disjoint.)"""
         state = self._state
-        rids = state[:, _RID]
         # in-flight rows by (birth time, request id), latest first
         recent = np.lexsort(
-            (rids, _gather(self._events, state[:, _BIRTH], 7))
+            (state[:, _RID], _gather(self._events, state[:, _BIRTH], 7))
         )[::-1][:self.exemplars.k]
-        inflight = set(rids.tolist())
-        merged = {
-            span.request_id: span
-            for span in self.exemplars.incompletes()
-            if span.request_id not in inflight
-        }
-        merged.update(zip(rids[recent].tolist(), self._spans_at(recent)))
         ordered = sorted(
-            merged.values(), key=lambda s: (s.birth, s.request_id),
-            reverse=True,
+            self.exemplars.incompletes() + self._spans_at(recent),
+            key=lambda s: (s.birth, s.request_id), reverse=True,
         )
         return ordered[:self.exemplars.k]
 
@@ -400,7 +315,7 @@ class StreamingSpanStore(SpanCollector):
         """The streaming spans document (version 2; see
         :func:`~repro.monitor.spans.validate_spans`)."""
         self._drain()
-        doc = {
+        return {
             "version": STREAM_SPANS_VERSION,
             "mode": "streaming",
             "complete": self._completed,
@@ -442,7 +357,6 @@ class StreamingSpanStore(SpanCollector):
                 ],
             },
         }
-        return doc
 
 
 def merge_streaming_docs(docs: Sequence[dict]) -> dict:
@@ -544,18 +458,7 @@ class StreamingLatencyAnalysis:
 
     @classmethod
     def from_store(cls, store) -> "StreamingLatencyAnalysis":
-        store._drain()
-        return cls(
-            latency_sketches=store.latency_sketches,
-            phase_sketches=store.phase_sketches,
-            stage_totals=store.stage_totals,
-            stage_sketches=store.stage_sketches,
-            exemplar_spans=store.exemplars.slowest(),
-            dropped=store.dropped,
-            evicted=store.evicted,
-            reconciliation_worst=store.reconciliation_worst,
-            reconciliation_violations=store.reconciliation_violations,
-        )
+        return cls.from_stores([store])
 
     @classmethod
     def from_stores(cls, stores) -> "StreamingLatencyAnalysis":
@@ -565,44 +468,34 @@ class StreamingLatencyAnalysis:
         stores = list(stores)
         if not stores:
             raise ValueError("no stores to merge")
-        first = cls.from_store(stores[0])
-        latency = {k: s.copy() for k, s in first.latency_sketches.items()}
-        phases = {k: s.copy() for k, s in first.phase_sketches.items()}
-        stages = {k: s.copy() for k, s in first.stage_sketches.items()}
-        totals = {k: list(v) for k, v in first.stage_totals.items()}
-        exemplar_spans = list(first.spans)
-        dropped, evicted = first.dropped, first.evicted
-        worst = first._reconciliation_worst
-        violations = first._reconciliation_violations
-        for store in stores[1:]:
-            other = cls.from_store(store)
-            for group, theirs in (
-                (latency, other.latency_sketches),
-                (phases, other.phase_sketches),
-                (stages, other.stage_sketches),
-            ):
+        groups: tuple = ({}, {}, {})
+        totals: Dict[str, List[float]] = {}
+        for store in stores:
+            store._drain()
+            for group, theirs in zip(groups, (store.latency_sketches,
+                                              store.phase_sketches,
+                                              store.stage_sketches)):
                 for name, sketch in theirs.items():
                     if name in group:
                         group[name].merge(sketch)
                     else:
                         group[name] = sketch.copy()
-            for stage, entry in other.stage_totals.items():
+            for stage, entry in store.stage_totals.items():
                 mine = totals.setdefault(stage, [0.0, 0.0, 0.0, 0])
                 for i in range(4):
                     mine[i] += entry[i]
-            exemplar_spans.extend(other.spans)
-            dropped += other.dropped
-            evicted += other.evicted
-            worst = max(worst, other._reconciliation_worst)
-            violations += other._reconciliation_violations
+        latency, phases, stages = groups
+        exemplar_spans = [span for store in stores
+                          for span in store.exemplars.slowest()]
         exemplar_spans.sort(key=lambda s: s.latency, reverse=True)
         return cls(
-            latency_sketches=latency, phase_sketches=phases,
-            stage_totals=totals, stage_sketches=stages,
-            exemplar_spans=exemplar_spans,
-            dropped=dropped, evicted=evicted,
-            reconciliation_worst=worst,
-            reconciliation_violations=violations,
+            latency, phases, totals, stages, exemplar_spans,
+            dropped=sum(store.dropped for store in stores),
+            evicted=sum(store.evicted for store in stores),
+            reconciliation_worst=max(store.reconciliation_worst
+                                     for store in stores),
+            reconciliation_violations=sum(store.reconciliation_violations
+                                          for store in stores),
         )
 
     # -- protocol: decomposition tables ------------------------------------

@@ -402,25 +402,29 @@ class OracleStreamingSpanStore(OracleSpanCollector):
 
 class PerRequestFoldStore(StreamingSpanStore):
     """The streaming store with the fold it had before it folded in
-    columns: one :meth:`QuantileSketch.record` per value and one
+    columns: at its accumulator, each drain's phased completions are
+    taken from :class:`PerRecordStitch` in completion order and folded
+    from list-based columns (:func:`phase_columns`, :func:`hop_pick`),
+    one :meth:`QuantileSketch.record` per value and one
     :func:`hop_segments` walk per request, the stage sums added one
-    ``+=`` at a time.  Everything else is the real store's."""
+    ``+=`` at a time.  The columns the store hands its accumulator are
+    not read; stitching, eviction, release and compaction are the real
+    store's."""
 
-    def _fold(self) -> None:
-        if self._pending is None:
-            return
-        rids, bs, es, gs, ss, ys, fs = self._pending
-        self._pending = None
-        bs, es, gs, ss, ys = (column.tolist() for column in (bs, es, gs, ss, ys))
-        phased = [k for k in range(len(rids)) if gs[k] >= 0 and ss[k] >= 0]
-        self.completed_without_phases += len(rids) - len(phased)
-        if not phased:
-            return
-        rids, bs, es, gs, ss, ys, fs = (
-            [column[k] for k in phased] for column in (rids, bs, es, gs, ss, ys, fs)
-        )
-        hops = dict(zip(rids, self._hop_records(np.array(bs), np.array(es))))
-        origins, latencies, *phases = phase_columns(self._events, bs, es, gs, ss)
+    def _drain(self) -> None:
+        self._reference = PerRecordStitch(self, release=True)
+        super()._drain()
+
+    def _accumulate(self, *_columns) -> None:
+        closed = [c for c in self._reference.closed
+                  if c[3] is not None and c[4] is not None]
+        rids, bs, es, gs, ss, ys, fs = (list(column) for column in zip(*closed))
+        buf = self._events
+        hops = {
+            rid: [slot for i in picked for slot in buf[i:i + HOP_SLOTS]]
+            for rid, picked in zip(rids, hop_pick(buf, zip(rids, bs, es)))
+        }
+        origins, latencies, *phases = phase_columns(buf, bs, es, gs, ss)
         sketches = self.latency_sketches
         phase_sketches = [self.phase_sketches[phase] for phase in PHASES]
         for origin, latency, *values in zip(origins, latencies, *phases):
@@ -455,9 +459,9 @@ class PerRequestFoldStore(StreamingSpanStore):
         for rid, b, e, g, s, y, f, latency in zip(
             rids, bs, es, gs, ss, ys, fs, latencies
         ):
-            self.exemplars.offer_ranked(
-                latency, rid, lambda: self._span(b, e, g, s, y, f, hops[rid])
-            )
+            self.exemplars.offer_ranked(latency, rid, lambda: self._span(
+                b, e, g, s, -1 if y is None else y, f, hops[rid]
+            ))
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +474,9 @@ class PerRecordStitch:
     a copy of the collector's state.  ``release`` gives the streaming
     store's rules: a request is dropped from every table at completion
     (collected in :attr:`closed`, in completion order) and at the cap the
-    oldest in-flight request is evicted (collected in :attr:`evicted`)
-    instead of the birth being dropped."""
+    oldest in-flight request is evicted (collected in :attr:`evicted`,
+    and taken off the open sync lists) instead of the birth being
+    dropped."""
 
     def __init__(self, collector, release: bool) -> None:
         self.buf = collector._events
@@ -533,21 +538,25 @@ class PerRecordStitch:
                 self.svc.pop(rid, None), self.sync.pop(rid, None),
                 self.faults.pop(rid, None))
 
+    def _close_sync(self, rid: int, b: int) -> None:
+        if self.buf[b + 2] == "sync":
+            ids = self.open_syncs.get(self.buf[b + 4])
+            if ids and rid in ids:
+                ids.remove(rid)
+
     def _make_room(self, i: int) -> bool:
         if not self.release or not self.requests:
             return False
-        b, *held = self._release(next(iter(self.requests)))
+        rid = next(iter(self.requests))
+        b, *held = self._release(rid)
+        self._close_sync(rid, b)
         self.evicted.append((b, i, *held))
         return True
 
     def _finish(self, rid: int, i: int) -> None:
         self.completed += 1
         self.ends[rid] = i
-        b = self.requests[rid]
-        if self.buf[b + 2] == "sync":
-            ids = self.open_syncs.get(self.buf[b + 4])
-            if ids and rid in ids:
-                ids.remove(rid)
+        self._close_sync(rid, self.requests[rid])
         if self.release:
             del self.ends[rid]
             b, g, s, y, f = self._release(rid)

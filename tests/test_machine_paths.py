@@ -201,6 +201,36 @@ class TestMultiCEContention:
         t = m.run_programs({p: prog(p) for p in range(4)})
         assert t == pytest.approx(4.0)
 
+    def test_ces_run_again_once_their_programs_finish(self):
+        m = make_machine()
+
+        def prog(port):
+            yield GlobalLoad(length=2, stride=1, address=64 * port)
+            yield Compute(port + 1)
+
+        first = m.run_programs({p: prog(p) for p in range(4)})
+        second = m.run_programs({p: prog(p) for p in range(4)})
+        assert first > 0.0 and second > first
+        assert all(m.ce(p).done for p in range(4))
+
+    def test_a_running_program_still_refuses_another(self):
+        from repro.core.engine import SimulationError
+
+        def prog():
+            yield Compute(5)
+
+        m = make_machine()
+        refused = []
+
+        def overlap(_):
+            with pytest.raises(SimulationError, match="already running"):
+                m.ce(0).run(prog())
+            refused.append(m.engine.now)
+
+        m.engine.schedule_after(2.0, overlap, None)
+        assert m.run_programs({0: prog()}) == pytest.approx(5.0)
+        assert refused == [2.0]
+
 
 class TestPageBoundary:
     def test_prefetch_crossing_page_suspends(self):

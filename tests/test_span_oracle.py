@@ -16,8 +16,9 @@ programs and on hypothesis machine floods.  The column stitch of both
 collectors is held, drain by drain, against ``PerRecordStitch``, the
 record-by-record loop it replaced, and the hop pick against a
 record-by-record scan.  Folds at idle points are held against a
-collector that never folds, on programs of several quiescent runs and
-on the report path's machines.
+collector that never folds (a streaming store: against the eager oracle
+store), on programs of several quiescent runs and on the report path's
+machines.
 """
 
 import itertools
@@ -350,13 +351,25 @@ def test_streaming_store_matches_oracle(program, cap, exemplars, seed):
     )
 
 
-@settings(max_examples=150, deadline=None)
-@given(program=_idle_programs(), cap=st.sampled_from((1, 2, 4, 1000)))
-def test_idle_folds_match_oracle(program, cap):
+@settings(max_examples=300, deadline=None)
+@given(program=_idle_programs(), cap=st.sampled_from((1, 2, 4, 1000)),
+       stream=st.booleans(), records=st.sampled_from((1, 7, 2048)))
+def test_idle_folds_match_oracle(program, cap, stream, records):
     """Folding at the idle point after each run leaves the summary, the
     stage decomposition and the counts of the collector that never
     folds, and the summary of the tuple-buffer oracle; once a fold has
-    released requests, the per-request reads raise."""
+    released requests, the per-request reads raise.  A streaming store
+    (drained every ``records`` records) folded at the same idle points
+    leaves the eager oracle store's document and summary."""
+    if stream:
+        folded = _drained_every(StreamingSpanStore, records)(max_requests=cap)
+        oracle = OracleStreamingSpanStore(max_requests=cap)
+        _play(program, [folded], fold=True)
+        _play(program, [oracle])
+        _same(folded.spans(), oracle.spans())
+        _same(StreamingLatencyAnalysis.from_store(folded).summary(),
+              oracle_streaming_summary(oracle))
+        return
     folded, plain = SpanCollector(max_requests=cap), SpanCollector(max_requests=cap)
     oracle = OracleSpanCollector(max_requests=cap)
     _play(program, [folded], fold=True)
@@ -407,34 +420,30 @@ class _CheckedCollector(SpanCollector):
 
 class _CheckedStore(StreamingSpanStore):
     """Every drain is also stitched record by record from the same state,
-    and its completions and evictions compared before the fold."""
+    and what its fold releases — completions in completion order, then
+    evictions in eviction order — compared at the release."""
 
     def _drain(self) -> None:
-        ref = PerRecordStitch(self, release=True)
-        SpanCollector._drain(self)
-        buf = self._events
-        evicted = [
-            (b, x, _absent(g), _absent(s), _absent(y),
-             self._faults.get(buf[b + 1]))
-            for (_rid, b, _e, g, s, y), x in zip(
-                self._state[list(self._evicting)].tolist(),
-                self._evicting.values())
+        self._reference = PerRecordStitch(self, release=True)
+        super()._drain()
+
+    def _release(self, rows) -> None:
+        ref = self._reference
+        picked = self._state[rows].tolist()
+        faults = self._faults
+        closed = [
+            (rid, b, e, _absent(g), _absent(s), _absent(y), faults.get(rid))
+            for rid, b, e, g, s, y in picked if e >= 0
         ]
-        closed = []
-        if self._pending is not None:
-            rids, bs, es, gs, ss, ys, fs = self._pending
-            closed = [
-                (rid, b, e, _absent(g), _absent(s), _absent(y), f)
-                for rid, b, e, g, s, y, f in zip(
-                    rids, bs.tolist(), es.tolist(), gs.tolist(), ss.tolist(),
-                    ys.tolist(), fs)
-            ]
-        self._release()
+        evicted = [
+            (b, self._evicting[row], _absent(g), _absent(s), _absent(y),
+             faults.get(rid))
+            for row, (rid, b, e, g, s, y) in zip(rows.tolist(), picked) if e < 0
+        ]
+        super()._release(rows)
         assert evicted == ref.evicted
         assert closed == ref.closed
         _same_state(self, ref)
-        self._fold()
-        self._compact()
 
 
 def _same_hops(collector, rows) -> None:
@@ -677,25 +686,35 @@ def _report_program(port):
     yield SyncInstruction(address=port % 3)
 
 
-@pytest.mark.parametrize("again", [False, True])
-def test_report_path_folds_idle_machines(again):
+@pytest.mark.parametrize("again, stream", [
+    pytest.param(False, False, id="False"),
+    pytest.param(True, False, id="True"),
+    pytest.param(False, True, id="stream-False"),
+    pytest.param(True, True, id="stream-True"),
+])
+def test_report_path_folds_idle_machines(again, stream):
     """Building a machine folds every earlier idle one: its buffer is
     empty from then on, and every machine's reported latency summary is
-    the one an unfolded collector on the same bus gives — also when the
-    first machine runs again after the second is built."""
+    the one an unfolded collector (or streaming store) on the same bus
+    gives — also when the first machine runs again after the second is
+    built."""
     from repro.experiments.runner import observe
     from repro.monitor.report import ReportCollector
 
     references = []
+    cls = StreamingSpanStore if stream else SpanCollector
+    summary = ((lambda ref: StreamingLatencyAnalysis.from_store(ref).summary())
+               if stream else
+               (lambda ref: LatencyAnalysis.from_collectors([ref]).summary()))
 
     def reference(ctx):
-        references.append(SpanCollector(max_requests=ReportCollector.SPAN_CAP)
+        references.append(cls(max_requests=ReportCollector.SPAN_CAP)
                           .attach(ctx.bus))
 
     def run(machine, ports=range(8)):
         machine.run_programs({port: _report_program(port) for port in ports})
 
-    collector = ReportCollector()
+    collector = ReportCollector(stream=stream)
     with observe(collector, reference):
         first = CedarMachine(CedarConfig())
         run(first)
@@ -709,4 +728,4 @@ def test_report_path_folds_idle_machines(again):
     assert len(records) == len(references) == 2
     for record, ref in zip(records, references):
         assert record["latency"]["requests"] > 0
-        _same(record["latency"], LatencyAnalysis.from_collectors([ref]).summary())
+        _same(record["latency"], summary(ref))

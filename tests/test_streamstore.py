@@ -8,7 +8,13 @@ import pytest
 
 from repro.core.config import CedarConfig
 from repro.core.machine import CedarMachine
-from repro.cluster.ce import AwaitStream, GlobalLoad, GlobalStore, StartPrefetch
+from repro.cluster.ce import (
+    AwaitStream,
+    GlobalLoad,
+    GlobalStore,
+    StartPrefetch,
+    SyncInstruction,
+)
 from repro.monitor.histogram import Histogrammer
 from repro.monitor.spans import (
     LatencyAnalysis,
@@ -143,6 +149,22 @@ class TestFoldAndRelease:
         doc = store.spans()
         assert doc["evicted"] == store.evicted
         validate_spans(doc)
+
+    def test_evicted_syncs_leave_the_open_sync_lists(self):
+        """A release takes every released sync request off its address's
+        open list, cap evictions as well as completions, so the lists a
+        sync timeout walks stay as small as the in-flight set."""
+        machine = CedarMachine(CedarConfig())
+        store = StreamingSpanStore(max_requests=1).attach(machine.bus)
+
+        def syncs(port):
+            for k in range(6):
+                yield SyncInstruction(address=(port + k) % 4)
+
+        machine.run_programs({port: syncs(port) for port in range(16)})
+        store.detach()
+        assert store.spans()["evicted"] > 0 and len(store._state) == 0
+        assert all(ids == [] for ids in store._open_syncs.values())
 
     def test_zero_cost_cycles_are_bit_identical(self):
         bare = CedarMachine(CedarConfig()).run_programs(_programs())
