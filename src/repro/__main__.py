@@ -387,12 +387,7 @@ def _profile(args) -> str:
 def _analyze(args) -> str:
     from repro.experiments.runner import experiment, observe
     from repro.monitor.analysis import latency_report
-    from repro.monitor.spans import (
-        SPANS_VERSION,
-        LatencyAnalysis,
-        SpanCollector,
-        validate_spans,
-    )
+    from repro.monitor.spans import SPANS_VERSION, SpanCollector, validate_spans
 
     exp = experiment(args.experiment)
     make_collector = SpanCollector
@@ -412,26 +407,17 @@ def _analyze(args) -> str:
         raise SystemExit(
             f"experiment {args.experiment!r} built no machines to trace"
         )
+    analysis = make_collector.analyze(collectors)
+    incomplete = sum(c.incomplete for c in collectors)
     if args.stream:
-        from repro.monitor.streamstore import (
-            StreamingLatencyAnalysis,
-            merge_streaming_docs,
-        )
-
-        analysis = StreamingLatencyAnalysis.from_stores(collectors)
-        traced = analysis.requests
-        docs = [c.spans() for c in collectors]
-        incomplete = sum(d["incomplete"] for d in docs)
-        dropped = analysis.dropped
         footprint = sum(c.tracing_footprint() for c in collectors)
         tail = (
-            f"{traced} requests folded across {len(collectors)} machine(s)"
-            f" ({incomplete} incomplete at sim end, {dropped} dropped, "
-            f"{analysis.evicted} evicted; {footprint} resident traced items)"
+            f"{analysis.requests} requests folded across {len(collectors)} "
+            f"machine(s) ({incomplete} incomplete at sim end, "
+            f"{analysis.dropped} dropped, {analysis.evicted} evicted; "
+            f"{footprint} resident traced items)"
         )
     else:
-        analysis = LatencyAnalysis.from_collectors(collectors)
-        incomplete = sum(c.incomplete for c in collectors)
         tail = (
             f"{sum(c.completed for c in collectors)} requests traced across "
             f"{len(collectors)} machine(s) ({incomplete} incomplete at sim "
@@ -442,7 +428,7 @@ def _analyze(args) -> str:
         from repro.monitor.tracer import _write_json
 
         if args.stream:
-            doc = merge_streaming_docs(docs)
+            doc = make_collector.merged_spans(collectors)
             n_requests, n_complete = validate_spans(doc)
         else:
             def machine_requests():

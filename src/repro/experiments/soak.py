@@ -119,16 +119,13 @@ def run_soak(
         raise ValueError(f"ports must be within [1, {config.total_ces}]")
 
     if stream:
-        from repro.monitor.streamstore import (
-            StreamingLatencyAnalysis,
-            StreamingSpanStore,
-        )
+        from repro.monitor.streamstore import StreamingSpanStore
 
         store = StreamingSpanStore(
             relative_error=relative_error, exemplars=exemplars, seed=seed
         ).attach(machine.bus)
     else:
-        from repro.monitor.spans import LatencyAnalysis, SpanCollector
+        from repro.monitor.spans import SpanCollector
 
         store = SpanCollector().attach(machine.bus)
 
@@ -200,14 +197,8 @@ def run_soak(
         engine.detach_watchdog()
     cycles = engine.now
 
-    if stream:
-        analysis = StreamingLatencyAnalysis.from_store(store)
-        footprint: Optional[int] = store.tracing_footprint()
-        evicted = store.evicted
-    else:
-        analysis = LatencyAnalysis.from_collectors([store])
-        footprint = None
-        evicted = 0
+    analysis = type(store).analyze([store])
+    footprint = store.tracing_footprint() if stream else None
     doc_incomplete = store.incomplete
     store.detach()
 
@@ -219,7 +210,7 @@ def run_soak(
         traced=analysis.requests,
         incomplete=doc_incomplete,
         dropped=analysis.dropped,
-        evicted=evicted,
+        evicted=analysis.evicted,
         deferred=state["deferred"],
         cycles=cycles,
         mean=row["mean"] if row else None,

@@ -225,7 +225,7 @@ def latency_tables(analysis: LatencyAnalysis) -> str:
     rendered = "\n\n".join(
         t.render() for t in (phase_table, stage_table, origin_table)
     )
-    dropped = getattr(analysis, "dropped", 0)
+    dropped = analysis.dropped
     if dropped:
         rendered += (
             f"\n(population truncated: {dropped} requests dropped at the "
@@ -289,7 +289,7 @@ def latency_report(analysis: LatencyAnalysis, top: int = 5) -> str:
     if not analysis.requests:
         return "no completed request spans collected"
     parts = []
-    dropped = getattr(analysis, "dropped", 0)
+    dropped = analysis.dropped
     if dropped:
         parts.append(
             f"WARNING: {dropped} requests were dropped at the collector's "

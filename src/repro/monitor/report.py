@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.monitor.metrics import MetricsRegistry
 from repro.monitor.monitors import attach_standard_monitors, detach_monitors
-from repro.monitor.spans import LatencyAnalysis, SpanCollector
+from repro.monitor.spans import SpanCollector
 
 #: report format version (bump on breaking shape changes).
 #: v3: streaming collection mode — the per-machine ``latency`` summary
@@ -141,16 +141,7 @@ class ReportCollector:
             if timeline is not None:
                 timeline.finalize(engine.now)
                 record["timeline"] = timeline.to_dict()
-            if self.stream:
-                from repro.monitor.streamstore import StreamingLatencyAnalysis
-
-                record["latency"] = StreamingLatencyAnalysis.from_store(
-                    spans
-                ).summary()
-            else:
-                record["latency"] = LatencyAnalysis.from_collectors(
-                    [spans]
-                ).summary()
+            record["latency"] = type(spans).analyze([spans]).summary()
             out.append(record)
         return out
 

@@ -17,10 +17,11 @@ streaming path is built on:
 
 * :class:`ExemplarReservoir` — tree-buffer-style retention of the most
   informative recent history: the K **slowest complete** request spans
-  (eviction keyed on latency rank, ties broken by a seeded hash so
-  retention among equal-latency spans is reproducible but unbiased)
-  plus the K **most recent incomplete** spans.  Everything else is
-  released the moment it has been folded into the sketches.
+  (eviction keyed on latency rank, ties broken by a seeded hash of the
+  caller's key so retention among equal-latency spans is reproducible
+  but unbiased) plus the K **most recent incomplete** spans.
+  Everything else is released the moment it has been folded into the
+  sketches.
 
 Both structures are deterministic (no wall clock, no unseeded
 randomness) and JSON-serializable, so streaming run reports reproduce
@@ -293,10 +294,10 @@ class QuantileSketch:
 # exemplar retention
 
 
-def _tie_hash(request_id: int, seed: int) -> int:
+def _tie_hash(key: int, seed: int) -> int:
     """Deterministic tie-break mix for equal-latency spans (splitmix-ish,
-    so retention does not simply favour low request ids)."""
-    x = (request_id ^ (seed * 0x9E3779B97F4A7C15)) & 0xFFFFFFFFFFFFFFFF
+    so retention does not simply favour low keys)."""
+    x = (key ^ (seed * 0x9E3779B97F4A7C15)) & 0xFFFFFFFFFFFFFFFF
     x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     return x ^ (x >> 31)
 
@@ -305,11 +306,13 @@ class ExemplarReservoir:
     """Fixed-size retention of the most informative spans.
 
     Keeps the ``k`` slowest **complete** spans (latency rank; equal
-    latencies tie-break on a seeded hash of the request id, so two runs
-    of the same simulation retain the same exemplars) and the ``k``
-    most **recent incomplete** spans (by birth time — the in-flight
-    tail a hung run leaves behind).  Memory is O(k) regardless of how
-    many spans are offered.
+    latencies tie-break on a seeded hash of each span's key) and the
+    ``k`` most **recent incomplete** spans (by birth time, then key —
+    the in-flight tail a hung run leaves behind).  Keys are distinct
+    integers the caller assigns in offer order; the streaming store
+    passes each request's birth ordinal, so the same simulation retains
+    the same exemplars whatever request ids the process drew before.
+    Memory is O(k) regardless of how many spans are offered.
     """
 
     def __init__(self, k: int = 64, seed: int = 0) -> None:
@@ -319,20 +322,20 @@ class ExemplarReservoir:
         self.seed = seed
         #: (latency, tie, span) min-ordered list, at most k entries.
         self._slowest: List[Tuple[float, int, object]] = []
-        #: (birth, tie, span), at most k entries, oldest evicted first.
+        #: (birth, key, span), at most k entries, oldest evicted first.
         self._recent_incomplete: List[Tuple[float, int, object]] = []
         self.offered_complete = 0
         self.offered_incomplete = 0
 
-    def _rank(self, latency: float, request_id: int) -> Tuple[float, int]:
-        return (latency, _tie_hash(request_id, self.seed))
+    def _rank(self, latency: float, key: int) -> Tuple[float, int]:
+        return (latency, _tie_hash(key, self.seed))
 
-    def offer_complete(self, span) -> bool:
+    def offer_complete(self, span, key: int) -> bool:
         """Offer a completed span; returns True when retained.  The
         caller may release spans that are not."""
-        return self.offer_ranked(span.latency, span.request_id, lambda: span)
+        return self.offer_ranked(span.latency, key, lambda: span)
 
-    def offer_ranked(self, latency: float, request_id: int,
+    def offer_ranked(self, latency: float, key: int,
                      build: Callable[[], object]) -> bool:
         """:meth:`offer_complete` for a span not built yet: ``build()``
         makes it only when its ``(latency, tie)`` rank is retained."""
@@ -341,7 +344,7 @@ class ExemplarReservoir:
         full = len(heap) >= self.k
         if full and latency < heap[0][0]:
             return False
-        rank = self._rank(latency, request_id)
+        rank = self._rank(latency, key)
         if full:
             if rank <= heap[0][:2]:
                 return False
@@ -351,10 +354,10 @@ class ExemplarReservoir:
         return True
 
     def offer_ranked_many(self, latencies: Sequence[float],
-                          request_ids: Sequence[int],
+                          keys: Sequence[int],
                           build: Callable[[int], object]) -> None:
-        """:meth:`offer_ranked` for each ``(latencies[k],
-        request_ids[k])`` in order, ``build(k)`` making the k-th span.
+        """:meth:`offer_ranked` for each ``(latencies[k], keys[k])`` in
+        order, ``build(k)`` making the k-th span.
         Once the reservoir is full its floor only rises, so the offers
         below the floor it starts with are counted without a call."""
         heap = self._slowest
@@ -364,13 +367,13 @@ class ExemplarReservoir:
         ))
         self.offered_complete += len(latencies) - len(candidates)
         for k in candidates:
-            self.offer_ranked(latencies[k], request_ids[k], lambda: build(k))
+            self.offer_ranked(latencies[k], keys[k], lambda: build(k))
 
-    def offer_incomplete(self, span) -> None:
+    def offer_incomplete(self, span, key: int) -> None:
         """Offer an incomplete span (an in-flight eviction or a sim-end
         orphan); only the ``k`` most recent births are kept."""
         self.offered_incomplete += 1
-        entry = (span.birth, _tie_hash(span.request_id, self.seed), span)
+        entry = (span.birth, key, span)
         if len(self._recent_incomplete) < self.k:
             heapq.heappush(self._recent_incomplete, entry)
         elif entry[:2] > self._recent_incomplete[0][:2]:
@@ -384,7 +387,8 @@ class ExemplarReservoir:
         return ordered if n is None else ordered[:n]
 
     def incompletes(self) -> List[object]:
-        """The retained incomplete spans, most recent birth first."""
+        """The retained incomplete spans, most recent first (birth, then
+        key)."""
         return [e[2] for e in sorted(self._recent_incomplete, reverse=True)]
 
     def __len__(self) -> int:

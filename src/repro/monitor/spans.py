@@ -35,7 +35,7 @@ carry no tracing state beyond the id they always had.
 from __future__ import annotations
 
 import json
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -425,8 +425,9 @@ def _first_seen_counts(values: np.ndarray) -> Dict[float, int]:
 #: the columns of :attr:`SpanCollector._state`, one row per tracked
 #: request: its id, then the buffer indices of its birth, completion,
 #: latest ``gm[`` record, memory service and sync outcome (-1 while
-#: absent).
-_RID, _BIRTH, _END, _MEM, _SVC, _SYNC = range(6)
+#: absent), then its birth ordinal: how many births the collector
+#: admitted before it.
+_RID, _BIRTH, _END, _MEM, _SVC, _SYNC, _ORD = range(7)
 
 
 #: the record kinds the stitch reads per request, births aside: every
@@ -540,11 +541,10 @@ class SpanCollector:
     (:meth:`fold`), where every row is final: its accumulator keeps the
     columns exactly, in admission order, and the buffer empties.  The
     streaming store folds its completions into sketches at each drain.
-    The
-    admitted count (the ``max_requests`` cap), :attr:`dropped`,
+    The admitted count (the ``max_requests`` cap), :attr:`dropped`,
     :attr:`completed` and :attr:`incomplete` carry across folds, and
-    :meth:`LatencyAnalysis.from_collectors` reads the folded parts and
-    then the buffer, in admission order.  The per-request reads
+    :meth:`analyze` reads the folded parts and then the buffer, in
+    admission order.  The per-request reads
     (:attr:`requests`, :meth:`spans`, :meth:`complete_spans`,
     :meth:`incomplete_spans`) raise once a fold has released requests.
     """
@@ -579,8 +579,8 @@ class SpanCollector:
         #: buffer slots stitched so far.
         self._cursor = 0
         #: one row per tracked request, in admission order (columns
-        #: ``_RID`` ... ``_SYNC``).
-        self._state = np.empty((0, 6), dtype=np.intp)
+        #: ``_RID`` ... ``_ORD``).
+        self._state = np.empty((0, 7), dtype=np.intp)
         #: request id -> its fault record indices.
         self._faults: Dict[int, List[int]] = {}
         #: sync address -> its open sync requests, in admission order.
@@ -693,9 +693,10 @@ class SpanCollector:
         head = start // HOP_SLOTS
         born = np.flatnonzero((kind == _EV_BIRTH) | (kind == _EV_SYNC_BIRTH))
         born = born[:self._admit(len(born))]
-        fresh = np.full((len(born), 6), -1, dtype=np.intp)
+        fresh = np.full((len(born), 7), -1, dtype=np.intp)
         fresh[:, _RID] = ids[born]
         fresh[:, _BIRTH] = start + HOP_SLOTS * born
+        fresh[:, _ORD] = self._folded + len(self._state) + np.arange(len(born))
         for b in fresh[kind[born] == _EV_SYNC_BIRTH, _BIRTH].tolist():
             self._open_syncs.setdefault(buf[b + 4], []).append(buf[b + 1])
         state = self._state = np.concatenate((self._state, fresh))
@@ -902,12 +903,11 @@ class SpanCollector:
 
     def _spans_at(self, rows: np.ndarray) -> List[RequestSpan]:
         """:class:`RequestSpan` objects for the requests in ``rows``."""
-        buf = self._events
         faults = self._faults
         hops = self._hop_records(*self._bounds(rows))
         return [
-            self._span(b, e, g, s, y, faults.get(buf[b + 1]), raw)
-            for (_rid, b, e, g, s, y), raw in zip(self._state[rows].tolist(), hops)
+            self._span(*row[_BIRTH:_ORD], faults.get(row[_RID]), raw)
+            for row, raw in zip(self._state[rows].tolist(), hops)
         ]
 
     def _report_columns(self, rows: np.ndarray) -> tuple:
@@ -1008,8 +1008,8 @@ class SpanCollector:
         self._kind = self._kind[keep]
         self._ids = ids[keep]
         # every index the state and fault lists hold is a kept record's
-        at = state[:, _BIRTH:]
-        state[:, _BIRTH:] = np.where(
+        at = state[:, _BIRTH:_ORD]
+        state[:, _BIRTH:_ORD] = np.where(
             at >= 0, HOP_SLOTS * np.searchsorted(keep, at // HOP_SLOTS), -1)
         for rid, idx in self._faults.items():
             self._faults[rid] = (HOP_SLOTS * np.searchsorted(
@@ -1085,17 +1085,33 @@ class SpanCollector:
 
         _write_json(self.spans(), path, "requests")
 
+    @classmethod
+    def analyze(cls, collectors: Sequence["SpanCollector"]) -> "LatencyAnalysis":
+        """The latency analysis of this class's ``collectors``."""
+        return LatencyAnalysis.from_collectors(collectors)
+
 
 # ---------------------------------------------------------------------------
 # latency analysis
 
 
 class _SpanList:
-    """Spans answering the two collector reads :class:`LatencyAnalysis`
-    makes, keyed by position instead of request id."""
+    """Complete spans with a memory timeline, answering the two collector
+    reads :class:`LatencyAnalysis` makes, keyed by position instead of
+    request id."""
 
     def __init__(self, spans: Sequence[RequestSpan]) -> None:
-        self._spans = spans
+        self._spans = [s for s in spans if s.complete and s.phases() is not None]
+
+    def rows(self) -> tuple:
+        """``(self, keys, origins, latencies, phases)``: every span, as
+        :meth:`LatencyAnalysis._set_rows` takes a source."""
+        spans = self._spans
+        phases = [s.phases() for s in spans]
+        return (self, np.arange(len(spans)), [s.origin for s in spans],
+                np.array([s.latency for s in spans], dtype=float),
+                [np.array([p[phase] for p in phases], dtype=float)
+                 for phase in PHASES])
 
     def _spans_at(self, keys: np.ndarray) -> List[RequestSpan]:
         return [self._spans[k] for k in keys.tolist()]
@@ -1104,37 +1120,66 @@ class _SpanList:
         return concat_hops([self._spans[k].raw_hops for k in keys.tolist()])
 
 
+class _Column:
+    """An exact distribution answering the :class:`QuantileSketch` reads
+    of :class:`LatencyAnalysis`: ``count``, ``sum`` added left to right,
+    the first maximum, and quantiles from a :class:`Histogrammer` over
+    ``[0, max]`` filled as recording each value in turn fills it."""
+
+    def __init__(self, values: np.ndarray, bins: int) -> None:
+        self._values = values
+        self._bins = bins
+        self.count = len(values)
+
+    @cached_property
+    def sum(self) -> float:
+        return chained_sum(self._values)
+
+    @property
+    def max(self) -> float:
+        # argmax keeps the first of equal maxima, as max() does
+        return self._values[self._values.argmax()].item()
+
+    @cached_property
+    def _histogram(self) -> Histogrammer:
+        hi = max(self.max, 1e-9)
+        return Histogrammer.from_counts(_first_seen_counts(self._values), 0.0,
+                                        hi * (1.0 + 1e-6), self._bins)
+
+    def quantile(self, q: float) -> float:
+        return self._histogram.percentile(q)
+
+
 class LatencyAnalysis:
     """Latency decomposition, percentiles and bottleneck attribution
     over completed requests.
 
-    One implementation over per-request rows ``(origin, latency,
-    *phases)`` held as arrays: :meth:`from_collectors` folds them
-    straight from :class:`SpanCollector` buffers, one collector's rows
-    after another, building no :class:`RequestSpan`;
-    ``LatencyAnalysis(spans)`` converts spans into the same rows.  Spans
-    are built only where a method returns them (:attr:`spans`,
-    :meth:`tail_cohort`, :meth:`slowest`), and hops are read only for
-    the rows a stage table or the tail cohort covers.
+    Every table reads three inputs:
 
-    Percentiles run through :class:`Histogrammer` (the paper's 64K
-    hardware counters) with within-bin interpolation; means, shares and
-    the reconciliation check use exact arithmetic, added left to right.
+    * the end-to-end distribution of each origin and of ``"all"``, and
+      each phase's, through the calls a
+      :class:`~repro.monitor.sketch.QuantileSketch` answers (``count``,
+      ``sum``, ``max``, ``quantile``);
+    * per-stage ``[queue_wait, service, blocked, traversals]`` totals;
+    * one row source for the tail cohort and the slowest spans: rows
+      ``(origin, latency, *phases)`` held as arrays, whose spans and
+      hops are read from their source only for the rows a method
+      returns or attributes.
+
+    The exact analysis (:meth:`from_collectors`, one collector's folded
+    parts and buffer after another; ``LatencyAnalysis(spans)``) reads
+    every row: its distributions are the row columns (percentiles
+    through :class:`Histogrammer`, the paper's 64K hardware counters)
+    and its stage totals the rows' hops'.  The streaming analysis
+    (:class:`~repro.monitor.streamstore.StreamingLatencyAnalysis`) reads
+    merged sketches and running totals, and its rows are the exemplars.
     """
 
     QUANTILES = (0.5, 0.9, 0.95, 0.99)
 
     def __init__(self, spans: Sequence[RequestSpan], bins: int = 2048,
                  dropped: int = 0) -> None:
-        spans = [s for s in spans if s.complete and s.phases() is not None]
-        phases = [s.phases() for s in spans]
-        self._set_rows(
-            [(_SpanList(spans), np.arange(len(spans)), [s.origin for s in spans],
-              np.array([s.latency for s in spans], dtype=float),
-              [np.array([p[phase] for p in phases], dtype=float)
-               for phase in PHASES])],
-            bins, dropped,
-        )
+        self._exact([_SpanList(spans).rows()], bins, dropped)
 
     @classmethod
     def from_collectors(cls, collectors: Sequence[SpanCollector],
@@ -1142,11 +1187,32 @@ class LatencyAnalysis:
         """The analysis of several collectors' complete requests (one per
         machine, say), read from their folded parts and buffers."""
         analysis = cls.__new__(cls)
-        analysis._set_rows([part for c in collectors for part in c._row_sources()],
-                           bins, sum(c.dropped for c in collectors))
+        analysis._exact([part for c in collectors for part in c._row_sources()],
+                        bins, sum(c.dropped for c in collectors))
         return analysis
 
-    def _set_rows(self, parts: Sequence[tuple], bins: int, dropped: int) -> None:
+    def _exact(self, parts: Sequence[tuple], bins: int, dropped: int) -> None:
+        """Read every row: the distributions are its columns, the stage
+        totals its hops' (read when first asked)."""
+        self._set_rows(parts)
+        latencies, phases = self._latencies, self._phases
+
+        def stage_totals() -> Dict[str, list]:
+            segments = stage_segments(*self._segments(np.arange(len(latencies))))
+            return {stage: [*chained_sum(rows, (0.0, 0.0, 0.0)), len(rows)]
+                    for stage, rows in segments.items()}
+
+        self._set_inputs(
+            {"all": _Column(latencies, bins),
+             **{origin: _Column(latencies[rows], bins)
+                for origin, rows in _groups(self._origins).items()}},
+            {phase: _Column(values, bins) for phase, values in phases.items()},
+            stage_totals,
+            _drifts(latencies, phases.values()).max(initial=0.0).item(),
+            dropped, 0,
+        )
+
+    def _set_rows(self, parts: Sequence[tuple]) -> None:
         """``parts``: per source, ``(source, keys, origins, latencies,
         phases)`` — a source answers ``_spans_at(keys)`` and
         ``_hop_columns(keys)`` for a key array of its rows."""
@@ -1161,12 +1227,21 @@ class LatencyAnalysis:
             phase: np.concatenate([part[4][k] for part in parts] or [np.empty(0)])
             for k, phase in enumerate(PHASES)
         }
-        self._all: Optional[Histogrammer] = None
-        self.bins = bins
+
+    def _set_inputs(self, latency: dict, phases: dict, stage_totals,
+                    worst: float, dropped: int, evicted: int) -> None:
+        """The distributions (``"all"`` and per origin; per phase), a
+        callable returning the stage totals, the worst drift, counters."""
+        self._latency = latency
+        self._phase = phases
+        self._stage_totals = stage_totals
+        self._worst = worst
         #: births the collector refused at its cap — the analyzed
         #: population is silently truncated when this is non-zero, so
         #: renderers surface it next to the quantile tables.
         self.dropped = dropped
+        #: in-flight requests a streaming store evicted at its cap.
+        self.evicted = evicted
 
     def _split(self, rows: np.ndarray):
         """``(source, keys, positions)`` per source holding some of
@@ -1203,72 +1278,44 @@ class LatencyAnalysis:
 
     @property
     def requests(self) -> int:
-        """Phased complete requests in the analyzed population (the
-        same protocol accessor the streaming analysis answers from its
-        sketch counts)."""
-        return len(self._latencies)
+        """Phased complete requests in the analyzed population."""
+        return self._latency["all"].count
 
     @property
     def spans(self) -> List[RequestSpan]:
-        """The analyzed spans in row order (built on each read)."""
-        return self._spans_of(np.arange(self.requests))
+        """The row source's spans, in row order (built on each read)."""
+        return self._spans_of(np.arange(len(self._latencies)))
 
-    # -- percentile machinery ----------------------------------------------
-
-    def _histogram(self, values: np.ndarray) -> Histogrammer:
-        # filled from a {value: count} table in first-seen order: the
-        # same bank state as recording each value in turn.
-        hi = max(values.max().item(), 1e-9)
-        return Histogrammer.from_counts(
-            _first_seen_counts(values), 0.0, hi * (1.0 + 1e-6), self.bins
-        )
-
-    def _latency_histogram(self) -> Histogrammer:
-        """The histogram of every end-to-end latency: the ``all`` row,
-        the tail threshold and the quantile curve share it."""
-        if self._all is None:
-            self._all = self._histogram(self._latencies)
-        return self._all
-
-    def _stats_row(self, values: np.ndarray,
-                   hist: Optional[Histogrammer] = None) -> dict:
-        if hist is None:
-            hist = self._histogram(values)
-        p50, p90, p95, p99 = hist.quantiles(self.QUANTILES)
+    def _stats_row(self, dist) -> dict:
+        p50, p90, p95, p99 = map(dist.quantile, self.QUANTILES)
         return {
-            "count": len(values),
-            "mean": chained_sum(values) / len(values),
+            "count": dist.count,
+            "mean": dist.sum / dist.count,
             "p50": p50, "p90": p90, "p95": p95, "p99": p99,
-            # argmax keeps the first of equal maxima, as max() does
-            "max": values[values.argmax()].item(),
+            "max": dist.max,
         }
 
     # -- decompositions ----------------------------------------------------
 
     def end_to_end(self) -> Dict[str, dict]:
         """Latency statistics per origin class plus ``"all"``."""
-        latencies = self._latencies
-        groups = _groups(self._origins)
         out = {
-            origin: self._stats_row(latencies[groups[origin]])
-            for origin in sorted(groups)
+            origin: self._stats_row(dist)
+            for origin, dist in sorted(self._latency.items())
+            if origin != "all" and dist.count
         }
-        if len(latencies):
-            out["all"] = self._stats_row(latencies, self._latency_histogram())
+        if self.requests:
+            out["all"] = self._stats_row(self._latency["all"])
         return out
 
     def phase_decomposition(self) -> Dict[str, dict]:
         """Statistics for each of the five phases, with each phase's
         share of total (sum over requests) end-to-end latency."""
-        total = chained_sum(self._latencies) or 1.0
-        out = {}
-        for phase, values in self._phases.items():
-            if not len(values):
-                continue
-            row = self._stats_row(values)
-            row["share"] = chained_sum(values) / total
-            out[phase] = row
-        return out
+        total = self._latency["all"].sum or 1.0
+        return {
+            phase: {**self._stats_row(dist), "share": dist.sum / total}
+            for phase, dist in self._phase.items() if dist.count
+        }
 
     def _segments(self, rows: np.ndarray) -> tuple:
         """``(fields, counts, memory)`` of ascending ``rows``, as
@@ -1281,19 +1328,19 @@ class LatencyAnalysis:
         """Queue-wait / service / blocked cycles per network stage (and
         the memory modules), averaged per traversal, with each stage's
         share of total end-to-end latency."""
-        segments = stage_segments(*self._segments(np.arange(self.requests)))
-        total = chained_sum(self._latencies) or 1.0
+        totals = self._stage_totals()
+        total = self._latency["all"].sum or 1.0
         out = {}
-        for stage in sorted(segments):
-            count = len(segments[stage])
-            wait, service, blocked = chained_sum(segments[stage], (0.0, 0.0, 0.0))
-            out[stage] = {
-                "traversals": count,
-                "queue_wait": wait / count,
-                "service": service / count,
-                "blocked": blocked / count,
-                "share": (wait + service + blocked) / total,
-            }
+        for stage in sorted(totals):
+            wait, service, blocked, count = totals[stage]
+            if count:
+                out[stage] = {
+                    "traversals": count,
+                    "queue_wait": wait / count,
+                    "service": service / count,
+                    "blocked": blocked / count,
+                    "share": (wait + service + blocked) / total,
+                }
         return out
 
     # -- bottleneck attribution --------------------------------------------
@@ -1303,8 +1350,7 @@ class LatencyAnalysis:
         latencies = self._latencies
         if not len(latencies):
             return np.empty(0, dtype=np.intp)
-        threshold = self._latency_histogram().percentile(q)
-        return np.flatnonzero(latencies >= threshold)
+        return np.flatnonzero(latencies >= self._latency["all"].quantile(q))
 
     def tail_cohort(self, q: float = 0.95) -> List[RequestSpan]:
         """Requests at or above the ``q`` end-to-end percentile."""
@@ -1320,17 +1366,15 @@ class LatencyAnalysis:
         return rank_stages(self._latencies[cohort], *self._segments(cohort))
 
     def slowest(self, n: int = 5) -> List[RequestSpan]:
-        """The ``n`` slowest completed requests (waterfall exemplars);
-        equal latencies keep row order."""
+        """The ``n`` slowest rows (waterfall exemplars); equal latencies
+        keep row order."""
         order = np.argsort(-self._latencies, kind="stable")
         return self._spans_of(order[:n])
 
     def quantile_curve(self, qs: Sequence[float]) -> List[float]:
-        """End-to-end latency at each quantile in ``qs`` — the shared
-        protocol surface the distribution chart renders from (the
-        streaming analysis answers it from its sketch)."""
-        hist = self._latency_histogram()
-        return [hist.percentile(q) for q in qs]
+        """End-to-end latency at each quantile in ``qs`` (what the
+        distribution chart renders)."""
+        return list(map(self._latency["all"].quantile, qs))
 
     # -- integrity ---------------------------------------------------------
 
@@ -1338,23 +1382,25 @@ class LatencyAnalysis:
         """Worst |sum(phases) - end-to-end| across requests; the phases
         are a timeline segmentation, so this is floating-point noise —
         the acceptance bound is one cycle per request."""
-        if not self.requests:
-            return 0.0
-        return max(0.0, _drifts(self._latencies, self._phases.values()).max().item())
+        return self._worst
 
     def summary(self) -> dict:
         """The compact dict embedded in run reports."""
         if not self.requests:
-            return {"requests": 0}
+            return self._source_keys({"requests": 0})
         attribution = self.bottleneck_attribution()
-        return {
+        return self._source_keys({
             "requests": self.requests,
             "dropped": self.dropped,
             "end_to_end": self.end_to_end(),
             "phases": self.phase_decomposition(),
             "bottleneck": attribution[0] if attribution else None,
             "reconciliation_error": self.reconciliation_error(),
-        }
+        })
+
+    def _source_keys(self, summary: dict) -> dict:
+        """``summary`` with the keys a sketched source adds (none here)."""
+        return summary
 
 
 # ---------------------------------------------------------------------------

@@ -2,69 +2,45 @@
 
 The buffered :class:`~repro.monitor.spans.SpanCollector` keeps every
 stitched record until its machine goes idle — exact, but O(requests)
-memory while it runs, so a week-long soak run either hits the
-``max_requests`` cap (silent truncation) or grows without bound.
-:class:`StreamingSpanStore` subscribes to the *same* signals and flat
-records and runs the *same* fold — stitch, fold the final rows, release
-them, compact the buffer — with another accumulator, at another time.
-The buffered collector folds at idle points: every row, in admission
-order, kept exactly as report columns and hop fields, and then every
-row released.  The store folds at every drain (each
-``DRAIN_THRESHOLD`` slots, and at any read): its completions, in
-completion order, into constant-size state, and then it releases them
-and its cap evictions:
+memory while it runs.  :class:`StreamingSpanStore` subscribes to the
+*same* signals and runs the *same* fold — stitch, fold the final rows,
+release them, compact the buffer — with another accumulator, at
+another time: at every drain (each ``DRAIN_THRESHOLD`` slots, and at
+any read) its completions fold, in completion order, into
 
-* end-to-end latency into per-origin :class:`QuantileSketch` banks,
-* the five-phase decomposition into per-phase sketches,
-* per-stage queue-wait / service / blocked cycles into exact running
-  accumulators plus per-stage sketches,
-* the request offered to an :class:`ExemplarReservoir` (K slowest
-  completes, K most recent incompletes) — a span is built only when
-  the reservoir keeps it — before the fold releases it,
+* per-origin and per-phase :class:`QuantileSketch` banks (one
+  :meth:`QuantileSketch.record_many` call per sketch),
+* exact per-stage ``[wait, service, blocked, traversals]`` totals plus
+  per-stage sketches (:func:`~repro.monitor.spans.stage_segments`, added
+  with :func:`~repro.monitor.sketch.chained_sum` in the order a
+  per-request ``+=`` loop would),
+* the reconciliation counters (the exact phase-sum check, kept as a
+  running invariant that :func:`~repro.monitor.spans.validate_spans`
+  enforces on the document),
+* an :class:`ExemplarReservoir` (K slowest completes; cap evictions go
+  to its K most recent incompletes) — a span is built only when the
+  reservoir keeps it —
 
-and the record buffer is compacted to the requests still in flight —
+and the buffer is compacted to the requests still in flight, so
+resident state is O(sketch buckets + K + in-flight).  The hot path is
+the buffered collector's; birth and deliver also check the buffer
+length and drain past the threshold.
 
-so resident state is O(sketch buckets + K + in-flight), independent of
-how many requests the run drives.
-
-A drain folds its completions in columns, not request by request: each
-sketch takes one :meth:`QuantileSketch.record_many` call, the hop
-records of every completion are picked out of the buffer in one pass
-and reduced by :func:`~repro.monitor.spans.stage_segments`, and the
-stage totals add each stage's traversals with
-:func:`~repro.monitor.sketch.chained_sum` in the order a per-request
-``+=`` loop would (completion rank, then emission position, each
-request's memory term last).  The result is bit-identical to folding
-one request at a time.
-
-The exact per-span reconciliation check (phase sums vs end-to-end
-latency) is preserved as a running invariant counter: every fold checks
-it, violations are counted and the worst drift retained, and
-:func:`~repro.monitor.spans.validate_spans` rejects a streaming document
-with any violation — the same guarantee as the buffered schema, without
-keeping the spans.
-
-The hot path is untouched: the ``net.span`` subscriber is still the
-event buffer's C-level ``extend``, and stitching is still deferred — the
-only addition is a buffer-length check on the (comparatively rare)
-birth/deliver handlers that triggers an incremental drain, so the event
-buffer is bounded too.
-
-Trade-offs versus the buffered collector (by design):
-
-* quantiles carry the sketch's relative-error bound instead of being
-  histogram-exact over a bounded range (means, maxima, counts, and
-  per-stage averages stay exact — sketches track exact sum/min/max);
-* tail-cohort attribution runs over the exemplar reservoir, i.e. the
-  K slowest spans at or above the sketch's tail threshold, not the full
-  cohort;
-* the spans document stores sketch state + exemplars, not every span.
+Several stores (one per machine) merge one way, :func:`_merged`: sketch
+by sketch, totals added.  :class:`StreamingLatencyAnalysis` is the
+:class:`~repro.monitor.spans.LatencyAnalysis` over that merge, with the
+union of the reservoirs as its rows, and
+:meth:`StreamingSpanStore.merged_spans` the version-2 spans document
+(one store's is :meth:`StreamingSpanStore.spans`).  Against the
+buffered analysis, quantiles carry the sketch's relative-error bound
+(counts, means, maxima and stage averages stay exact) and the tail
+cohort is the exemplars at or above the sketched threshold.
 """
 
 from __future__ import annotations
 
-import json
 from itertools import accumulate, chain, repeat
+from operator import attrgetter
 from typing import Dict, List, Sequence
 
 import numpy as np
@@ -76,20 +52,19 @@ from repro.monitor.sketch import (
     chained_sum,
 )
 from repro.monitor.spans import (
-    MEMORY_PHASES,
     PHASES,
     RECONCILE_TOLERANCE,
+    LatencyAnalysis,
     RequestSpan,
     STREAM_SPANS_VERSION,
     SpanCollector,
     _BIRTH,
     _END,
+    _ORD,
     _RID,
+    _SpanList,
     _drifts,
-    _gather,
     _groups,
-    concat_hops,
-    rank_stages,
     stage_segments,
     traversal_cycles,
 )
@@ -136,8 +111,7 @@ class StreamingSpanStore(SpanCollector):
         #: per-stage sketch of total cycles per traversal.
         self.stage_sketches: Dict[str, QuantileSketch] = {}
         self.exemplars = ExemplarReservoir(k=exemplars, seed=seed)
-        #: in-flight spans evicted at the cap (their completion is lost).
-        self.evicted = 0
+        self._evicted = 0
         #: the running reconciliation invariant.
         self.reconciliation_checked = 0
         self.reconciliation_violations = 0
@@ -145,6 +119,12 @@ class StreamingSpanStore(SpanCollector):
         #: ``{row: index}`` of the requests the last stitch evicted, in
         #: eviction order.
         self._evicting: Dict[int, int] = {}
+
+    @property
+    def evicted(self) -> int:
+        """In-flight spans evicted at the cap (their completion is lost)."""
+        self._drain()
+        return self._evicted
 
     @property
     def completed_without_phases(self) -> int:
@@ -177,10 +157,10 @@ class StreamingSpanStore(SpanCollector):
         hops = self._hop_records(state[evicted, _BIRTH],
                                  np.fromiter(cut.values(), np.intp, len(cut)))
         for row, raw in zip(state[evicted].tolist(), hops):
-            self.exemplars.offer_incomplete(
-                self._span(*row[_BIRTH:], self._faults.get(row[_RID]), raw)
-            )
-        self.evicted += len(cut)
+            self.exemplars.offer_incomplete(self._span(
+                *row[_BIRTH:_ORD], self._faults.get(row[_RID]), raw
+            ), row[_ORD])
+        self._evicted += len(cut)
         done = np.flatnonzero(state[:, _END] >= 0)
         self._fold(np.concatenate((done[np.argsort(state[done, _END])], evicted)))
 
@@ -268,10 +248,11 @@ class StreamingSpanStore(SpanCollector):
         state = self._state[rows]
         rids = state[:, _RID].tolist()
         offsets = list(accumulate(counts, initial=0))
-        self.exemplars.offer_ranked_many(values, rids, lambda k: self._span(
-            *state[k, _BIRTH:].tolist(), self._faults.get(rids[k]),
-            self._records(at[offsets[k]:offsets[k + 1]]),
-        ))
+        self.exemplars.offer_ranked_many(
+            values, state[:, _ORD].tolist(), lambda k: self._span(
+                *state[k, _BIRTH:_ORD].tolist(), self._faults.get(rids[k]),
+                self._records(at[offsets[k]:offsets[k + 1]]),
+            ))
 
     # -- results -----------------------------------------------------------
 
@@ -295,312 +276,134 @@ class StreamingSpanStore(SpanCollector):
                 + len(self._events))
 
     def _incomplete_exemplars(self) -> List[RequestSpan]:
-        """The K most recent incomplete spans: cap-evicted ones held in
-        the reservoir merged with the current in-flight tail.  A
-        non-mutating snapshot — an in-flight span that completes after
-        this call folds normally.  The caller drains first.  (An evicted
-        request left the state for good: the two sets are disjoint.)"""
-        state = self._state
-        # in-flight rows by (birth time, request id), latest first
-        recent = np.lexsort(
-            (state[:, _RID], _gather(self._events, state[:, _BIRTH], 7))
-        )[::-1][:self.exemplars.k]
-        ordered = sorted(
-            self.exemplars.incompletes() + self._spans_at(recent),
-            key=lambda s: (s.birth, s.request_id), reverse=True,
-        )
-        return ordered[:self.exemplars.k]
+        """The K most recent incomplete spans by (birth, birth ordinal):
+        the in-flight tail, then the cap-evicted ones the reservoir
+        holds.  That is their order: births ascend in admission order,
+        and every request in flight was admitted after every evicted one
+        (an eviction takes the oldest in flight).  A non-mutating
+        snapshot — an in-flight span that completes after this call
+        folds normally.  The caller drains first."""
+        k = self.exemplars.k
+        recent = self._spans_at(np.arange(len(self._state))[:-k - 1:-1])
+        return (recent + self.exemplars.incompletes())[:k]
 
     def spans(self) -> dict:
         """The streaming spans document (version 2; see
         :func:`~repro.monitor.spans.validate_spans`)."""
-        self._drain()
+        return self.merged_spans([self])
+
+    @classmethod
+    def merged_spans(cls, stores: Sequence["StreamingSpanStore"]) -> dict:
+        """The streaming spans document of ``stores`` (one per machine,
+        say): counters add, the worst drift is the largest, sketches and
+        totals merge by :func:`_merged`, and each exemplar list keeps the
+        first k of the stores' union (slowest, latest birth first), k the
+        longest list a store holds."""
+        stores = list(stores)
+        latency, phases, stages, totals, slowest = _merged(stores)
+        incomplete = [store._incomplete_exemplars() for store in stores]
+        k = max(map(len, slowest + incomplete))
+
+        def total(counter: str) -> int:
+            return sum(getattr(store, counter) for store in stores)
+
         return {
             "version": STREAM_SPANS_VERSION,
             "mode": "streaming",
-            "complete": self._completed,
-            "incomplete": self.incomplete,
-            "dropped": self._dropped,
-            "evicted": self.evicted,
-            "completed_without_phases": self.completed_without_phases,
-            "relative_error": self.relative_error,
+            "complete": total("completed"),
+            "incomplete": total("incomplete"),
+            "dropped": total("dropped"),
+            "evicted": total("evicted"),
+            "completed_without_phases": total("completed_without_phases"),
+            "relative_error": stores[0].relative_error,
             "sketches": {
-                "latency": {
-                    name: sketch.to_dict()
-                    for name, sketch in sorted(self.latency_sketches.items())
-                },
-                "phases": {
-                    phase: self.phase_sketches[phase].to_dict()
-                    for phase in PHASES
-                },
-                "stages": {
-                    stage: self.stage_sketches[stage].to_dict()
-                    for stage in sorted(self.stage_sketches)
-                },
+                group: {name: sketch.to_dict() for name, sketch in sketches}
+                for group, sketches in (("latency", sorted(latency.items())),
+                                        ("phases", phases.items()),
+                                        ("stages", sorted(stages.items())))
             },
-            "stage_totals": {
-                stage: {
-                    "queue_wait": entry[0], "service": entry[1],
-                    "blocked": entry[2], "traversals": entry[3],
-                }
-                for stage, entry in sorted(self.stage_totals.items())
-            },
+            "stage_totals": {stage: dict(zip(
+                ("queue_wait", "service", "blocked", "traversals"), entry
+            )) for stage, entry in sorted(totals.items())},
             "reconciliation": {
-                "checked": self.reconciliation_checked,
-                "violations": self.reconciliation_violations,
-                "worst": self.reconciliation_worst,
+                "checked": total("reconciliation_checked"),
+                "violations": total("reconciliation_violations"),
+                "worst": max(store.reconciliation_worst for store in stores),
             },
             "exemplars": {
-                "slowest": [s.to_dict() for s in self.exemplars.slowest()],
-                "incomplete": [
-                    s.to_dict() for s in self._incomplete_exemplars()
-                ],
+                "slowest": [s.to_dict() for s in _union(slowest, "latency")[:k]],
+                "incomplete": [s.to_dict()
+                               for s in _union(incomplete, "birth")[:k]],
             },
         }
 
-
-def merge_streaming_docs(docs: Sequence[dict]) -> dict:
-    """Merge several streaming spans documents (one per machine) into a
-    single valid version-2 document: counters add, sketches merge
-    bucket-wise, exemplar lists re-rank and truncate to the largest
-    constituent reservoir."""
-    docs = list(docs)
-    if not docs:
-        raise ValueError("no documents to merge")
-    if len(docs) == 1:
-        return docs[0]
-    out = json.loads(json.dumps(docs[0]))  # deep copy, JSON types only
-    sketches = {
-        group: {
-            name: QuantileSketch.from_dict(payload)
-            for name, payload in out["sketches"][group].items()
-        }
-        for group in ("latency", "phases", "stages")
-    }
-    k = max(len(d["exemplars"]["slowest"]) for d in docs) or 1
-    for doc in docs[1:]:
-        for field in ("complete", "incomplete", "dropped", "evicted",
-                      "completed_without_phases"):
-            out[field] += doc[field]
-        for group, mine in sketches.items():
-            for name, payload in doc["sketches"][group].items():
-                sketch = QuantileSketch.from_dict(payload)
-                if name in mine:
-                    mine[name].merge(sketch)
-                else:
-                    mine[name] = sketch
-        for stage, entry in doc["stage_totals"].items():
-            mine = out["stage_totals"].setdefault(
-                stage,
-                {"queue_wait": 0.0, "service": 0.0, "blocked": 0.0,
-                 "traversals": 0},
-            )
-            for field in ("queue_wait", "service", "blocked", "traversals"):
-                mine[field] += entry[field]
-        rec = doc["reconciliation"]
-        out["reconciliation"]["checked"] += rec["checked"]
-        out["reconciliation"]["violations"] += rec["violations"]
-        out["reconciliation"]["worst"] = max(
-            out["reconciliation"]["worst"], rec["worst"]
-        )
-        out["exemplars"]["slowest"].extend(doc["exemplars"]["slowest"])
-        out["exemplars"]["incomplete"].extend(doc["exemplars"]["incomplete"])
-    out["sketches"] = {
-        group: {name: s.to_dict() for name, s in sorted(mine.items())}
-        for group, mine in sketches.items()
-    }
-    out["exemplars"]["slowest"].sort(key=lambda s: s["latency"], reverse=True)
-    del out["exemplars"]["slowest"][k:]
-    out["exemplars"]["incomplete"].sort(key=lambda s: s["birth"], reverse=True)
-    del out["exemplars"]["incomplete"][k:]
-    return out
+    @classmethod
+    def analyze(cls, stores: Sequence["StreamingSpanStore"]
+                ) -> "StreamingLatencyAnalysis":
+        return StreamingLatencyAnalysis.from_stores(stores)
 
 
-# ---------------------------------------------------------------------------
-# sketch-backed latency analysis
+def _merged(stores: List[StreamingSpanStore]) -> tuple:
+    """``(latency, phases, stages, totals, slowest)``: the drained stores'
+    sketch groups merged store by store into empty sketches, their stage
+    totals added, and each one's slowest exemplars."""
+    if not stores:
+        raise ValueError("no stores to merge")
+    groups: tuple = ({}, {}, {})
+    totals: Dict[str, list] = {}
+    for store in stores:
+        store._drain()
+        for group, theirs in zip(groups, (store.latency_sketches,
+                                          store.phase_sketches,
+                                          store.stage_sketches)):
+            for name, sketch in theirs.items():
+                group.setdefault(name, QuantileSketch(sketch.relative_error)
+                                 ).merge(sketch)
+        for stage, entry in store.stage_totals.items():
+            totals[stage] = [mine + theirs for mine, theirs in
+                             zip(totals.get(stage, (0.0, 0.0, 0.0, 0)), entry)]
+    return (*groups, totals, [store.exemplars.slowest() for store in stores])
 
 
-class StreamingLatencyAnalysis:
-    """The :class:`~repro.monitor.spans.LatencyAnalysis` protocol,
-    answered from a streaming store's sketch state.
+def _union(spans: List[list], key: str) -> list:
+    """The stores' span lists as one, by ``key`` descending (equal keys
+    keep store order)."""
+    return sorted(chain.from_iterable(spans), key=attrgetter(key), reverse=True)
 
-    Drop-in for every renderer in :mod:`repro.monitor.analysis`:
-    ``spans`` holds the exemplar completes (waterfalls, slowest-N),
-    quantile columns come from the sketches (relative-error-bounded),
-    means/shares/stage averages are exact (running sums), and the
-    tail cohort is the reservoir filtered at the sketch's tail
-    threshold.  Multiple stores (one per machine in a sweep) merge
-    losslessly through the sketches' merge operator.
-    """
 
-    QUANTILES = (0.5, 0.9, 0.95, 0.99)
-
-    def __init__(self, latency_sketches: Dict[str, QuantileSketch],
-                 phase_sketches: Dict[str, QuantileSketch],
-                 stage_totals: Dict[str, Sequence[float]],
-                 stage_sketches: Dict[str, QuantileSketch],
-                 exemplar_spans: Sequence[RequestSpan],
-                 dropped: int = 0, evicted: int = 0,
-                 reconciliation_worst: float = 0.0,
-                 reconciliation_violations: int = 0) -> None:
-        self.latency_sketches = latency_sketches
-        self.phase_sketches = phase_sketches
-        self.stage_totals = {k: list(v) for k, v in stage_totals.items()}
-        self.stage_sketches = stage_sketches
-        #: the retained exemplar spans — what ``slowest``/waterfalls see.
-        self.spans = [
-            s for s in exemplar_spans if s.complete and s.phases() is not None
-        ]
-        self.dropped = dropped
-        self.evicted = evicted
-        self._reconciliation_worst = reconciliation_worst
-        self._reconciliation_violations = reconciliation_violations
+class StreamingLatencyAnalysis(LatencyAnalysis):
+    """The :class:`~repro.monitor.spans.LatencyAnalysis` of streaming
+    stores.  Its distributions are the stores' merged sketches
+    (quantiles within the sketch's relative error; counts, sums and
+    maxima exact), its stage totals their exact running sums, and its
+    rows the union of their exemplar reservoirs, slowest first: the
+    slowest spans are exemplars, and the tail cohort is the exemplars
+    at or above the sketched threshold."""
 
     @classmethod
-    def from_store(cls, store) -> "StreamingLatencyAnalysis":
-        return cls.from_stores([store])
-
-    @classmethod
-    def from_stores(cls, stores) -> "StreamingLatencyAnalysis":
-        """Merge several stores (e.g. one per machine) into one
-        analysis: sketches merge bucket-wise, exact accumulators add,
-        and the union of reservoirs re-ranks into one."""
+    def from_stores(cls, stores: Sequence[StreamingSpanStore]
+                    ) -> "StreamingLatencyAnalysis":
+        """One analysis of several stores (one per machine, say)."""
         stores = list(stores)
-        if not stores:
-            raise ValueError("no stores to merge")
-        groups: tuple = ({}, {}, {})
-        totals: Dict[str, List[float]] = {}
-        for store in stores:
-            store._drain()
-            for group, theirs in zip(groups, (store.latency_sketches,
-                                              store.phase_sketches,
-                                              store.stage_sketches)):
-                for name, sketch in theirs.items():
-                    if name in group:
-                        group[name].merge(sketch)
-                    else:
-                        group[name] = sketch.copy()
-            for stage, entry in store.stage_totals.items():
-                mine = totals.setdefault(stage, [0.0, 0.0, 0.0, 0])
-                for i in range(4):
-                    mine[i] += entry[i]
-        latency, phases, stages = groups
-        exemplar_spans = [span for store in stores
-                          for span in store.exemplars.slowest()]
-        exemplar_spans.sort(key=lambda s: s.latency, reverse=True)
-        return cls(
-            latency, phases, totals, stages, exemplar_spans,
-            dropped=sum(store.dropped for store in stores),
-            evicted=sum(store.evicted for store in stores),
-            reconciliation_worst=max(store.reconciliation_worst
-                                     for store in stores),
-            reconciliation_violations=sum(store.reconciliation_violations
-                                          for store in stores),
+        latency, phases, _stages, totals, slowest = _merged(stores)
+        analysis = cls.__new__(cls)
+        analysis._set_rows([_SpanList(_union(slowest, "latency")).rows()])
+        analysis._set_inputs(
+            latency, phases, lambda: totals,
+            max(store.reconciliation_worst for store in stores),
+            sum(store.dropped for store in stores),
+            sum(store.evicted for store in stores),
         )
+        return analysis
 
-    # -- protocol: decomposition tables ------------------------------------
-
-    @property
-    def requests(self) -> int:
-        """Phased complete requests folded into the sketches."""
-        return self.latency_sketches["all"].count
-
-    def _sketch_row(self, sketch: QuantileSketch) -> dict:
-        p50, p90, p95, p99 = sketch.quantiles(self.QUANTILES)
-        return {
-            "count": sketch.count,
-            "mean": sketch.mean(),
-            "p50": p50, "p90": p90, "p95": p95, "p99": p99,
-            "max": sketch.max,
-        }
-
-    def end_to_end(self) -> Dict[str, dict]:
-        out = {
-            origin: self._sketch_row(sketch)
-            for origin, sketch in sorted(self.latency_sketches.items())
-            if origin != "all" and sketch.count
-        }
-        if self.latency_sketches["all"].count:
-            out["all"] = self._sketch_row(self.latency_sketches["all"])
-        return out
-
-    def phase_decomposition(self) -> Dict[str, dict]:
-        total = self.latency_sketches["all"].sum or 1.0
-        out = {}
-        for phase in PHASES:
-            sketch = self.phase_sketches[phase]
-            if not sketch.count:
-                continue
-            row = self._sketch_row(sketch)
-            row["share"] = sketch.sum / total
-            out[phase] = row
-        return out
-
-    def stage_decomposition(self) -> Dict[str, dict]:
-        total = self.latency_sketches["all"].sum or 1.0
-        out = {}
-        for stage in sorted(self.stage_totals):
-            wait, service, blocked, count = self.stage_totals[stage]
-            if not count:
-                continue
-            out[stage] = {
-                "traversals": count,
-                "queue_wait": wait / count,
-                "service": service / count,
-                "blocked": blocked / count,
-                "share": (wait + service + blocked) / total,
-            }
-        return out
-
-    # -- protocol: tail attribution ----------------------------------------
-
-    def tail_cohort(self, q: float = 0.95) -> List[RequestSpan]:
-        """Exemplars at or above the sketched ``q`` threshold — the
-        retained slice of the true cohort (at most K spans)."""
-        if not self.spans:
-            return []
-        threshold = self.latency_sketches["all"].quantile(q)
-        return [s for s in self.spans if s.latency >= threshold]
-
-    def bottleneck_attribution(self, q: float = 0.95) -> List[dict]:
-        cohort = self.tail_cohort(q)
-        if not cohort:
-            return []
-        phases = [span.phases() for span in cohort]
-        return rank_stages(
-            [span.latency for span in cohort],
-            *concat_hops([span.raw_hops for span in cohort]),
-            [[p[phase] for p in phases] for phase in MEMORY_PHASES],
-        )
-
-    def slowest(self, n: int = 5) -> List[RequestSpan]:
-        return self.spans[:n] if n is not None else list(self.spans)
-
-    def quantile_curve(self, qs: Sequence[float]) -> List[float]:
-        return self.latency_sketches["all"].quantiles(qs)
-
-    # -- protocol: integrity and summary -----------------------------------
-
-    def reconciliation_error(self) -> float:
-        return self._reconciliation_worst
-
-    def summary(self) -> dict:
-        if not self.latency_sketches["all"].count:
-            return {"requests": 0, "mode": "streaming"}
-        attribution = self.bottleneck_attribution()
-        return {
-            "mode": "streaming",
-            "requests": self.requests,
-            "dropped": self.dropped,
-            "evicted": self.evicted,
-            "end_to_end": self.end_to_end(),
-            "phases": self.phase_decomposition(),
-            "bottleneck": attribution[0] if attribution else None,
-            "reconciliation_error": self.reconciliation_error(),
-            "sketches": {
-                "latency": {
-                    name: sketch.to_dict()
-                    for name, sketch in sorted(self.latency_sketches.items())
-                },
-            },
-        }
+    def _source_keys(self, summary: dict) -> dict:
+        """The streaming keys: ``mode``, and with requests ``evicted`` and
+        the serialized latency sketches."""
+        summary = {"mode": "streaming", **summary}
+        if self.requests:
+            summary["evicted"] = self.evicted
+            summary["sketches"] = {"latency": {
+                name: sketch.to_dict()
+                for name, sketch in sorted(self._latency.items())
+            }}
+        return summary

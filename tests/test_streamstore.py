@@ -24,10 +24,10 @@ from repro.monitor.spans import (
     validate_spans,
     validate_spans_file,
 )
+from repro.monitor.sketch import QuantileSketch
 from repro.monitor.streamstore import (
     StreamingLatencyAnalysis,
     StreamingSpanStore,
-    merge_streaming_docs,
 )
 
 
@@ -76,7 +76,7 @@ class TestAgreementWithBuffered:
     def test_counts_means_and_maxima_are_exact(self):
         _machine, buffered, store, _cycles = _dual_run()
         exact = LatencyAnalysis.from_collectors([buffered])
-        streaming = StreamingLatencyAnalysis.from_store(store)
+        streaming = StreamingLatencyAnalysis.from_stores([store])
         assert streaming.requests == exact.requests > 0
         latencies = [s.latency for s in exact.spans]
         sketch = store.latency_sketches["all"]
@@ -92,7 +92,7 @@ class TestAgreementWithBuffered:
             s.latency for s in buffered.complete_spans()
             if s.phases() is not None
         ]
-        row = StreamingLatencyAnalysis.from_store(store).end_to_end()["all"]
+        row = StreamingLatencyAnalysis.from_stores([store]).end_to_end()["all"]
         for q, key in ((0.5, "p50"), (0.9, "p90"), (0.95, "p95"),
                        (0.99, "p99")):
             exact = _exact_quantile(latencies, q)
@@ -107,8 +107,8 @@ class TestAgreementWithBuffered:
             assert store.phase_sketches[phase].sum == pytest.approx(
                 expected, abs=1e-6
             )
-        streaming_stages = StreamingLatencyAnalysis.from_store(
-            store
+        streaming_stages = StreamingLatencyAnalysis.from_stores(
+            [store]
         ).stage_decomposition()
         for stage, row in exact.stage_decomposition().items():
             mine = streaming_stages[stage]
@@ -166,6 +166,51 @@ class TestFoldAndRelease:
         assert store.spans()["evicted"] > 0 and len(store._state) == 0
         assert all(ids == [] for ids in store._open_syncs.values())
 
+    def test_evicted_drains_before_it_answers(self):
+        """``evicted`` drains first, like ``incomplete`` and ``dropped``:
+        read straight after the run it counts the pending buffer's
+        evictions too."""
+        machine = CedarMachine(CedarConfig())
+        store = StreamingSpanStore(max_requests=1).attach(machine.bus)
+
+        def syncs(port):
+            for k in range(6):
+                yield SyncInstruction(address=(port + k) % 4)
+
+        machine.run_programs({port: syncs(port) for port in range(16)})
+        store.detach()
+        evicted = store.evicted
+        assert evicted > 0
+        assert evicted == store.spans()["evicted"]
+
+    def test_exemplar_ties_do_not_depend_on_drawn_ids(self):
+        """Equal latencies and equal births tie-break on each request's
+        birth ordinal in its store, not on its process-wide id: one
+        machine's summary and exemplars are the same whether or not
+        packet ids were drawn before it was built."""
+        from repro.network import packet
+
+        def observed(drawn):
+            for _ in range(drawn):
+                next(packet._packet_ids)
+            machine = CedarMachine(CedarConfig())
+            store = StreamingSpanStore(exemplars=8, max_requests=4).attach(
+                machine.bus
+            )
+            machine.run_programs(_programs())
+            store.detach()
+            exemplars = store.spans()["exemplars"]
+            return StreamingLatencyAnalysis.from_stores([store]).summary(), {
+                kind: [{k: v for k, v in span.items() if k != "id"}
+                       for span in spans]
+                for kind, spans in exemplars.items()
+            }
+
+        summary, exemplars = observed(0)
+        assert summary["requests"] > 0 and exemplars["incomplete"]
+        for drawn in (1, 777, 12_345):
+            assert observed(drawn) == (summary, exemplars)
+
     def test_zero_cost_cycles_are_bit_identical(self):
         bare = CedarMachine(CedarConfig()).run_programs(_programs())
         machine = CedarMachine(CedarConfig())
@@ -207,26 +252,65 @@ class TestStreamingSchema:
         assert n_complete > 0
 
     def test_merged_documents_validate_and_add(self):
-        docs = []
-        for _ in range(2):
+        """The merged document of several stores follows the merge's
+        rules: counters add and the worst drift is the largest; each
+        sketch is the pairwise merge of copies; each exemplar list is the
+        first k of the stores' union, k being the longest list a store
+        holds; one store's document is its own."""
+        stores = []
+        for exemplars, cap in ((4, 4), (8, 200_000)):
             machine = CedarMachine(CedarConfig())
-            store = StreamingSpanStore().attach(machine.bus)
+            store = StreamingSpanStore(
+                exemplars=exemplars, max_requests=cap
+            ).attach(machine.bus)
             machine.run_programs(_programs())
-            docs.append(store.spans())
             store.detach()
-        merged = merge_streaming_docs(docs)
+            stores.append(store)
+        docs = [store.spans() for store in stores]
+        merged = StreamingSpanStore.merged_spans(stores)
         validate_spans(merged)
-        assert merged["complete"] == sum(d["complete"] for d in docs)
-        all_sketch = merged["sketches"]["latency"]["all"]
-        assert all_sketch["count"] == sum(
-            d["sketches"]["latency"]["all"]["count"] for d in docs
+        assert StreamingSpanStore.merged_spans(stores[:1]) == docs[0]
+        for key in ("complete", "incomplete", "dropped", "evicted",
+                    "completed_without_phases"):
+            assert merged[key] == sum(d[key] for d in docs)
+        assert merged["evicted"] > 0
+        for key in ("checked", "violations"):
+            assert merged["reconciliation"][key] == sum(
+                d["reconciliation"][key] for d in docs
+            )
+        assert merged["reconciliation"]["worst"] == max(
+            d["reconciliation"]["worst"] for d in docs
         )
+        for stage, entry in merged["stage_totals"].items():
+            for field, value in entry.items():
+                assert value == sum(d["stage_totals"].get(stage, {}).get(
+                    field, 0) for d in docs)
+        for group in ("latency", "phases", "stages"):
+            names = {name for d in docs for name in d["sketches"][group]}
+            assert set(merged["sketches"][group]) == names
+            for name in names:
+                parts = [QuantileSketch.from_dict(d["sketches"][group][name])
+                         for d in docs if name in d["sketches"][group]]
+                for part in parts[1:]:
+                    parts[0].merge(part)
+                assert merged["sketches"][group][name] == parts[0].to_dict()
+        k = max(len(d["exemplars"][kind]) for d in docs
+                for kind in ("slowest", "incomplete"))
+        for kind, key in (("slowest", "latency"), ("incomplete", "birth")):
+            union = sorted((s for d in docs for s in d["exemplars"][kind]),
+                           key=lambda s: s[key], reverse=True)
+            assert merged["exemplars"][kind] == union[:k]
+        assert len(merged["exemplars"]["slowest"]) == k < 4 + 8
+        assert merged["exemplars"]["incomplete"]
 
     def test_multi_store_analysis_merges(self):
+        """The merged analysis folds every store's sketches, and its
+        slowest spans and tail cohort read the untruncated union of the
+        reservoirs."""
         stores = []
         for _ in range(2):
             machine = CedarMachine(CedarConfig())
-            store = StreamingSpanStore().attach(machine.bus)
+            store = StreamingSpanStore(exemplars=8).attach(machine.bus)
             machine.run_programs(_programs())
             stores.append(store)
         merged = StreamingLatencyAnalysis.from_stores(stores)
@@ -234,6 +318,14 @@ class TestStreamingSchema:
             s.latency_sketches["all"].count for s in stores
         )
         assert merged.end_to_end()["all"]["count"] == merged.requests
+        union = sorted((s for store in stores for s in store.exemplars.slowest()),
+                       key=lambda s: s.latency, reverse=True)
+        assert len(union) == 16
+        assert merged.slowest(None) == union
+        (threshold,) = merged.quantile_curve([0.95])
+        cohort = [s for s in union if s.latency >= threshold]
+        assert merged.tail_cohort() == cohort
+        assert len(cohort) > 8
 
 
 class TestStreamingRenderers:
@@ -241,7 +333,7 @@ class TestStreamingRenderers:
         from repro.monitor.analysis import latency_tables
 
         _machine, _buffered, store, _cycles = _dual_run()
-        out = latency_tables(StreamingLatencyAnalysis.from_store(store))
+        out = latency_tables(StreamingLatencyAnalysis.from_stores([store]))
         assert "p95" in out and "p99" in out
         assert "gmem" in out
 
