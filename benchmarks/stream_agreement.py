@@ -36,14 +36,11 @@ def exact_quantile(ordered, q):
 
 def dual_observed_run(name: str, fast: bool = True):
     """Run one experiment with both backends on every machine; returns
-    (sorted exact latencies, merged StreamingLatencyAnalysis) or
+    (sorted exact latencies, the stores' merged LatencyAnalysis) or
     (None, None) when the experiment traces nothing."""
     from repro.experiments.runner import experiment, observe
     from repro.monitor.spans import SpanCollector
-    from repro.monitor.streamstore import (
-        StreamingLatencyAnalysis,
-        StreamingSpanStore,
-    )
+    from repro.monitor.streamstore import StreamingSpanStore
 
     exp = experiment(name)
     pairs = []
@@ -69,9 +66,7 @@ def dual_observed_run(name: str, fast: bool = True):
     )
     if not latencies:
         return None, None
-    analysis = StreamingLatencyAnalysis.from_stores(
-        [store for _buffered, store in pairs]
-    )
+    analysis = StreamingSpanStore.analyze([store for _buffered, store in pairs])
     return latencies, analysis
 
 

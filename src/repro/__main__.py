@@ -12,7 +12,7 @@ Usage::
     python -m repro soak [--requests N]      # open-loop streaming soak
     python -m repro all [--fast]             # the paper's artifacts
     python -m repro run-all [NAMES...] [--jobs N] [--cached] [--fast]
-                            [--timeout S] [--retries N] [--stream]
+                            [--timeout S] [--retries N]
                             [--telemetry] [--telemetry-dir D]
                             [--heartbeat S] [--no-progress]
                                              # every registered experiment
@@ -28,7 +28,7 @@ Usage::
                                              # interval metric timelines
     python -m repro profile EXPERIMENT [--top N] [--out p.json]
                                              # host wall-clock hotspots
-    python -m repro report [EXPERIMENT] [--stream] [--interval N]
+    python -m repro report [EXPERIMENT] [--interval N]
                                              # structured run reports
 
 ``--fast`` shrinks the cycle-level simulations to smoke size.
@@ -72,7 +72,9 @@ monitor / ...), naming the frames that hold the events/sec plateau.
 RunReport JSON; with no name it aggregates the report directory into a
 summary table.  ``report EXPERIMENT --dir D`` instead *loads* the
 collected report from ``D`` and errors (exit 1) when it was never
-collected.
+collected.  Run reports have one mode, the buffered span collector;
+the bounded-memory streaming store serves ``analyze --stream``,
+``compare --stream`` and ``soak``.
 
 ``run-all --telemetry`` records the fleet lifecycle (queued / started
 / heartbeat / retry / failed / completed events) as schema-versioned
@@ -229,7 +231,6 @@ def _run_all(args) -> str:
             collect_reports=collect,
             timeout_s=args.timeout,
             retries=args.retries,
-            stream=args.stream,
             telemetry=telemetry,
         )
     finally:
@@ -494,7 +495,7 @@ def _report(args) -> str:
 
         report = run_experiment(
             args.experiment, fast=args.fast, collect_report=True,
-            stream=args.stream, timeline=args.interval,
+            timeline=args.interval,
         ).report
     # the canonical report text; print() adds its trailing newline
     return report_json(report).rstrip("\n")
@@ -612,9 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="run-report directory (default .repro-reports)")
     run_all_cmd.add_argument("--no-reports", action="store_true",
                              help="skip run-report collection")
-    run_all_cmd.add_argument("--stream", action="store_true",
-                             help="collect run reports through the "
-                                  "bounded-memory streaming span store")
     run_all_cmd.add_argument("--telemetry", action="store_true",
                              help="record fleet lifecycle events as JSONL "
                                   "and stream worker heartbeats (turns "
@@ -723,9 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--dir", default=None,
                         help="report directory to aggregate "
                              "(default .repro-reports)")
-    report.add_argument("--stream", action="store_true",
-                        help="collect through the bounded-memory "
-                             "streaming span store")
     report.add_argument("--interval", type=float, default=None,
                         metavar="CYCLES",
                         help="also collect interval metric timelines at "

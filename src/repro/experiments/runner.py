@@ -335,7 +335,6 @@ def cache_key(
     name: str,
     kwargs: Dict[str, object],
     config: CedarConfig = DEFAULT_CONFIG,
-    stream: bool = False,
     timeline: Optional[float] = None,
 ) -> str:
     """Stable cache key: experiment identity + arguments + machine config
@@ -347,11 +346,8 @@ def cache_key(
         "experiment": name,
         "kwargs": kwargs,
         "config": config.stable_hash(),
-        # streaming report collection changes the stored report's
-        # shape, so streamed and buffered entries must not collide;
-        # without a report stream changes nothing, and the runners
-        # pass False
-        "stream": stream,
+        # a retired report mode keyed here; False keeps stored keys valid
+        "stream": False,
     }
     # timeline collection adds per-machine sections to the stored
     # report; the key only materializes when sampling is on, so every
@@ -533,17 +529,15 @@ def _compute(
     name: str,
     kwargs: Dict[str, object],
     collect_report: bool,
-    stream: bool = False,
     timeline: Optional[float] = None,
 ) -> tuple:
     """Run one experiment: ``(output, report dict or None, elapsed_s)``.
 
     With ``collect_report`` the run goes through :func:`observe` under a
     :class:`ReportCollector`, so warm memo entries from an earlier
-    experiment cannot hide machines from it; ``stream`` selects
-    bounded-memory streaming span collection instead of the buffered
-    collector, and ``timeline`` (an interval in simulated cycles) adds
-    interval-sampled metric timelines to each machine record.
+    experiment cannot hide machines from it, and ``timeline`` (an
+    interval in simulated cycles) adds interval-sampled metric
+    timelines to each machine record.
 
     Elapsed time covers the run and its report, measured where the run
     happens, so it never charges an experiment for time spent queued or
@@ -555,7 +549,7 @@ def _compute(
         return exp.runner(**kwargs), None, time.perf_counter() - start
     from repro.monitor.report import ReportCollector, RunReport
 
-    collector = ReportCollector(stream=stream, timeline=timeline)
+    collector = ReportCollector(timeline=timeline)
     with observe(collector):
         output = exp.runner(**kwargs)
     machines = collector.machine_dicts()
@@ -569,15 +563,13 @@ def _compute(
     return output, report, time.perf_counter() - start
 
 
-def _outcome(
-    name: str, kwargs: Dict[str, object], collect_report: bool, stream: bool
-) -> tuple:
+def _outcome(name: str, kwargs: Dict[str, object], collect_report: bool) -> tuple:
     """One try at one experiment: ``("ok", payload)`` with the
     :func:`_compute` payload, or ``("error", "Type: message")``.  A
     worker sends this over its pipe; the inline path calls it
     in-process."""
     try:
-        return "ok", _compute(name, kwargs, collect_report, stream=stream)
+        return "ok", _compute(name, kwargs, collect_report)
     except Exception as exc:  # noqa: BLE001 - isolate each artifact
         return "error", f"{type(exc).__name__}: {exc}"
 
@@ -639,27 +631,22 @@ def run_experiment(
     fast: bool = False,
     cache_dir: Optional[Path] = None,
     collect_report: bool = False,
-    stream: bool = False,
     timeline: Optional[float] = None,
 ) -> ExperimentResult:
     """Run (or replay from cache) a single registered experiment; an
     exception the experiment raises propagates.
 
-    ``stream`` (with ``collect_report``) collects the per-machine
-    latency summary through the bounded-memory streaming store;
     ``timeline`` (an interval in simulated cycles, with
     ``collect_report``) adds interval-sampled metric timelines to each
-    machine record.  Both are part of the cache key (``stream`` only
-    with ``collect_report``), so instrumented and bare entries never
-    collide.
+    machine record; it is part of the cache key, so entries with and
+    without timelines never collide.
     """
     kwargs = experiment(name).arguments(fast)
-    stream = stream and collect_report
-    key = cache_key(name, kwargs, stream=stream, timeline=timeline)
+    key = cache_key(name, kwargs, timeline=timeline)
     cached = _replay(name, key, cache_dir, collect_report)
     if cached is not None:
         return cached
-    payload = _compute(name, kwargs, collect_report, stream=stream, timeline=timeline)
+    payload = _compute(name, kwargs, collect_report, timeline=timeline)
     return _succeed(name, key, payload, cache_dir)
 
 
@@ -685,7 +672,6 @@ def _subprocess_main(
     name: str,
     kwargs: Dict,
     collect_report: bool,
-    stream: bool = False,
     heartbeat_s: Optional[float] = None,
 ) -> None:
     """Worker-process entry point: send one :func:`_outcome` outcome
@@ -694,7 +680,7 @@ def _subprocess_main(
     which the scheduler detects as worker death."""
     try:
         with _heartbeats(conn.send, heartbeat_s):
-            outcome = _outcome(name, kwargs, collect_report, stream)
+            outcome = _outcome(name, kwargs, collect_report)
         conn.send(outcome)
     finally:
         conn.close()
@@ -751,7 +737,6 @@ def _drive(
     timeout_s: Optional[float],
     retries: int,
     retry_backoff_s: float,
-    stream: bool,
     emit: Callable,
     heartbeat_s: Optional[float],
 ) -> Dict[str, ExperimentResult]:
@@ -825,13 +810,13 @@ def _drive(
             emit("worker_started", name, attempt=number, inline=True)
             with _heartbeats(lambda message: _beat(attempt, message[1]),
                              heartbeat_s):
-                outcome = _outcome(name, kwargs, collect_reports, stream)
+                outcome = _outcome(name, kwargs, collect_reports)
             _finish(attempt, *outcome)
             return
         recv_conn, send_conn = ctx.Pipe(duplex=False)
         process = ctx.Process(
             target=_subprocess_main,
-            args=(send_conn, name, kwargs, collect_reports, stream, heartbeat_s),
+            args=(send_conn, name, kwargs, collect_reports, heartbeat_s),
         )
         process.start()
         send_conn.close()  # the scheduler keeps only the read end
@@ -910,7 +895,6 @@ def run_all(
     timeout_s: Optional[float] = None,
     retries: int = 0,
     retry_backoff_s: float = 0.25,
-    stream: bool = False,
     telemetry=None,
 ) -> List[ExperimentResult]:
     """Run a set of experiments (default: every registered one).
@@ -943,8 +927,7 @@ def run_all(
     ``collect_reports`` every non-cached run is instrumented and its
     :class:`ExperimentResult` carries a RunReport dict (cache hits
     replay a stored report when the entry has one; entries without one
-    are re-run).  ``stream`` only matters, and only keys the cache,
-    when reports are collected.
+    are re-run).
     """
     if retries < 0:
         raise ValueError("retries must be >= 0")
@@ -953,12 +936,11 @@ def run_all(
         experiment(name)  # validate up front
 
     emit = telemetry.event if telemetry is not None else _silent
-    stream = stream and collect_reports
     results: Dict[str, ExperimentResult] = {}
     misses: Dict[str, tuple] = {}
     for name in selected:
         kwargs = REGISTRY[name].arguments(fast)
-        key = cache_key(name, kwargs, stream=stream)
+        key = cache_key(name, kwargs)
         cached = _replay(name, key, cache_dir, collect_reports, emit)
         if cached is not None:
             results[name] = cached
@@ -976,7 +958,6 @@ def run_all(
                 timeout_s,
                 retries,
                 retry_backoff_s,
-                stream,
                 emit,
                 telemetry.heartbeat_s if telemetry is not None else None,
             )

@@ -80,7 +80,6 @@ _EXPORTS = {
     "validate_spans_file": "repro.monitor.spans",
     "ExemplarReservoir": "repro.monitor.sketch",
     "QuantileSketch": "repro.monitor.sketch",
-    "StreamingLatencyAnalysis": "repro.monitor.streamstore",
     "StreamingSpanStore": "repro.monitor.streamstore",
     "DEFAULT_TELEMETRY_DIR": "repro.monitor.telemetry",
     "FleetTelemetry": "repro.monitor.telemetry",
@@ -162,7 +161,6 @@ __all__ = [
     "render_compare",
     "validate_telemetry",
     "validate_telemetry_file",
-    "StreamingLatencyAnalysis",
     "StreamingSpanStore",
     "ExemplarReservoir",
     "QuantileSketch",

@@ -19,12 +19,15 @@ cluster banks as they are assembled (read back when the report is
 built), and subscribers on its cold signals.  Monitors only observe, so
 the simulated results are bit-identical with or without collection.
 
-Each machine's span collector buffers one record per signal.  Building
-a machine folds the buffers of the earlier machines whose engines are
-idle (:meth:`~repro.monitor.spans.SpanCollector.fold`; a streaming
-store answers with one more drain): nothing is in flight there, so the
-latency summary stays exact while one raw buffer is alive at a time.
-Contexts and registries live until the report is built.
+Reports have one mode: each machine's buffered
+:class:`~repro.monitor.spans.SpanCollector` keeps one record per
+signal.  Building a machine folds the buffers of the earlier machines
+whose engines are idle (:meth:`~repro.monitor.spans.SpanCollector.fold`):
+nothing is in flight there, so the latency summary stays exact while
+one raw buffer is alive at a time.  Contexts and registries live until
+the report is built.  (The bounded-memory
+:class:`~repro.monitor.streamstore.StreamingSpanStore` serves
+``analyze --stream``, ``compare --stream`` and the soak, not reports.)
 """
 
 from __future__ import annotations
@@ -62,7 +65,8 @@ def report_json(report: Dict[str, object]) -> str:
 
 class ReportCollector:
     """Instrument every SimContext built under
-    :func:`~repro.experiments.runner.observe`::
+    :func:`~repro.experiments.runner.observe` with the standard monitors
+    and a buffered :class:`~repro.monitor.spans.SpanCollector`::
 
         collector = ReportCollector()
         with observe(collector):
@@ -74,13 +78,8 @@ class ReportCollector:
     #: CLI's: reports want the decomposition, not every exemplar).
     SPAN_CAP = 100_000
 
-    def __init__(self, stream: bool = False, timeline: Optional[float] = None) -> None:
+    def __init__(self, timeline: Optional[float] = None) -> None:
         self._records: List[tuple] = []
-        #: streaming collection: attach a bounded-memory
-        #: :class:`~repro.monitor.streamstore.StreamingSpanStore` per
-        #: machine instead of the buffered collector — same signals,
-        #: sketch-backed latency summary, no request cap to hit.
-        self.stream = stream
         #: time-resolved collection: a sampling interval in simulated
         #: cycles arms a :class:`~repro.monitor.timeline.MetricTimeline`
         #: per machine (riding the engine pulse) and adds a ``timeline``
@@ -96,12 +95,7 @@ class ReportCollector:
                 spans.fold()
         registry = MetricsRegistry()
         monitors = attach_standard_monitors(ctx, registry)
-        if self.stream:
-            from repro.monitor.streamstore import StreamingSpanStore
-
-            spans = StreamingSpanStore(max_requests=self.SPAN_CAP).attach(ctx.bus)
-        else:
-            spans = SpanCollector(max_requests=self.SPAN_CAP).attach(ctx.bus)
+        spans = SpanCollector(max_requests=self.SPAN_CAP).attach(ctx.bus)
         timeline = None
         if self.timeline is not None:
             from repro.monitor.timeline import arm_machine_timeline
@@ -141,7 +135,7 @@ class ReportCollector:
             if timeline is not None:
                 timeline.finalize(engine.now)
                 record["timeline"] = timeline.to_dict()
-            record["latency"] = type(spans).analyze([spans]).summary()
+            record["latency"] = SpanCollector.analyze([spans]).summary()
             out.append(record)
         return out
 

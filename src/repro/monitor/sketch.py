@@ -24,7 +24,7 @@ streaming path is built on:
   sketches.
 
 Both structures are deterministic (no wall clock, no unseeded
-randomness) and JSON-serializable, so streaming run reports reproduce
+randomness) and JSON-serializable, so streaming spans documents reproduce
 bit-identically for a fixed simulation.
 """
 

@@ -1171,7 +1171,7 @@ class LatencyAnalysis:
     every row: its distributions are the row columns (percentiles
     through :class:`Histogrammer`, the paper's 64K hardware counters)
     and its stage totals the rows' hops'.  The streaming analysis
-    (:class:`~repro.monitor.streamstore.StreamingLatencyAnalysis`) reads
+    (:meth:`~repro.monitor.streamstore.StreamingSpanStore.analyze`) reads
     merged sketches and running totals, and its rows are the exemplars.
     """
 
@@ -1387,20 +1387,16 @@ class LatencyAnalysis:
     def summary(self) -> dict:
         """The compact dict embedded in run reports."""
         if not self.requests:
-            return self._source_keys({"requests": 0})
+            return {"requests": 0}
         attribution = self.bottleneck_attribution()
-        return self._source_keys({
+        return {
             "requests": self.requests,
             "dropped": self.dropped,
             "end_to_end": self.end_to_end(),
             "phases": self.phase_decomposition(),
             "bottleneck": attribution[0] if attribution else None,
             "reconciliation_error": self.reconciliation_error(),
-        })
-
-    def _source_keys(self, summary: dict) -> dict:
-        """``summary`` with the keys a sketched source adds (none here)."""
-        return summary
+        }
 
 
 # ---------------------------------------------------------------------------

@@ -27,14 +27,17 @@ the buffered collector's; birth and deliver also check the buffer
 length and drain past the threshold.
 
 Several stores (one per machine) merge one way, :func:`_merged`: sketch
-by sketch, totals added.  :class:`StreamingLatencyAnalysis` is the
-:class:`~repro.monitor.spans.LatencyAnalysis` over that merge, with the
-union of the reservoirs as its rows, and
+by sketch, totals added.  :meth:`StreamingSpanStore.analyze` builds the
+one :class:`~repro.monitor.spans.LatencyAnalysis` over that merge, with
+the union of the reservoirs as its rows, and
 :meth:`StreamingSpanStore.merged_spans` the version-2 spans document
 (one store's is :meth:`StreamingSpanStore.spans`).  Against the
 buffered analysis, quantiles carry the sketch's relative-error bound
 (counts, means, maxima and stage averages stay exact) and the tail
 cohort is the exemplars at or above the sketched threshold.
+
+The store serves ``python -m repro analyze --stream``, ``compare
+--stream`` and the soak; run reports use the buffered collector.
 """
 
 from __future__ import annotations
@@ -77,7 +80,8 @@ class StreamingSpanStore(SpanCollector):
     oldest in-flight span is evicted into the exemplar reservoir rather
     than dropping the new birth.  Each drain is one fold
     (:meth:`SpanCollector._fold`); a completed request reads no later
-    record and no longer counts against the in-flight cap.
+    record and no longer counts against the in-flight cap.  Run reports
+    do not use it (:class:`~repro.monitor.report.ReportCollector`).
     """
 
     #: drain (and fold) whenever the buffer holds this many unstitched
@@ -339,8 +343,26 @@ class StreamingSpanStore(SpanCollector):
 
     @classmethod
     def analyze(cls, stores: Sequence["StreamingSpanStore"]
-                ) -> "StreamingLatencyAnalysis":
-        return StreamingLatencyAnalysis.from_stores(stores)
+                ) -> LatencyAnalysis:
+        """One :class:`~repro.monitor.spans.LatencyAnalysis` of several
+        stores (one per machine, say).  Its distributions are the
+        stores' merged sketches (quantiles within the sketch's relative
+        error; counts, sums and maxima exact), its stage totals their
+        exact running sums, and its rows the union of their exemplar
+        reservoirs, slowest first: the slowest spans are exemplars, and
+        the tail cohort is the exemplars at or above the sketched
+        threshold."""
+        stores = list(stores)
+        latency, phases, _stages, totals, slowest = _merged(stores)
+        analysis = LatencyAnalysis.__new__(LatencyAnalysis)
+        analysis._set_rows([_SpanList(_union(slowest, "latency")).rows()])
+        analysis._set_inputs(
+            latency, phases, lambda: totals,
+            max(store.reconciliation_worst for store in stores),
+            sum(store.dropped for store in stores),
+            sum(store.evicted for store in stores),
+        )
+        return analysis
 
 
 def _merged(stores: List[StreamingSpanStore]) -> tuple:
@@ -369,41 +391,3 @@ def _union(spans: List[list], key: str) -> list:
     """The stores' span lists as one, by ``key`` descending (equal keys
     keep store order)."""
     return sorted(chain.from_iterable(spans), key=attrgetter(key), reverse=True)
-
-
-class StreamingLatencyAnalysis(LatencyAnalysis):
-    """The :class:`~repro.monitor.spans.LatencyAnalysis` of streaming
-    stores.  Its distributions are the stores' merged sketches
-    (quantiles within the sketch's relative error; counts, sums and
-    maxima exact), its stage totals their exact running sums, and its
-    rows the union of their exemplar reservoirs, slowest first: the
-    slowest spans are exemplars, and the tail cohort is the exemplars
-    at or above the sketched threshold."""
-
-    @classmethod
-    def from_stores(cls, stores: Sequence[StreamingSpanStore]
-                    ) -> "StreamingLatencyAnalysis":
-        """One analysis of several stores (one per machine, say)."""
-        stores = list(stores)
-        latency, phases, _stages, totals, slowest = _merged(stores)
-        analysis = cls.__new__(cls)
-        analysis._set_rows([_SpanList(_union(slowest, "latency")).rows()])
-        analysis._set_inputs(
-            latency, phases, lambda: totals,
-            max(store.reconciliation_worst for store in stores),
-            sum(store.dropped for store in stores),
-            sum(store.evicted for store in stores),
-        )
-        return analysis
-
-    def _source_keys(self, summary: dict) -> dict:
-        """The streaming keys: ``mode``, and with requests ``evicted`` and
-        the serialized latency sketches."""
-        summary = {"mode": "streaming", **summary}
-        if self.requests:
-            summary["evicted"] = self.evicted
-            summary["sketches"] = {"latency": {
-                name: sketch.to_dict()
-                for name, sketch in sorted(self._latency.items())
-            }}
-        return summary

@@ -657,14 +657,14 @@ def oracle_summary(spans, dropped: int = 0, bins: int = 2048) -> dict:
 
 
 def oracle_streaming_summary(store) -> dict:
-    """``StreamingLatencyAnalysis.from_stores([store]).summary()`` for an
+    """``StreamingSpanStore.analyze([store]).summary()`` for an
     :class:`OracleStreamingSpanStore`, with the phase shares taken from
     its exact running sums and the p95 bottleneck attributed hop by hop
     over its exemplar spans.  Quantile rows and the tail threshold are
     the sketches' own (``tests/test_sketch.py`` covers them)."""
     everything = store.latency_sketches["all"]
     if not everything.count:
-        return {"mode": "streaming", "requests": 0}
+        return {"requests": 0}
 
     def row(sketch):
         p50, p90, p95, p99 = sketch.quantiles((0.5, 0.9, 0.95, 0.99))
@@ -688,14 +688,10 @@ def oracle_streaming_summary(store) -> dict:
         if s.complete and s.phases() is not None and s.latency >= threshold
     ])
     return {
-        "mode": "streaming",
         "requests": everything.count,
         "dropped": store.dropped,
         "end_to_end": end_to_end,
         "phases": phases,
         "bottleneck": ranked[0] if ranked else None,
         "reconciliation_error": store.reconciliation_worst,
-        "evicted": store.evicted,
-        "sketches": {"latency": {name: sketch.to_dict() for name, sketch
-                                 in sorted(store.latency_sketches.items())}},
     }

@@ -83,6 +83,16 @@ class TestCacheKey:
             "table1", {"a_strips": 2}, config=CedarConfig(clusters=2)
         )
 
+    def test_stored_keys_stay_addressable(self):
+        """Keys are pinned: a change to the key material orphans every
+        stored entry unless ``CACHE_VERSION`` moves with it."""
+        assert cache_key("topology", {}) == (
+            "43e1300a64fc63d21b2e9c9270e67be0660d3c9cce1afb71110a8e9995e6272a"
+        )
+        assert cache_key("table1", {"fast": True}) == (
+            "ea4eaf48d376dcd151567559e0ba623bcadc599ed09fc357c09bdaa8762f27df"
+        )
+
 
 class TestCacheStore:
     def test_round_trip(self, tmp_path):

@@ -348,18 +348,3 @@ class TestInlineHeartbeats:
         assert beats[0]["events_processed"] == 0
         assert beats[-1]["events_processed"] > 0
 
-
-class TestStreamKey:
-    def test_bare_stream_run_reuses_a_bare_entry(self, tmp_path):
-        (cold,) = run_all(names=["topology"], cache_dir=tmp_path)
-        (warm,) = run_all(names=["topology"], cache_dir=tmp_path, stream=True)
-        assert not cold.cached and warm.cached
-        assert warm.output == cold.output
-
-    def test_reported_stream_run_keeps_its_own_entry(self, tmp_path):
-        run_all(names=["topology"], cache_dir=tmp_path, collect_reports=True)
-        (streamed,) = run_all(
-            names=["topology"], cache_dir=tmp_path, collect_reports=True,
-            stream=True,
-        )
-        assert not streamed.cached and streamed.report is not None

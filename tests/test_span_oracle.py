@@ -18,7 +18,8 @@ record-by-record loop it replaced, and the hop pick against a
 record-by-record scan.  Folds at idle points are held against a
 collector that never folds (a streaming store: against the eager oracle
 store), on programs of several quiescent runs and on the report path's
-machines.
+machines.  A directed case pins the tail cohort's attribution sums to
+row order across interleaved latency values.
 """
 
 import itertools
@@ -43,7 +44,7 @@ from repro.core.machine import CedarMachine
 from repro.faults import FaultPlan
 from repro.monitor.signals import SignalBus
 from repro.monitor.spans import LatencyAnalysis, RequestSpan, SpanCollector
-from repro.monitor.streamstore import StreamingLatencyAnalysis, StreamingSpanStore
+from repro.monitor.streamstore import StreamingSpanStore
 from repro.network.packet import PacketKind
 from tests.span_oracle import (
     OracleSpanCollector,
@@ -308,8 +309,8 @@ def _same_fold(mine, oracle) -> None:
     summaries and fold state."""
     assert (json.dumps(mine.spans(), sort_keys=True)
             == json.dumps(oracle.spans(), sort_keys=True))
-    _same(StreamingLatencyAnalysis.from_stores([mine]).summary(),
-          StreamingLatencyAnalysis.from_stores([oracle]).summary())
+    _same(StreamingSpanStore.analyze([mine]).summary(),
+          StreamingSpanStore.analyze([oracle]).summary())
     _same(_fold_state(mine), _fold_state(oracle))
 
 
@@ -326,7 +327,7 @@ def _check_streaming(program, mine, oracle, per_request, records=5) -> None:
     _play(program, [oracle])
     _play(program, [per_request])
     _same(mine.spans(), oracle.spans())
-    _same(StreamingLatencyAnalysis.from_stores([mine]).summary(),
+    _same(StreamingSpanStore.analyze([mine]).summary(),
           oracle_streaming_summary(oracle))
     _same_fold(mine, per_request)
 
@@ -367,7 +368,7 @@ def test_idle_folds_match_oracle(program, cap, stream, records):
         _play(program, [folded], fold=True)
         _play(program, [oracle])
         _same(folded.spans(), oracle.spans())
-        _same(StreamingLatencyAnalysis.from_stores([folded]).summary(),
+        _same(StreamingSpanStore.analyze([folded]).summary(),
               oracle_streaming_summary(oracle))
         return
     folded, plain = SpanCollector(max_requests=cap), SpanCollector(max_requests=cap)
@@ -389,6 +390,45 @@ def test_idle_folds_match_oracle(program, cap, stream, records):
                  lambda: folded.requests):
         with pytest.raises(RuntimeError, match="folded"):
             read()
+
+
+def _cohort_order_program() -> list:
+    """60 requests of latency 1, then three tail requests of latency 5,
+    6 and 5 whose ``fwd.s0`` hops cost 1.1, 1.3 and 1.7 cycles; each
+    request is one hop, a ``gm[0]`` record of 0.5 cycles, a memory
+    service of 0.5 and a deliver, one after another."""
+    program = []
+    requests = [(0.0, 1.0)] * 60 + [(1.1, 5.0), (1.3, 6.0), (1.7, 5.0)]
+    for rid, (hop, latency) in enumerate(requests):
+        program += [
+            ("birth", rid, "demand"),
+            ("hop", rid, "fwd.s0[1]", False, hop, 0.0, 0.0),
+            ("advance", hop),
+            ("gm", rid, 0, False, 0.5, 0.0, 0.0),
+            ("gsvc", rid, 0, 0.5),
+            ("advance", latency - hop),
+            ("deliver", rid),
+        ]
+        if rid == 59:
+            program.append(("fold",))
+    return program + [("fold",)]
+
+
+@pytest.mark.parametrize("fold", [False, True])
+def test_cohort_sums_add_in_row_order(fold):
+    """The p95 cohort's attribution adds its rows in row order across
+    interleaved latency values: ``fwd.s0`` reads 1.1 + 1.3 + 1.7 =
+    4.1000000000000005 cycles, where grouping the rows by latency value
+    (1.1 + 1.7, then 1.3) would read 4.1."""
+    program = _cohort_order_program()
+    mine, oracle = SpanCollector(), OracleSpanCollector()
+    _play(program, [mine], fold=fold)
+    _play(program, [oracle])
+    assert bool(mine._folded) == fold
+    summary = LatencyAnalysis.from_collectors([mine]).summary()
+    _same(summary, oracle_summary(oracle.complete_spans(), oracle.dropped))
+    assert summary["bottleneck"]["stage"] == "fwd.s0"
+    assert summary["bottleneck"]["cycles"] == 1.1 + 1.3 + 1.7 != 1.1 + 1.7 + 1.3
 
 
 def _absent(index: int):
@@ -642,8 +682,8 @@ def test_cg_under_faults_matches_oracle(monkeypatch):
     _same(LatencyAnalysis.from_collectors([mine]).summary(),
           oracle_summary(oracle.complete_spans(), oracle.dropped))
     _same(stream.spans(), stream_oracle.spans())
-    _same(StreamingLatencyAnalysis.from_stores([stream]).summary(),
-          StreamingLatencyAnalysis.from_stores([stream_oracle]).summary())
+    _same(StreamingSpanStore.analyze([stream]).summary(),
+          StreamingSpanStore.analyze([stream_oracle]).summary())
 
 
 def test_report_path_builds_no_request_spans(monkeypatch):
@@ -687,32 +727,25 @@ def _report_program(port):
     yield SyncInstruction(address=port % 3)
 
 
-@pytest.mark.parametrize("again, stream", [
-    pytest.param(False, False, id="False"),
-    pytest.param(True, False, id="True"),
-    pytest.param(False, True, id="stream-False"),
-    pytest.param(True, True, id="stream-True"),
-])
-def test_report_path_folds_idle_machines(again, stream):
+@pytest.mark.parametrize("again", [False, True])
+def test_report_path_folds_idle_machines(again):
     """Building a machine folds every earlier idle one: its buffer is
     empty from then on, and every machine's reported latency summary is
-    the one an unfolded collector (or streaming store) on the same bus
-    gives — also when the first machine runs again after the second is
-    built."""
+    the one an unfolded collector on the same bus gives — also when the
+    first machine runs again after the second is built."""
     from repro.experiments.runner import observe
     from repro.monitor.report import ReportCollector
 
     references = []
-    cls = StreamingSpanStore if stream else SpanCollector
 
     def reference(ctx):
-        references.append(cls(max_requests=ReportCollector.SPAN_CAP)
+        references.append(SpanCollector(max_requests=ReportCollector.SPAN_CAP)
                           .attach(ctx.bus))
 
     def run(machine, ports=range(8)):
         machine.run_programs({port: _report_program(port) for port in ports})
 
-    collector = ReportCollector(stream=stream)
+    collector = ReportCollector()
     with observe(collector, reference):
         first = CedarMachine(CedarConfig())
         run(first)
@@ -726,4 +759,4 @@ def test_report_path_folds_idle_machines(again, stream):
     assert len(records) == len(references) == 2
     for record, ref in zip(records, references):
         assert record["latency"]["requests"] > 0
-        _same(record["latency"], cls.analyze([ref]).summary())
+        _same(record["latency"], SpanCollector.analyze([ref]).summary())

@@ -25,10 +25,7 @@ from repro.monitor.spans import (
     validate_spans_file,
 )
 from repro.monitor.sketch import QuantileSketch
-from repro.monitor.streamstore import (
-    StreamingLatencyAnalysis,
-    StreamingSpanStore,
-)
+from repro.monitor.streamstore import StreamingSpanStore
 
 
 def _programs(ports=8, length=32):
@@ -76,7 +73,7 @@ class TestAgreementWithBuffered:
     def test_counts_means_and_maxima_are_exact(self):
         _machine, buffered, store, _cycles = _dual_run()
         exact = LatencyAnalysis.from_collectors([buffered])
-        streaming = StreamingLatencyAnalysis.from_stores([store])
+        streaming = StreamingSpanStore.analyze([store])
         assert streaming.requests == exact.requests > 0
         latencies = [s.latency for s in exact.spans]
         sketch = store.latency_sketches["all"]
@@ -92,7 +89,7 @@ class TestAgreementWithBuffered:
             s.latency for s in buffered.complete_spans()
             if s.phases() is not None
         ]
-        row = StreamingLatencyAnalysis.from_stores([store]).end_to_end()["all"]
+        row = StreamingSpanStore.analyze([store]).end_to_end()["all"]
         for q, key in ((0.5, "p50"), (0.9, "p90"), (0.95, "p95"),
                        (0.99, "p99")):
             exact = _exact_quantile(latencies, q)
@@ -107,7 +104,7 @@ class TestAgreementWithBuffered:
             assert store.phase_sketches[phase].sum == pytest.approx(
                 expected, abs=1e-6
             )
-        streaming_stages = StreamingLatencyAnalysis.from_stores(
+        streaming_stages = StreamingSpanStore.analyze(
             [store]
         ).stage_decomposition()
         for stage, row in exact.stage_decomposition().items():
@@ -200,7 +197,7 @@ class TestFoldAndRelease:
             machine.run_programs(_programs())
             store.detach()
             exemplars = store.spans()["exemplars"]
-            return StreamingLatencyAnalysis.from_stores([store]).summary(), {
+            return StreamingSpanStore.analyze([store]).summary(), {
                 kind: [{k: v for k, v in span.items() if k != "id"}
                        for span in spans]
                 for kind, spans in exemplars.items()
@@ -313,7 +310,7 @@ class TestStreamingSchema:
             store = StreamingSpanStore(exemplars=8).attach(machine.bus)
             machine.run_programs(_programs())
             stores.append(store)
-        merged = StreamingLatencyAnalysis.from_stores(stores)
+        merged = StreamingSpanStore.analyze(stores)
         assert merged.requests == sum(
             s.latency_sketches["all"].count for s in stores
         )
@@ -333,25 +330,9 @@ class TestStreamingRenderers:
         from repro.monitor.analysis import latency_tables
 
         _machine, _buffered, store, _cycles = _dual_run()
-        out = latency_tables(StreamingLatencyAnalysis.from_stores([store]))
+        out = latency_tables(StreamingSpanStore.analyze([store]))
         assert "p95" in out and "p99" in out
         assert "gmem" in out
-
-    def test_report_collector_stream_mode(self):
-        from repro.experiments.runner import observe
-        from repro.monitor.report import ReportCollector
-
-        collector = ReportCollector(stream=True)
-        with observe(collector):
-            machine = CedarMachine(CedarConfig())
-            machine.run_programs(_programs(ports=4, length=8))
-        (record,) = collector.machine_dicts()
-        latency = record["latency"]
-        assert latency["mode"] == "streaming"
-        assert latency["requests"] > 0
-        assert latency["sketches"]["latency"]["all"]["count"] == (
-            latency["requests"]
-        )
 
 
 class TestHistogrammerEdgeBins:
@@ -421,10 +402,9 @@ class TestCLI:
         assert args.requests == 5000 and args.seed == 3 and args.buffered
         args = build_parser().parse_args(["analyze", "table2", "--stream"])
         assert args.stream
-        args = build_parser().parse_args(["run-all", "--stream"])
-        assert args.stream
-        args = build_parser().parse_args(["report", "table2", "--stream"])
-        assert args.stream
+        for argv in (["run-all", "--stream"], ["report", "table2", "--stream"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
 
     def test_soak_command_runs(self, capsys):
         from repro.__main__ import main
